@@ -10,7 +10,7 @@ Submodules:
   cli       command-line interface
 """
 
-from .perm import Permutation, compose, inverse, parse_cycles, cycle_string
+from .perm import Permutation, parse_cycles, cycle_string
 from .group import (
     PermGroup,
     BlockSystem,
@@ -34,6 +34,8 @@ from .design import (
     is_flag_transitive,
     is_anti_flag_transitive,
     imprimitivity_profile,
+    Certificate,
+    certify,
 )
 from .params import (
     ParamCandidate,

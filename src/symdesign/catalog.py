@@ -21,7 +21,8 @@ __all__ = ["CatalogError", "load", "dataset_ids", "provenance"]
 
 
 class CatalogError(ValueError):
-    """Unknown dataset id, checksum mismatch, or invariant failure."""
+    """Unknown dataset id, checksum mismatch or invariant failure, and
+    malformed or inconsistent pipeline catalog data."""
 
 
 # sha256 of every file-backed payload; regenerated by scripts/pin_checksums.py
@@ -34,7 +35,6 @@ _CHECKSUMS = {
     "m12_144_N3.grp": "0f61d90e4519a7a83887fab00f7474ecb529ab50c177963657e4582dda19124b",
     "m12_144_base_block.txt": "8248b4c341d22a1284ac6a41d5eb207f900f9f09074766640efcd6438b09acae",
     "m12_catalog.json": "e842500ed2e9fb874f02fea1082bb40d46144e6383df6f8acb503bcc2a0fc94d",
-    "primitive_base_blocks.txt": "357a8ef3b4525b864f1138b54f8b28d600f19e354c7778054cc68e96e0c49fb1",
 }
 
 

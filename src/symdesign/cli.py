@@ -15,11 +15,13 @@ import sys
 
 from . import catalog as _catalog
 from .design import (
+    DesignParams,
+    ImprimitivityProfile,
     NotSymmetric,
-    complement,
+    certify,
     construct_design,
     design_file_text,
-    imprimitivity_profile,
+    is_anti_flag_transitive,
     is_flag_transitive,
     parse_design_file,
     verify_symmetric,
@@ -154,7 +156,7 @@ def _cmd_flag_transitive(args) -> int:
     design = _read_design(args.designfile)
     group, _ = _read_group(args.groupfile)
     if args.anti:
-        result = is_flag_transitive(complement(design), group, force=args.force)
+        result = is_anti_flag_transitive(design, group, force=args.force)
         label = "anti-flag-transitive"
     else:
         result = is_flag_transitive(design, group, force=args.force)
@@ -174,46 +176,40 @@ def _cmd_pipeline(args) -> int:
     return OK
 
 
+# The paper's values for the M12 design: blocks, params, flag- and
+# anti-flag-transitivity, the class of 1 in each minimal block system, and
+# the (c,d,l,s) profile against each system.
+_D1_EXPECTED = (
+    144, DesignParams(144, 66, 30), True, False,
+    (tuple(range(1, 13)), (1, 13, 35, 38, 57, 62, 81, 91, 103, 109, 128, 140)),
+    (ImprimitivityProfile(12, 12, 6, 11),) * 2,
+)
+
+
 def _cmd_reproduce_d1(args) -> int:
     G = _catalog.load("m12-144/G")
-    block = _catalog.load("m12-144/base-block")
-    design = construct_design(G, block)
+    design = construct_design(G, _catalog.load("m12-144/base-block"))
+    cert = certify(design, G)
+    aft = is_anti_flag_transitive(design, G)
+    params, ft = cert.params, cert.flag_transitive
     print(f"blocks: {design.num_blocks}")
-    params = verify_symmetric(design)
     print(f"params: {params}")
-    ft = is_flag_transitive(design, G)
-    aft = is_flag_transitive(complement(design), G)
     print(f"flag-transitive: {'yes' if ft else 'no'}")
     print(f"anti-flag-transitive: {'yes' if aft else 'no'}")
-    systems = G.minimal_block_systems()
-    profiles = []
-    for i, sys_ in enumerate(systems, 1):
+    for i, (sys_, prof) in enumerate(zip(cert.systems, cert.profiles), 1):
         print(f"class of 1 in system {i}: "
               + ",".join(map(str, sys_.class_containing(1))))
-        prof = imprimitivity_profile(design, sys_)
-        profiles.append(prof)
         print(f"profile system {i}: {prof}")
-    shape = {(s.num_classes, s.class_size) for s in systems}
-    good = (
-        design.num_blocks == 144
-        and (params.v, params.k, params.lam) == (144, 66, 30)
-        and ft
-        and not aft
-        and len(systems) == 2
-        and shape == {(12, 12)}
-        and all((p.c, p.d, p.ell, p.s) == (12, 12, 6, 11) for p in profiles)
-        and sorted(map(tuple, (s.class_containing(1) for s in systems)))
-        == [tuple(range(1, 13)),
-            (1, 13, 35, 38, 57, 62, 81, 91, 103, 109, 128, 140)]
-    )
+    classes_of_1 = tuple(s.class_containing(1) for s in cert.systems)
+    good = (design.num_blocks, params, ft, aft, classes_of_1, cert.profiles) == _D1_EXPECTED
+    first, prof = cert.systems[0], cert.profiles[0]
     print(
         f"summary: ({params.v},{params.k},{params.lam}) "
         f"{'design-found' if good else 'MISMATCH'}; "
         f"flag-transitive: {'yes' if ft else 'no'}; "
         f"anti-flag-transitive: {'yes' if aft else 'no'}; "
-        f"systems: {len(systems)}x({systems[0].num_classes} classes of "
-        f"{systems[0].class_size}); (c,d,l,s)=({profiles[0].c},{profiles[0].d},"
-        f"{profiles[0].ell},{profiles[0].s})"
+        f"systems: {len(cert.systems)}x({first.num_classes} classes of "
+        f"{first.class_size}); (c,d,l,s)=({prof.c},{prof.d},{prof.ell},{prof.s})"
     )
     return OK if good else REFUTED
 

@@ -3,7 +3,10 @@
 A design is a point set {1..v} plus a list of blocks.  Designs are
 immutable after construction; ``verify_symmetric`` caches the certified
 parameters on the instance, and the transitivity predicates refuse
-trivial designs unless forced.
+trivial designs unless forced.  ``certify`` bundles the facts that
+``symdesign reproduce-d1`` and the catalog pipeline both report: the
+verified parameters, flag transitivity, the minimal block systems of the
+group and the intersection profile of the design against each system.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .group import PermGroup
-from .perm import Permutation, cycle_string
+from .perm import cycle_string
 
 __all__ = [
     "Design",
@@ -28,6 +31,8 @@ __all__ = [
     "is_flag_transitive",
     "is_anti_flag_transitive",
     "imprimitivity_profile",
+    "Certificate",
+    "certify",
     "parse_design_file",
     "design_file_text",
 ]
@@ -241,16 +246,9 @@ def block_stabilizer(G: PermGroup, design: Design, block_index: int) -> PermGrou
     if not 0 <= block_index < design.num_blocks:
         raise ValueError(f"block index {block_index} outside 0..{design.num_blocks - 1}")
     rows = _block_action_images(G, design)
-    action_of = {g: row for g, row in zip(G.generators, rows)}
-
-    def act(g: Permutation, idx: int) -> int:
-        row = action_of.get(g)
-        if row is not None:
-            return row[idx]
-        img = tuple(sorted(g(pt) for pt in design.blocks[idx]))
-        return design.blocks.index(img)
-
-    return G.stabilizer_of_action(block_index, act)
+    # stabilizer_of_action applies only G's generators, so every g has a row
+    action_of = dict(zip(G.generators, rows))
+    return G.stabilizer_of_action(block_index, lambda g, idx: action_of[g][idx])
 
 
 def flags(design: Design) -> list[tuple]:
@@ -348,6 +346,30 @@ def imprimitivity_profile(design: Design, system) -> ImprimitivityProfile:
             -1, -1, ell, f"lam(c-1) != k(ell-1) for c={c}, ell={ell}"
         )
     return ImprimitivityProfile(c, d, ell, s)
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """What ``certify`` established about a design under a group."""
+
+    params: DesignParams
+    flag_transitive: bool
+    systems: tuple  # G.minimal_block_systems(); empty iff G is primitive
+    profiles: tuple  # one ImprimitivityProfile per system, in the same order
+
+
+def certify(design: Design, G: PermGroup) -> Certificate:
+    """Verify the design (unless already verified), its flag transitivity
+    under G, and its intersection profile against each minimal block
+    system of G; raises NotSymmetric or ProfileViolation on a refutation."""
+    params = _verified(design)
+    systems = tuple(G.minimal_block_systems())
+    return Certificate(
+        params=params,
+        flag_transitive=is_flag_transitive(design, G),
+        systems=systems,
+        profiles=tuple(imprimitivity_profile(design, s) for s in systems),
+    )
 
 
 # ---- design file format ----------------------------------------------------

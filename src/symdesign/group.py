@@ -277,9 +277,6 @@ class PermGroup:
         stab = self.point_stabilizer(point)
         return sorted(len(o) for o in stab.orbits())
 
-    def rank(self, point: int) -> int:
-        return len(self.subdegrees(point))
-
     # ---- block systems ---------------------------------------------------
 
     def _finest_system_joining(self, a: int, b: int) -> "BlockSystem | None":
@@ -528,6 +525,8 @@ def parse_group_file(text: str) -> tuple[PermGroup, str | None]:
             continue
         if line.lower().startswith("degree:"):
             degree = int(line.split(":", 1)[1])
+            if degree < 1:
+                raise ValueError(f"line {lineno}: degree {degree} must be positive")
             continue
         if line.lower().startswith("name:"):
             name = line.split(":", 1)[1].strip()

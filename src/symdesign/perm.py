@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import re
 
-__all__ = ["Permutation", "compose", "inverse", "parse_cycles", "cycle_string"]
+__all__ = ["Permutation", "parse_cycles", "cycle_string"]
 
 
 class Permutation:
@@ -129,15 +129,6 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation[{cycle_string(self)}, degree={self.degree}]"
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Product mapping i to q(p(i))."""
-    return p * q
-
-
-def inverse(p: Permutation) -> Permutation:
-    return p.inverse()
 
 
 _CYCLE_RE = re.compile(r"\(([0-9,]*)\)")

@@ -11,17 +11,11 @@ canonical order so reports are byte-identical across runs.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .arith import divisors
-from .design import (
-    NotSymmetric,
-    construct_design,
-    imprimitivity_profile,
-    is_flag_transitive,
-    verify_symmetric,
-)
+from .catalog import CatalogError
+from .design import NotSymmetric, certify, construct_design, verify_symmetric
 from .group import CosetAction, PermGroup, assert_subgroup, coset_action
 from .params import classify_type, derive_cdl, enumerate_params
 from .perm import parse_cycles
@@ -59,10 +53,6 @@ STATUS_NO_BLOCK = "no-block-of-length-k"
 STATUS_NOT_DESIGN = "not-a-design"
 
 
-class CatalogError(ValueError):
-    """Malformed or internally inconsistent catalog data."""
-
-
 @dataclass
 class MaximalRecord:
     """A maximal subgroup: order, index, and optional structure data.
@@ -74,13 +64,9 @@ class MaximalRecord:
     name: str
     order: int
     index: int
-    generators: tuple | None = None
+    group: PermGroup | None = None
     subgroup_entries: tuple = ()
     order_factorization: dict | None = None
-
-    @property
-    def maximal_indices(self) -> tuple:
-        return tuple(j for _, j in self.subgroup_entries)
 
 
 @dataclass
@@ -221,28 +207,6 @@ class SearchOutcome:
     orbit_lengths: tuple = ()
 
 
-def _design_certificate(image_group: PermGroup, design) -> dict:
-    params = design.params
-    subdeg = image_group.subdegrees(1)
-    profiles = []
-    for system in image_group.minimal_block_systems():
-        prof = imprimitivity_profile(design, system)
-        profiles.append((prof.c, prof.d, prof.ell, prof.s))
-    block_sets = [frozenset(b) for b in design.blocks]
-    meets = Counter()
-    for i in range(len(block_sets)):
-        bi = block_sets[i]
-        for j in range(i + 1, len(block_sets)):
-            meets[len(bi & block_sets[j])] += 1
-    return {
-        "params": (params.v, params.k, params.lam),
-        "flag_transitive": is_flag_transitive(design, image_group),
-        "subdegrees": tuple(subdeg),
-        "profiles": tuple(sorted(profiles)),
-        "block_intersections": tuple(sorted(meets.items())),
-    }
-
-
 def base_block_search(G: PermGroup, H: PermGroup, K: PermGroup, params: tuple,
                       action: CosetAction | None = None) -> SearchOutcome:
     """Hunt for a base block among the K-orbits on the cosets of H.
@@ -270,12 +234,51 @@ def base_block_search(G: PermGroup, H: PermGroup, K: PermGroup, params: tuple,
             continue
         if (got.v, got.k, got.lam) != (v, k, lam):
             continue
-        cert = _design_certificate(act.group, design)
-        return SearchOutcome(STATUS_DESIGN, design, cert, lengths)
+        cert = certify(design, act.group)
+        invariants = {
+            "params": (v, k, lam),
+            "flag_transitive": cert.flag_transitive,
+            "subdegrees": tuple(act.group.subdegrees(1)),
+            "profiles": tuple(sorted((p.c, p.d, p.ell, p.s) for p in cert.profiles)),
+            # verify_symmetric has certified that every block pair meets in lam
+            "block_intersections": ((lam, v * (v - 1) // 2),),
+        }
+        return SearchOutcome(STATUS_DESIGN, design, invariants, lengths)
     return SearchOutcome(STATUS_NOT_DESIGN, orbit_lengths=lengths)
 
 
 # ---- catalog loading -------------------------------------------------------
+
+
+def _record(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise CatalogError(f"{where}: expected a JSON object")
+    return value
+
+
+def _field(rec: dict, key: str, where: str):
+    if key not in rec:
+        raise CatalogError(f"{where}: missing field {key!r}")
+    return rec[key]
+
+
+def _list(value, where: str):
+    if not isinstance(value, (list, tuple)):
+        raise CatalogError(f"{where}: expected a list")
+    return value
+
+
+def _records(data: dict, key: str) -> list:
+    """(path, object) for each entry of the optional list ``data[key]``."""
+    items = _list(data.get(key, []), key)
+    return [(f"{key}[{i}]", _record(item, f"{key}[{i}]")) for i, item in enumerate(items)]
+
+
+def _pairs(rows, where: str):
+    for row in _list(rows, where):
+        if not isinstance(row, (list, tuple)) or len(row) != 2:
+            raise CatalogError(f"{where}: row {row!r} is not a pair")
+    return rows
 
 
 def _parse_order(value) -> int:
@@ -286,47 +289,45 @@ def _parse_order(value) -> int:
     raise CatalogError(f"bad order value {value!r}")
 
 
-def _parse_factorization(value) -> dict | None:
+def _parse_factorization(value, where: str) -> dict | None:
     if value is None:
         return None
-    fact = {int(p): int(e) for p, e in value}
-    return fact
+    return {int(p): int(e) for p, e in _pairs(value, f"{where}.order_factorization")}
 
 
-def _parse_entries(record: dict) -> tuple:
-    entries = []
-    for item in record.get("maximal_subgroups", []):
-        name, index = item
-        entries.append((str(name), int(index)))
-    for index in record.get("maximal_indices", []):
-        entries.append((None, int(index)))
+def _parse_entries(record: dict, where: str) -> tuple:
+    rows = _pairs(record.get("maximal_subgroups", []), f"{where}.maximal_subgroups")
+    entries = [(str(name), int(index)) for name, index in rows]
+    indices = _list(record.get("maximal_indices", []), f"{where}.maximal_indices")
+    entries += [(None, int(index)) for index in indices]
     return tuple(entries)
 
 
-def _parse_generators(strings, degree: int | None, label: str):
+def _parse_generators(strings, degree: int | None, where: str):
     if strings is None:
         return None
     if degree is None:
-        raise CatalogError(f"{label}: generators given without a degree")
+        raise CatalogError(f"{where}: generators given without a degree")
+    if not all(isinstance(s, str) for s in _list(strings, f"{where}.generators")):
+        raise CatalogError(f"{where}.generators: expected cycle strings")
     return tuple(parse_cycles(s, degree) for s in strings)
 
 
 def _load_one_catalog(data: dict) -> GroupCatalog:
-    try:
-        grp = data["group"]
-        name = grp["name"]
-        order = _parse_order(grp["order"])
-    except KeyError as exc:
-        raise CatalogError(f"catalog group record missing {exc}") from exc
+    grp = _record(_field(data, "group", "catalog"), "group")
+    name = _field(grp, "name", "group")
+    order = _parse_order(_field(grp, "order", "group"))
     degree = grp.get("degree")
-    fact = _parse_factorization(grp.get("order_factorization"))
+    if degree is not None and (not isinstance(degree, int) or degree < 1):
+        raise CatalogError(f"group: degree {degree!r} is not a positive integer")
+    fact = _parse_factorization(grp.get("order_factorization"), "group")
     if fact is not None:
         check = 1
         for p, e in fact.items():
             check *= p**e
         if check != order:
             raise CatalogError(f"{name}: order factorization does not multiply out")
-    gens = _parse_generators(grp.get("generators"), degree, name)
+    gens = _parse_generators(grp.get("generators"), degree, "group")
     group = None
     if gens is not None:
         group = PermGroup(gens, degree=degree)
@@ -336,15 +337,16 @@ def _load_one_catalog(data: dict) -> GroupCatalog:
             )
 
     maximals = []
-    for rec in data.get("maximals", []):
-        m_fact = _parse_factorization(rec.get("order_factorization"))
+    for where, rec in _records(data, "maximals"):
+        m_name = _field(rec, "name", where)
+        m_gens = _parse_generators(rec.get("generators"), degree, where)
         record = MaximalRecord(
-            name=rec["name"],
-            order=_parse_order(rec["order"]),
-            index=_parse_order(rec["index"]),
-            generators=_parse_generators(rec.get("generators"), degree, rec["name"]),
-            subgroup_entries=_parse_entries(rec),
-            order_factorization=m_fact,
+            name=m_name,
+            order=_parse_order(_field(rec, "order", where)),
+            index=_parse_order(_field(rec, "index", where)),
+            group=None if m_gens is None else PermGroup(m_gens, degree=degree),
+            subgroup_entries=_parse_entries(rec, where),
+            order_factorization=_parse_factorization(rec.get("order_factorization"), where),
         )
         if record.order * record.index != order:
             raise CatalogError(f"{record.name}: order*index != |{name}|")
@@ -352,22 +354,22 @@ def _load_one_catalog(data: dict) -> GroupCatalog:
 
     known_names = {m.name for m in maximals}
     hints = []
-    for rec in data.get("subgroup_hints", []):
-        inside = rec["inside"]
+    for where, rec in _records(data, "subgroup_hints"):
+        inside = _field(rec, "inside", where)
         if inside not in known_names:
             raise CatalogError(f"hint {rec.get('name')}: unknown maximal {inside!r}")
         if group is None:
             raise CatalogError(f"hint {rec.get('name')}: hints need group generators")
-        hgens = _parse_generators(rec["generators"], degree, rec.get("name", "hint"))
+        hgens = _parse_generators(_field(rec, "generators", where), degree, where)
         for g in hgens:
             if not group.contains(g):
                 raise CatalogError(
                     f"hint {rec.get('name')}: generator outside {name}"
                 )
         hgroup = PermGroup(hgens, degree=degree)
-        index = _parse_order(rec["index"])
+        index = _parse_order(_field(rec, "index", where))
         owner = next(m for m in maximals if m.name == inside)
-        if owner.order % index or hgroup.order() != owner.order // index:
+        if index < 1 or owner.order % index or hgroup.order() != owner.order // index:
             raise CatalogError(
                 f"hint {rec.get('name')}: order {hgroup.order()} is not "
                 f"|{inside}|/{index}"
@@ -375,19 +377,19 @@ def _load_one_catalog(data: dict) -> GroupCatalog:
         hints.append(SubgroupHint(rec.get("name", f"hint-{inside}"), inside, index, hgroup))
 
     tables: dict = {}
-    for key, rows in data.get("index_tables", {}).items():
+    for key, rows in _record(data.get("index_tables", {}), "index_tables").items():
+        rows = _pairs(rows, f"index_tables.{key}")
         tables[key] = tuple((str(n) if n is not None else None, int(j)) for n, j in rows)
     for m in maximals:
         if m.subgroup_entries:
             tables.setdefault(m.name, m.subgroup_entries)
 
     for m in maximals:
-        if m.generators is not None:
-            mg = PermGroup(m.generators, degree=degree)
-            if mg.order() != m.order:
+        if m.group is not None:
+            if m.group.order() != m.order:
                 raise CatalogError(f"{m.name}: generator order != stated order")
             if group is not None:
-                for g in m.generators:
+                for g in m.group.generators:
                     if not group.contains(g):
                         raise CatalogError(f"{m.name}: generator outside {name}")
 
@@ -404,13 +406,17 @@ def _load_one_catalog(data: dict) -> GroupCatalog:
 
 
 def load_catalogs(data) -> list[GroupCatalog]:
-    """Accept a single catalog object or {"groups": [...]}; validate all."""
+    """Accept a single catalog object or {"groups": [...]}; validate all.
+
+    Malformed data raises CatalogError naming the record and the field.
+    """
     if isinstance(data, str):
         data = json.loads(data)
+    data = _record(data, "catalog")
     if not data:
         return []
     if "groups" in data:
-        return [_load_one_catalog(d) for d in data["groups"]]
+        return [_load_one_catalog(rec) for _, rec in _records(data, "groups")]
     return [_load_one_catalog(data)]
 
 
@@ -501,9 +507,7 @@ def _jsonable(obj):
 def _resolve_subgroups(cat: GroupCatalog, M: MaximalRecord, index: int) -> list:
     """Groups of index ``index`` in M available from catalog data."""
     if index == 1:
-        if M.generators is not None and cat.degree is not None:
-            return [("=" + M.name, PermGroup(M.generators, degree=cat.degree))]
-        return []
+        return [("=" + M.name, M.group)] if M.group is not None else []
     return [(h.name, h.group) for h in cat.hints
             if h.inside == M.name and h.index == index]
 

@@ -1,5 +1,8 @@
 """Shared fixture groups and brute-force oracles for the test suite."""
 
+from collections import Counter
+from itertools import combinations
+
 from symdesign.perm import Permutation, parse_cycles
 from symdesign.group import PermGroup
 
@@ -45,3 +48,10 @@ def element_closure(group):
                     nxt.append(e)
         frontier = nxt
     return seen
+
+
+def pairwise_meets(design):
+    """(size, count) for every block-pair intersection size, by brute force."""
+    sets = [frozenset(b) for b in design.blocks]
+    meets = Counter(len(a & b) for a, b in combinations(sets, 2))
+    return tuple(sorted(meets.items()))

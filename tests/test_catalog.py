@@ -32,6 +32,20 @@ def test_checksums_are_pinned():
     assert all(len(v) == 64 for v in catalog._CHECKSUMS.values())
 
 
+def test_every_pinned_file_is_loaded(monkeypatch):
+    read = []
+    original = catalog._read
+
+    def recording_read(fname):
+        read.append(fname)
+        return original(fname)
+
+    monkeypatch.setattr(catalog, "_read", recording_read)
+    for dataset_id in dataset_ids():
+        load(dataset_id)
+    assert set(read) == set(catalog._CHECKSUMS)
+
+
 @pytest.fixture(scope="module")
 def G():
     return load("m12-144/G")

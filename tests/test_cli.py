@@ -1,5 +1,7 @@
 import json
+import re
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +156,8 @@ def test_reproduce_d1_verb(capsys):
     assert "summary: (144,66,30) design-found; flag-transitive: yes; " \
            "anti-flag-transitive: no; systems: 2x(12 classes of 12); " \
            "(c,d,l,s)=(12,12,6,11)" in out
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert out == re.search(r"```\n(blocks: .*?)```", readme, re.S).group(1)
 
 
 def test_usage_errors():
@@ -166,3 +170,41 @@ def test_malformed_group_file(tmp_path):
     bad = tmp_path / "bad.grp"
     bad.write_text("degree: 4\n(1,2\n")
     assert main(["order", str(bad)]) == 2
+
+
+_C4 = {"name": "C4", "order": "4"}
+
+
+@pytest.mark.parametrize("verb, name, text, message", [
+    ("pipeline", "cat.json",
+     json.dumps({"group": _C4, "maximals": [{"order": "2", "index": "2"}]}),
+     "maximals[0]: missing field 'name'"),
+    ("pipeline", "cat.json", json.dumps([_C4]), "catalog: expected a JSON object"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": _C4, "maximals": [
+         {"name": "C2", "order": "2", "index": "2", "maximal_subgroups": [["B", 3, 4]]}]}),
+     "maximals[0].maximal_subgroups: row ['B', 3, 4] is not a pair"),
+    ("order", "zero.grp", "degree: 0\n", "degree 0 must be positive"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": _C4, "maximals": [
+         {"name": "C2", "order": "2", "index": "2", "maximal_indices": 5}]}),
+     "maximals[0].maximal_indices: expected a list"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": dict(_C4, degree=4, generators=5)}),
+     "group.generators: expected a list"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": dict(_C4, degree=4, generators=["(1,2,3,4)"]),
+                 "maximals": [{"name": "C2", "order": "2", "index": "2"}],
+                 "subgroup_hints": [{"name": "h", "inside": "C2", "index": 0,
+                                     "generators": ["(1,3)(2,4)"]}]}),
+     "|C2|/0"),
+], ids=["maximal-without-name", "top-level-list", "row-of-wrong-arity", "degree-zero",
+        "indices-not-a-list", "generators-not-a-list", "hint-index-zero"])
+def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, verb, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([verb, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err

@@ -1,11 +1,13 @@
 import pytest
 
+from symdesign.catalog import load
 from symdesign.design import (
     Design,
     DesignParams,
     NotSymmetric,
     ProfileViolation,
     block_stabilizer,
+    certify,
     complement,
     construct_design,
     design_file_text,
@@ -137,6 +139,28 @@ def test_flag_transitivity_refuses_trivial_designs():
 
 def test_fano_not_anti_flag_transitive(fano, f21):
     assert not is_anti_flag_transitive(fano, f21)
+
+
+def _fano_under_f21():
+    return construct_design(cyclic(7), [1, 2, 4]), FIXTURES["F21"][0]
+
+
+def _m12_design():
+    G = load("m12-144/G")
+    return construct_design(G, load("m12-144/base-block")), G
+
+
+@pytest.mark.parametrize("build, params, profiles", [
+    (_fano_under_f21, (7, 3, 1), []),  # F21 is primitive: no systems
+    (_m12_design, (144, 66, 30), [(12, 12, 6, 11)] * 2),
+], ids=["fano-f21", "m12"])
+def test_certify(build, params, profiles):
+    design, G = build()
+    cert = certify(design, G)
+    assert cert.params == DesignParams(*params)
+    assert cert.flag_transitive
+    assert len(cert.systems) == len(profiles)
+    assert [(p.c, p.d, p.ell, p.s) for p in cert.profiles] == profiles
 
 
 def test_imprimitivity_profile_refutes_bad_partition():

@@ -2,38 +2,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdesign.perm import Permutation, compose, inverse, parse_cycles, cycle_string
+from symdesign.perm import Permutation, parse_cycles, cycle_string
 
 
 def test_involution_squares_to_identity():
     p = parse_cycles("(1,2)", 3)
-    assert compose(p, p).is_identity()
+    assert (p * p).is_identity()
 
 
 def test_identity_law():
     p = parse_cycles("(1,2,3)", 3)
     e = Permutation.identity(3)
-    assert compose(p, e) == p
-    assert compose(e, p) == p
+    assert p * e == p
+    assert e * p == p
 
 
 def test_compose_applies_left_then_right():
     p = parse_cycles("(1,2)", 3)
     q = parse_cycles("(2,3)", 3)
-    assert compose(p, q) == parse_cycles("(1,3,2)", 3)
+    assert p * q == parse_cycles("(1,3,2)", 3)
 
 
 def test_compose_rejects_degree_mismatch():
     with pytest.raises(ValueError, match="degree mismatch"):
-        compose(parse_cycles("(1,2)", 2), parse_cycles("(1,2)", 3))
+        parse_cycles("(1,2)", 2) * parse_cycles("(1,2)", 3)
 
 
 def test_inverse_of_three_cycle():
-    assert inverse(parse_cycles("(1,2,3)", 3)) == parse_cycles("(1,3,2)", 3)
+    assert parse_cycles("(1,2,3)", 3).inverse() == parse_cycles("(1,3,2)", 3)
 
 
 def test_inverse_of_identity():
-    assert inverse(Permutation.identity(5)).is_identity()
+    assert Permutation.identity(5).inverse().is_identity()
 
 
 def test_constructor_rejects_non_bijections():
@@ -99,11 +99,11 @@ def permutation_triples(draw):
 @given(permutation_triples())
 def test_group_laws(ps):
     p, q, r = ps
-    assert compose(p, inverse(p)).is_identity()
-    assert compose(compose(p, q), r) == compose(p, compose(q, r))
+    assert (p * p.inverse()).is_identity()
+    assert (p * q) * r == p * (q * r)
 
 
 @given(permutations(max_degree=60))
 def test_inverse_round_trip(p):
-    assert inverse(inverse(p)) == p
+    assert p.inverse().inverse() == p
     assert p ** p.order() == Permutation.identity(p.degree)

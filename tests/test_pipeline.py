@@ -21,7 +21,7 @@ from symdesign.pipeline import (
     subgroup_index_gate,
 )
 
-from helpers import FIXTURES, cyclic
+from helpers import FIXTURES, cyclic, pairwise_meets
 
 
 HS_SUBDEGREES = (7, 42, 126, 210, 252, 630, 1260, 2520)
@@ -138,6 +138,15 @@ def test_base_block_search_finds_fano():
     assert out.design.num_blocks == 7
     assert out.certificate["params"] == (7, 3, 1)
     assert out.certificate["flag_transitive"] is True
+    assert out.certificate["block_intersections"] == pairwise_meets(out.design) == ((1, 21),)
+
+
+def test_m12_block_intersections_match_a_pairwise_recount():
+    G, H, K = (load(f"m12-144/{x}") for x in "GHK")
+    out = base_block_search(G, H, K, (144, 66, 30))
+    assert out.status == "design-found"
+    derived = out.certificate["block_intersections"]
+    assert derived == pairwise_meets(out.design) == ((30, 10296),)
 
 
 def test_base_block_search_no_block_of_length_k():
