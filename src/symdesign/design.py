@@ -114,7 +114,10 @@ def verify_symmetric(design: Design) -> DesignParams:
 
     Checks block count, uniform block size, uniform point degree, the
     block-pair intersection count, and the dual point-pair count; the two
-    pair conditions must agree.
+    pair conditions must agree.  Each block is an int bitset over points
+    and each point an int bitset over blocks, so a pair count is one
+    ``&`` and one ``bit_count``; pairs are checked in ``combinations``
+    order, so the first failing pair is the witness.
     """
     v = design.v
     blocks = design.blocks
@@ -145,10 +148,18 @@ def verify_symmetric(design: Design) -> DesignParams:
             raise NotSymmetric(
                 "point-degree", pt, f"point {pt} lies on {degree[pt]} blocks, expected {k}"
             )
-    block_sets = [frozenset(b) for b in blocks]
+    rows = []
+    cols = [0] * (v + 1)
+    for i, b in enumerate(blocks):
+        row = 0
+        bit = 1 << i
+        for pt in b:
+            row |= 1 << pt
+            cols[pt] |= bit
+        rows.append(row)
     lam = None
     for i, j in combinations(range(v), 2):
-        meet = len(block_sets[i] & block_sets[j])
+        meet = (rows[i] & rows[j]).bit_count()
         if lam is None:
             lam = meet
         elif meet != lam:
@@ -157,12 +168,8 @@ def verify_symmetric(design: Design) -> DesignParams:
             )
     if v == 1:
         lam = k
-    pair_count: dict[tuple, int] = {}
-    for b in blocks:
-        for pair in combinations(b, 2):
-            pair_count[pair] = pair_count.get(pair, 0) + 1
     for a, bpt in combinations(range(1, v + 1), 2):
-        meet = pair_count.get((a, bpt), 0)
+        meet = (cols[a] & cols[bpt]).bit_count()
         if meet != lam:
             raise NotSymmetric(
                 "point-pair", (a, bpt), f"points {a},{bpt} lie on {meet} blocks, expected {lam}"
@@ -208,12 +215,13 @@ def construct_design(G: PermGroup, base_block) -> Design:
         raise ValueError(f"base block not inside 1..{G.degree}")
     seen = {start}
     queue = [start]
+    maps = [g.table.__getitem__ for g in G.generators]
     qi = 0
     while qi < len(queue):
         blk = queue[qi]
         qi += 1
-        for g in G.generators:
-            img = tuple(sorted(g(pt) for pt in blk))
+        for image in maps:
+            img = tuple(sorted(map(image, blk)))
             if img not in seen:
                 seen.add(img)
                 queue.append(img)
@@ -229,8 +237,9 @@ def _block_action_images(G: PermGroup, design: Design):
     rows = []
     for g in G.generators:
         row = []
+        image = g.table.__getitem__
         for b in design.blocks:
-            img = tuple(sorted(g(pt) for pt in b))
+            img = tuple(sorted(map(image, b)))
             j = index.get(img)
             if j is None:
                 raise ValueError(
@@ -268,6 +277,7 @@ def is_flag_transitive(design: Design, G: PermGroup, force: bool = False) -> boo
     if G.degree != design.v:
         raise ValueError("group degree does not match the point count")
     rows = _block_action_images(G, design)
+    tables = [g.table for g in G.generators]
     total = sum(len(b) for b in design.blocks)
     start = (design.blocks[0][0], 0)
     seen = {start}
@@ -276,8 +286,8 @@ def is_flag_transitive(design: Design, G: PermGroup, force: bool = False) -> boo
     while qi < len(queue):
         pt, bi = queue[qi]
         qi += 1
-        for g, row in zip(G.generators, rows):
-            nxt = (g(pt), row[bi])
+        for t, row in zip(tables, rows):
+            nxt = (t[pt], row[bi])
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)

@@ -1,8 +1,13 @@
 """Permutation groups: stabilizer chains, orbits, blocks, coset actions.
 
-A PermGroup is immutable once its stabilizer chain has been built.  Chain
-construction is a single internal write step; call ``ensure_chain`` before
-sharing a group across threads, after which every query here is read-only.
+A PermGroup's generators and degree never change.  Two things are filled
+in lazily: the stabilizer chain, on first use (call ``ensure_chain`` to
+build it up front), and a private memo of point stabilizers, which
+``subdegrees`` and ``minimal_block_systems`` share.  Each fill is a single
+dict or attribute store of a value that depends only on the generators,
+so threads that query one group concurrently at worst repeat work; they
+never see a partial value.  Queries return fresh lists, so callers may
+mutate what they get.
 """
 
 from __future__ import annotations
@@ -73,8 +78,7 @@ class StabChain:
         i = start
         while i < len(self.levels):
             lv = self.levels[i]
-            x = g(lv.point)
-            u_inv = lv.inv.get(x)
+            u_inv = lv.inv.get(g.table[lv.point])
             if u_inv is None:
                 return g, i
             g = g * u_inv
@@ -101,7 +105,7 @@ class StabChain:
         for x in lv.orbit:
             ux = lv.transversal[x]
             for s in lv.gens:
-                sg = ux * s * lv.inv[s(x)]
+                sg = ux * s * lv.inv[s.table[x]]
                 if sg.is_identity():
                     continue
                 h, j = self._strip(sg, i + 1)
@@ -130,7 +134,7 @@ class StabChain:
             qi += 1
             ux = trans[x]
             for s in lv.gens:
-                y = s(x)
+                y = s.table[x]
                 if y not in trans:
                     u = ux * s
                     trans[y] = u
@@ -154,6 +158,7 @@ class PermGroup:
         self.degree = degree
         self.generators = generators
         self._chain: StabChain | None = None
+        self._stabilizers: dict[int, PermGroup] = {}
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
@@ -193,12 +198,13 @@ class PermGroup:
         seen = bytearray(self.degree + 1)
         seen[point] = 1
         queue = [point]
+        tables = [g.table for g in self.generators]
         qi = 0
         while qi < len(queue):
             x = queue[qi]
             qi += 1
-            for g in self.generators:
-                y = g(x)
+            for t in tables:
+                y = t[x]
                 if not seen[y]:
                     seen[y] = 1
                     queue.append(y)
@@ -268,14 +274,20 @@ class PermGroup:
         """Stabilizer of a point, generated by reduced Schreier generators."""
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} outside 1..{self.degree}")
-        return self.stabilizer_of_action(point, lambda g, x: g(x))
+        return self.stabilizer_of_action(point, lambda g, x: g.table[x])
+
+    def _stabilizer(self, point: int) -> "PermGroup":
+        """``point_stabilizer(point)``, computed once per group and point."""
+        stab = self._stabilizers.get(point)
+        if stab is None:
+            stab = self._stabilizers[point] = self.point_stabilizer(point)
+        return stab
 
     def subdegrees(self, point: int) -> list[int]:
         """Orbit lengths of the point stabilizer, ascending (trivial orbit included)."""
         if not self.is_transitive():
             raise ValueError("subdegrees require a transitive group")
-        stab = self.point_stabilizer(point)
-        return sorted(len(o) for o in stab.orbits())
+        return sorted(len(o) for o in self._stabilizer(point).orbits())
 
     # ---- block systems ---------------------------------------------------
 
@@ -305,11 +317,12 @@ class PermGroup:
             pending.append(ry)
 
         union(a, b)
+        tables = [g.table for g in self.generators]
         while pending:
             y = pending.pop()
             x = find(y)
-            for g in self.generators:
-                union(g(x), g(y))
+            for t in tables:
+                union(t[x], t[y])
         classes: dict[int, list[int]] = {}
         for pt in range(1, self.degree + 1):
             classes.setdefault(find(pt), []).append(pt)
@@ -320,15 +333,22 @@ class PermGroup:
     def minimal_block_systems(self) -> list["BlockSystem"]:
         """All minimal nontrivial block systems; empty iff primitive.
 
-        Seeds the refinement with every pair {1, b}, then keeps the systems
-        whose class through 1 contains no other candidate's class through 1.
+        Seeds the refinement with one pair {1, b} per orbit of the stabilizer
+        G_1 on the other points: an element of G_1 maps the finest system
+        joining 1 and b to itself and b to any point of b's G_1-orbit, so the
+        other points of that orbit give the same system (Atkinson, 1975).
+        Then keeps the systems whose class through 1 contains no other
+        candidate's class through 1.
         """
         if self.degree < 2:
             raise ValueError("block systems need degree >= 2")
         if not self.is_transitive():
             raise ValueError("block systems require a transitive group")
         found: dict[tuple, BlockSystem] = {}
-        for b in range(2, self.degree + 1):
+        for orbit in self._stabilizer(1).orbits():
+            b = orbit[0]
+            if b == 1:
+                continue
             sys = self._finest_system_joining(1, b)
             if sys is not None:
                 found.setdefault(sys.classes, sys)
@@ -360,7 +380,7 @@ class PermGroup:
         class_of = system.class_of
         reps = [cls[0] for cls in system.classes]
         return self.stabilizer_of_action(
-            class_index, lambda g, idx: class_of[g(reps[idx])]
+            class_index, lambda g, idx: class_of[g.table[reps[idx]]]
         )
 
 
@@ -408,8 +428,9 @@ class BlockSystem:
         class_sets = [frozenset(c) for c in self.classes]
         universe = set(class_sets)
         for g in generators:
+            t = g.table
             for c in class_sets:
-                if frozenset(g(x) for x in c) not in universe:
+                if frozenset(t[x] for x in c) not in universe:
                     return g, tuple(sorted(c))
         return None
 
@@ -450,16 +471,16 @@ class CosetAction:
         self.H = H
         self._hchain = H.chain
         reps = [self._canonical(G.identity())]
-        labels = {reps[0].images: 1}
+        labels = {reps[0].table: 1}
         qi = 0
         while qi < len(reps):
             w = reps[qi]
             qi += 1
             for g in G.generators:
                 wg = self._canonical(w * g)
-                if wg.images not in labels:
+                if wg.table not in labels:
                     reps.append(wg)
-                    labels[wg.images] = len(reps)
+                    labels[wg.table] = len(reps)
         self.degree = len(reps)
         self.reps = reps
         self._labels = labels
@@ -473,14 +494,14 @@ class CosetAction:
         """Unique coset representative: minimizes base images level by level."""
         w = g
         for lv in self._hchain.levels:
-            best = min(lv.orbit, key=w)
+            best = min(lv.orbit, key=w.table.__getitem__)
             if best != lv.point:
                 w = lv.transversal[best] * w
         return w
 
     def label_of(self, g: Permutation) -> int:
         """Label of the coset Hg."""
-        label = self._labels.get(self._canonical(g).images)
+        label = self._labels.get(self._canonical(g).table)
         if label is None:
             raise ValueError("element is not in the acted-on group")
         return label

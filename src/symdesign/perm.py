@@ -2,24 +2,56 @@
 
 Points are 1-based throughout.  Products compose left to right:
 ``(p * q)(i) == q(p(i))``, i.e. permutations act on the right.
+
+Two private representations, selected by the degree alone:
+
+* degree <= 255: a 256-byte translate table.  Slot 0 holds 0, slots
+  1..n hold the images and slots n+1..255 hold themselves, so ``p * q``
+  is one ``bytes.translate`` call;
+* degree > 255: a tuple of length n+1 with 0 in slot 0, composed with
+  ``operator.itemgetter``.
+
+Either way ``p.table[i]`` is the image of point i for 1 <= i <= degree,
+so inner loops elsewhere index ``table`` instead of calling the
+bounds-checked ``p(i)``.  Nothing outside this module may depend on which
+of the two types ``table`` is, nor on the slots past the degree.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from functools import cache
+from operator import itemgetter
 
 __all__ = ["Permutation", "parse_cycles", "cycle_string"]
+
+_BYTES_MAX = 255
+_BYTE_IDENTITY = bytes(range(256))
+
+
+@cache
+def _identity_table(degree: int):
+    if degree <= _BYTES_MAX:
+        return _BYTE_IDENTITY
+    return tuple(range(degree + 1))
+
+
+def _pack(img, degree: int):
+    """Table for the image sequence ``img`` (slot 0 first, length degree+1)."""
+    if degree <= _BYTES_MAX:
+        return bytes(img) + _BYTE_IDENTITY[degree + 1:]
+    return tuple(img)
 
 
 class Permutation:
     """An immutable bijection of {1, ..., degree}.
 
-    Internally stores the image tuple with a fixed sentinel at slot 0 so
-    that composition is a single indexed pass with no offset arithmetic.
+    ``table`` is the read-only image table described in the module
+    docstring: ``table[i]`` is the image of point i for 1 <= i <= degree.
     """
 
-    __slots__ = ("_img",)
+    __slots__ = ("table", "degree")
 
     def __init__(self, images):
         img = (0,) + tuple(images)
@@ -31,47 +63,51 @@ class Permutation:
             if seen[x]:
                 raise ValueError(f"image {x} repeated: not a bijection on 1..{n}")
             seen[x] = 1
-        self._img = img
+        self.table = _pack(img, n)
+        self.degree = n
 
     @classmethod
-    def _raw(cls, img: tuple) -> "Permutation":
+    def _raw(cls, table, degree: int) -> "Permutation":
         p = object.__new__(cls)
-        p._img = img
+        p.table = table
+        p.degree = degree
         return p
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
         if degree < 1:
             raise ValueError("degree must be positive")
-        return cls._raw(tuple(range(degree + 1)))
-
-    @property
-    def degree(self) -> int:
-        return len(self._img) - 1
+        return cls._raw(_identity_table(degree), degree)
 
     @property
     def images(self) -> tuple:
-        """Image tuple: images[i-1] is the image of point i."""
-        return self._img[1:]
+        """Image tuple of ints: images[i-1] is the image of point i."""
+        return tuple(self.table[1:self.degree + 1])
 
     def __call__(self, point: int) -> int:
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} outside 1..{self.degree}")
-        return self._img[point]
+        return self.table[point]
 
     def __mul__(self, other):
         if not isinstance(other, Permutation):
             return NotImplemented
-        if other.degree != self.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        o = other._img
-        return Permutation._raw(tuple(o[x] for x in self._img))
+        n = self.degree
+        if other.degree != n:
+            raise ValueError(f"degree mismatch: {n} vs {other.degree}")
+        if n <= _BYTES_MAX:
+            return Permutation._raw(self.table.translate(other.table), n)
+        return Permutation._raw(itemgetter(*self.table)(other.table), n)
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self._img)
-        for i, x in enumerate(self._img):
+        n = self.degree
+        if n <= _BYTES_MAX:
+            # maketrans(frm, to) maps frm[i] to to[i]: here table[i] -> i
+            return Permutation._raw(bytes.maketrans(self.table, _BYTE_IDENTITY), n)
+        inv = [0] * (n + 1)
+        for i, x in enumerate(self.table):
             inv[x] = i
-        return Permutation._raw(tuple(inv))
+        return Permutation._raw(tuple(inv), n)
 
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
@@ -86,46 +122,49 @@ class Permutation:
         return result
 
     def __eq__(self, other):
-        return isinstance(other, Permutation) and self._img == other._img
+        return (
+            isinstance(other, Permutation)
+            and self.degree == other.degree
+            and self.table == other.table
+        )
 
     def __hash__(self):
-        return hash(self._img)
+        return hash(self.table)
 
     def is_identity(self) -> bool:
-        img = self._img
-        return all(img[i] == i for i in range(1, len(img)))
+        return self.table == _identity_table(self.degree)
 
     def moved(self) -> list[int]:
         """Support: the points this permutation moves, ascending."""
-        img = self._img
-        return [i for i in range(1, len(img)) if img[i] != i]
+        t = self.table
+        return [i for i in range(1, self.degree + 1) if t[i] != i]
 
     def min_moved(self) -> int | None:
-        img = self._img
-        for i in range(1, len(img)):
-            if img[i] != i:
+        t = self.table
+        for i in range(1, self.degree + 1):
+            if t[i] != i:
                 return i
         return None
 
     def cycles(self) -> list[tuple]:
         """Nontrivial cycles, each rotated to start at its minimum, sorted."""
-        img = self._img
-        seen = bytearray(len(img))
+        t = self.table
+        seen = bytearray(self.degree + 1)
         out = []
-        for i in range(1, len(img)):
-            if seen[i] or img[i] == i:
+        for i in range(1, self.degree + 1):
+            if seen[i] or t[i] == i:
                 continue
             cyc = [i]
-            j = img[i]
+            j = t[i]
             while j != i:
                 seen[j] = 1
                 cyc.append(j)
-                j = img[j]
+                j = t[j]
             out.append(tuple(cyc))
         return out
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self._img else 1
+        return math.lcm(*(len(c) for c in self.cycles()))
 
     def __repr__(self):
         return f"Permutation[{cycle_string(self)}, degree={self.degree}]"
@@ -168,7 +207,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         for a, b in zip(points, points[1:]):
             images[a] = b
         images[points[-1]] = points[0]
-    return Permutation._raw(tuple(images))
+    return Permutation._raw(_pack(images, degree), degree)
 
 
 def cycle_string(p: Permutation) -> str:

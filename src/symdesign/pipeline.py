@@ -281,25 +281,42 @@ def _pairs(rows, where: str):
     return rows
 
 
-def _parse_order(value) -> int:
-    if isinstance(value, int):
-        return value
+def _int(value, where: str) -> int:
+    """An integer given as a JSON number or a decimal string."""
     if isinstance(value, str):
-        return int(value)
-    raise CatalogError(f"bad order value {value!r}")
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise CatalogError(f"{where}: expected an integer, got {value!r}")
 
 
 def _parse_factorization(value, where: str) -> dict | None:
     if value is None:
         return None
-    return {int(p): int(e) for p, e in _pairs(value, f"{where}.order_factorization")}
+    where = f"{where}.order_factorization"
+    return {
+        _int(p, f"{where}[{i}][0]"): _int(e, f"{where}[{i}][1]")
+        for i, (p, e) in enumerate(_pairs(value, where))
+    }
+
+
+def _index_rows(rows, where: str) -> tuple:
+    """(name, index) rows of an index table; a null name stays None."""
+    return tuple(
+        (None if name is None else str(name), _int(index, f"{where}[{i}][1]"))
+        for i, (name, index) in enumerate(_pairs(rows, where))
+    )
 
 
 def _parse_entries(record: dict, where: str) -> tuple:
-    rows = _pairs(record.get("maximal_subgroups", []), f"{where}.maximal_subgroups")
-    entries = [(str(name), int(index)) for name, index in rows]
-    indices = _list(record.get("maximal_indices", []), f"{where}.maximal_indices")
-    entries += [(None, int(index)) for index in indices]
+    entries = list(_index_rows(record.get("maximal_subgroups", []),
+                               f"{where}.maximal_subgroups"))
+    where = f"{where}.maximal_indices"
+    indices = _list(record.get("maximal_indices", []), where)
+    entries += [(None, _int(index, f"{where}[{i}]")) for i, index in enumerate(indices)]
     return tuple(entries)
 
 
@@ -316,7 +333,7 @@ def _parse_generators(strings, degree: int | None, where: str):
 def _load_one_catalog(data: dict) -> GroupCatalog:
     grp = _record(_field(data, "group", "catalog"), "group")
     name = _field(grp, "name", "group")
-    order = _parse_order(_field(grp, "order", "group"))
+    order = _int(_field(grp, "order", "group"), "group.order")
     degree = grp.get("degree")
     if degree is not None and (not isinstance(degree, int) or degree < 1):
         raise CatalogError(f"group: degree {degree!r} is not a positive integer")
@@ -342,8 +359,8 @@ def _load_one_catalog(data: dict) -> GroupCatalog:
         m_gens = _parse_generators(rec.get("generators"), degree, where)
         record = MaximalRecord(
             name=m_name,
-            order=_parse_order(_field(rec, "order", where)),
-            index=_parse_order(_field(rec, "index", where)),
+            order=_int(_field(rec, "order", where), f"{where}.order"),
+            index=_int(_field(rec, "index", where), f"{where}.index"),
             group=None if m_gens is None else PermGroup(m_gens, degree=degree),
             subgroup_entries=_parse_entries(rec, where),
             order_factorization=_parse_factorization(rec.get("order_factorization"), where),
@@ -367,7 +384,7 @@ def _load_one_catalog(data: dict) -> GroupCatalog:
                     f"hint {rec.get('name')}: generator outside {name}"
                 )
         hgroup = PermGroup(hgens, degree=degree)
-        index = _parse_order(_field(rec, "index", where))
+        index = _int(_field(rec, "index", where), f"{where}.index")
         owner = next(m for m in maximals if m.name == inside)
         if index < 1 or owner.order % index or hgroup.order() != owner.order // index:
             raise CatalogError(
@@ -378,8 +395,7 @@ def _load_one_catalog(data: dict) -> GroupCatalog:
 
     tables: dict = {}
     for key, rows in _record(data.get("index_tables", {}), "index_tables").items():
-        rows = _pairs(rows, f"index_tables.{key}")
-        tables[key] = tuple((str(n) if n is not None else None, int(j)) for n, j in rows)
+        tables[key] = _index_rows(rows, f"index_tables.{key}")
     for m in maximals:
         if m.subgroup_entries:
             tables.setdefault(m.name, m.subgroup_entries)

@@ -3,8 +3,9 @@
 from collections import Counter
 from itertools import combinations
 
+from symdesign.design import DesignParams, NotSymmetric
 from symdesign.perm import Permutation, parse_cycles
-from symdesign.group import PermGroup
+from symdesign.group import BlockSystem, PermGroup
 
 
 def grp(degree, *cycle_strings):
@@ -55,3 +56,110 @@ def pairwise_meets(design):
     sets = [frozenset(b) for b in design.blocks]
     meets = Counter(len(a & b) for a, b in combinations(sets, 2))
     return tuple(sorted(meets.items()))
+
+
+def wreath(inner, outer):
+    """Imprimitive wreath product inner wr outer on inner.degree * outer.degree
+    points: copy j of the inner group acts on points j*c+1..j*c+c, and the
+    outer group permutes the copies."""
+    c, d = inner.degree, outer.degree
+    gens = []
+    for g in inner.generators:  # on the first copy only
+        gens.append(Permutation([g(x) if x <= c else x for x in range(1, c * d + 1)]))
+    for h in outer.generators:
+        gens.append(Permutation([
+            (h((x - 1) // c + 1) - 1) * c + (x - 1) % c + 1 for x in range(1, c * d + 1)
+        ]))
+    return PermGroup(gens, degree=c * d)
+
+
+# ---- reference implementations that the fast kernels are tested against ------
+
+
+def reference_verify_symmetric(design):
+    """The symmetric-design check by frozenset meets and a dict of point pairs.
+
+    Raises NotSymmetric with the same axiom, witness and message as
+    ``design.verify_symmetric``, or returns the same parameters; it does not
+    cache them on the design.
+    """
+    v = design.v
+    blocks = design.blocks
+    if len(blocks) != v:
+        raise NotSymmetric("block-count", len(blocks), f"{len(blocks)} blocks for {v} points")
+    seen = {}
+    for i, b in enumerate(blocks):
+        if b in seen:
+            raise NotSymmetric(
+                "duplicate-block", (seen[b], i), f"blocks {seen[b]} and {i} coincide"
+            )
+        seen[b] = i
+    k = len(blocks[0])
+    for i, b in enumerate(blocks):
+        if len(b) != k:
+            raise NotSymmetric("block-size", i, f"block {i} has size {len(b)}, expected {k}")
+    degree = Counter(pt for b in blocks for pt in b)
+    for pt in range(1, v + 1):
+        if degree[pt] != k:
+            raise NotSymmetric(
+                "point-degree", pt, f"point {pt} lies on {degree[pt]} blocks, expected {k}"
+            )
+    block_sets = [frozenset(b) for b in blocks]
+    lam = None
+    for i, j in combinations(range(v), 2):
+        meet = len(block_sets[i] & block_sets[j])
+        if lam is None:
+            lam = meet
+        elif meet != lam:
+            raise NotSymmetric(
+                "block-pair", (i, j), f"blocks {i},{j} meet in {meet}, expected {lam}"
+            )
+    if v == 1:
+        lam = k
+    pair_count = Counter(pair for b in blocks for pair in combinations(b, 2))
+    for a, b in combinations(range(1, v + 1), 2):
+        meet = pair_count[(a, b)]
+        if meet != lam:
+            raise NotSymmetric(
+                "point-pair", (a, b), f"points {a},{b} lie on {meet} blocks, expected {lam}"
+            )
+    return DesignParams(v, k, lam)
+
+
+def _reference_finest_system_joining(group, a, b):
+    """Union-find closure of {a, b} under the generators, through ``g(x)``."""
+    parent = list(range(group.degree + 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    pending = [(a, b)]
+    while pending:
+        x, y = pending.pop()
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            continue
+        parent[max(rx, ry)] = min(rx, ry)
+        pending.extend((g(x), g(y)) for g in group.generators)
+    classes = {}
+    for pt in range(1, group.degree + 1):
+        classes.setdefault(find(pt), []).append(pt)
+    return None if len(classes) == 1 else BlockSystem(group.degree, classes.values())
+
+
+def reference_minimal_block_systems(group):
+    """Minimal block systems from the closure of every pair {1, b}, b = 2..degree,
+    in the order ``PermGroup.minimal_block_systems`` reports them."""
+    found = {}
+    for b in range(2, group.degree + 1):
+        system = _reference_finest_system_joining(group, 1, b)
+        if system is not None:
+            found.setdefault(system.classes, system)
+    minimal = [
+        s for s in found.values()
+        if not any(set(o.class_containing(1)) < set(s.class_containing(1))
+                   for o in found.values())
+    ]
+    return sorted(minimal, key=lambda s: (s.class_size, s.classes))

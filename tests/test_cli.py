@@ -198,8 +198,36 @@ _C4 = {"name": "C4", "order": "4"}
                  "subgroup_hints": [{"name": "h", "inside": "C2", "index": 0,
                                      "generators": ["(1,3)(2,4)"]}]}),
      "|C2|/0"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": _C4, "maximals": [{"name": "C2", "order": "x", "index": "2"}]}),
+     "maximals[0].order: expected an integer, got 'x'"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": _C4, "maximals": [
+         {"name": "C2", "order": "2", "index": "2", "maximal_subgroups": [["A", "y"]]}]}),
+     "maximals[0].maximal_subgroups[0][1]: expected an integer, got 'y'"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": _C4, "maximals": [{"name": "C2", "order": 7920.5, "index": "2"}]}),
+     "maximals[0].order: expected an integer, got 7920.5"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": _C4, "maximals": [{"name": "C2", "order": "2", "index": True}]}),
+     "maximals[0].index: expected an integer, got True"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": _C4, "index_tables": {"C2": [["C1", "z"]]}}),
+     "index_tables.C2[0][1]: expected an integer, got 'z'"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": dict(_C4, order_factorization=[[2, "two"]])}),
+     "group.order_factorization[0][1]: expected an integer, got 'two'"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": dict(_C4, degree=4, generators=["(1,2,3,4)"]),
+                 "maximals": [{"name": "C2", "order": "2", "index": "2"}],
+                 "subgroup_hints": [{"name": "h", "inside": "C2", "index": [1],
+                                     "generators": ["(1,3)(2,4)"]}]}),
+     "subgroup_hints[0].index: expected an integer, got [1]"),
 ], ids=["maximal-without-name", "top-level-list", "row-of-wrong-arity", "degree-zero",
-        "indices-not-a-list", "generators-not-a-list", "hint-index-zero"])
+        "indices-not-a-list", "generators-not-a-list", "hint-index-zero",
+        "order-not-a-number", "table-index-not-a-number", "order-not-an-integer",
+        "index-is-a-bool", "index-table-row-not-a-number", "factorization-not-a-number",
+        "hint-index-not-a-number"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, verb, name, text, message):
     path = tmp_path / name
     path.write_text(text)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from symdesign.catalog import load
@@ -21,7 +23,7 @@ from symdesign.design import (
 from symdesign.group import BlockSystem, PermGroup
 from symdesign.perm import parse_cycles
 
-from helpers import FIXTURES, cyclic, grp
+from helpers import FIXTURES, cyclic, grp, reference_verify_symmetric
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +70,65 @@ def test_pair_condition_refutation(fano):
     blocks[0] = (1, 2, 5)
     with pytest.raises(NotSymmetric):
         verify_symmetric(Design(7, blocks))
+
+
+def _paley_11():
+    """2-(11,5,2) from the squares mod 11, under x -> x+1 (point x is x+1)."""
+    return construct_design(cyclic(11), [x * x % 11 + 1 for x in range(1, 11)])
+
+
+def _m12():
+    return construct_design(load("m12-144/G"), load("m12-144/base-block"))
+
+
+def _perturbations(design, rng, count):
+    """Designs that differ from ``design`` at one point of one block (a point
+    swapped for one outside the block, dropped, or added), or by a trade that
+    keeps every block size and point degree: a in B_i and b in B_j change
+    places."""
+    v, blocks = design.v, design.blocks
+    out = []
+    for _ in range(count):
+        changed = [list(b) for b in blocks]
+        i, j = rng.sample(range(len(blocks)), 2)
+        kind = rng.choice(["swap", "drop", "add", "trade", "trade"])
+        bi, bj = changed[i], changed[j]
+        if kind == "trade" and set(bi) != set(bj):
+            a = rng.choice([pt for pt in bi if pt not in bj])
+            b = rng.choice([pt for pt in bj if pt not in bi])
+            bi[bi.index(a)], bj[bj.index(b)] = b, a
+        else:
+            if kind != "drop":
+                bi.append(rng.choice([pt for pt in range(1, v + 1) if pt not in bi]))
+            if kind != "add":
+                bi.remove(rng.choice(bi[:-1] if kind == "swap" else bi))
+        out.append(Design(v, changed))
+    return out
+
+
+def _outcome(check, design):
+    try:
+        return "params", check(design)
+    except NotSymmetric as exc:
+        return exc.axiom, exc.witness, str(exc)
+
+
+@pytest.mark.parametrize("make, count", [
+    (lambda: construct_design(cyclic(7), [1, 2, 4]), 60),
+    (_paley_11, 60),
+    (_m12, 6),
+], ids=["fano", "paley-11", "m12"])
+def test_verify_symmetric_matches_the_reference_on_perturbed_designs(make, count):
+    design = make()
+    rng = random.Random(count)
+    extra = [Design(design.v, design.blocks[:-1] + design.blocks[:1]),  # a duplicate
+             Design(design.v, design.blocks[:-1])]  # a block short
+    axioms = set()
+    for d in [design, *_perturbations(design, rng, count), *extra]:
+        got = _outcome(verify_symmetric, d)
+        assert got == _outcome(reference_verify_symmetric, Design(d.v, d.blocks))
+        axioms.add(got[0])
+    assert axioms >= {"params", "block-pair", "point-degree", "block-size", "duplicate-block"}
 
 
 def test_complement_of_fano(fano):

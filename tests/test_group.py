@@ -15,7 +15,17 @@ from symdesign.group import (
     parse_group_file,
 )
 
-from helpers import FIXTURES, element_closure, grp, cyclic, sym
+from symdesign.catalog import load
+
+from helpers import (
+    FIXTURES,
+    cyclic,
+    element_closure,
+    grp,
+    reference_minimal_block_systems,
+    sym,
+    wreath,
+)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -180,6 +190,53 @@ def test_block_systems_are_invariant():
         for system in group.minimal_block_systems():
             assert system.invariance_witness(group.generators) is None
             assert system.class_size * system.num_classes == group.degree
+
+
+WREATHS = {
+    "C2wrC3": (cyclic(2), cyclic(3)),
+    "S3wrC2": (sym(3), cyclic(2)),
+    "C4wrS3": (cyclic(4), sym(3)),
+    "A4wrC4": (FIXTURES["A4"][0], cyclic(4)),
+    "D10wrS4": (FIXTURES["D10"][0], sym(4)),
+    "C3wrC3wrC2": (wreath(cyclic(3), cyclic(3)), cyclic(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES) + sorted(WREATHS) + ["M12-144"])
+def test_minimal_block_systems_match_the_all_pairs_reference(name):
+    if name in FIXTURES:
+        group = FIXTURES[name][0]
+    elif name in WREATHS:
+        group = wreath(*WREATHS[name])
+        inner, outer = WREATHS[name]
+        assert group.order() == inner.order() ** outer.degree * outer.order()
+    else:
+        group = load("m12-144/G")
+    got = group.minimal_block_systems()
+    assert [s.classes for s in got] \
+        == [s.classes for s in reference_minimal_block_systems(group)]
+    if name in WREATHS:
+        assert got, "a wreath product of transitive groups is imprimitive"
+
+
+def test_repeated_queries_give_equal_fresh_results():
+    group = wreath(cyclic(3), sym(3))
+    first_sub, first_sys = group.subdegrees(1), group.minimal_block_systems()
+    assert first_sub == [1, 1, 1, 6] and len(first_sys) == 1
+    first_sub.append(99)
+    first_sys.clear()
+    assert group.subdegrees(1) == [1, 1, 1, 6]
+    assert [s.classes for s in group.minimal_block_systems()] \
+        == [((1, 2, 3), (4, 5, 6), (7, 8, 9))]
+    assert group.subdegrees(1) is not group.subdegrees(1)
+    assert group.minimal_block_systems() is not group.minimal_block_systems()
+
+
+def test_point_stabilizer_is_a_new_group_each_call():
+    group = sym(5)
+    group.subdegrees(1)  # fills the shared memo
+    a, b = group.point_stabilizer(1), group.point_stabilizer(1)
+    assert a is not b and a.generators == b.generators and a.order() == 24
 
 
 def test_block_system_validation():

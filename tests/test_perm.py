@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,3 +109,97 @@ def test_group_laws(ps):
 def test_inverse_round_trip(p):
     assert p.inverse().inverse() == p
     assert p ** p.order() == Permutation.identity(p.degree)
+
+
+# ---- the two kernels: translate tables up to degree 255, tuples above ----------
+
+BOUNDARY_DEGREES = [1, 2, 255, 256, 300]
+
+
+def _ref_mul(p, q):
+    """Plain-tuple product, (p * q)(i) = q(p(i))."""
+    return tuple(q[x - 1] for x in p)
+
+
+def _ref_inverse(p):
+    inv = [0] * len(p)
+    for i, x in enumerate(p, 1):
+        inv[x - 1] = i
+    return tuple(inv)
+
+
+def _ref_cycles(p):
+    seen, out = set(), []
+    for i in range(1, len(p) + 1):
+        if i in seen or p[i - 1] == i:
+            continue
+        cyc, j = [i], p[i - 1]
+        while j != i:
+            seen.add(j)
+            cyc.append(j)
+            j = p[j - 1]
+        out.append(tuple(cyc))
+    return out
+
+
+def _ref_order(p):
+    order, q, ident = 1, p, tuple(range(1, len(p) + 1))
+    while q != ident:
+        q = _ref_mul(q, p)
+        order += 1
+    return order
+
+
+@st.composite
+def boundary_pairs(draw):
+    n = draw(st.sampled_from(BOUNDARY_DEGREES))
+    points = list(range(1, n + 1))
+    return n, tuple(draw(st.permutations(points))), tuple(draw(st.permutations(points)))
+
+
+@given(boundary_pairs(), st.integers(min_value=-3, max_value=7))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_a_plain_tuple_reference(pair, e):
+    n, a, b = pair
+    p, q = Permutation(a), Permutation(b)
+    assert p.degree == n
+    assert p.images == a and (p * q).images == _ref_mul(a, b)
+    assert type(p.images) is tuple and all(type(x) is int for x in p.images)
+    assert p.inverse().images == _ref_inverse(a)
+    power = tuple(range(1, n + 1))
+    for _ in range(abs(e)):
+        power = _ref_mul(power, a if e > 0 else _ref_inverse(a))
+    assert (p ** e).images == power
+    assert p.cycles() == _ref_cycles(a)
+    assert p.order() == math.lcm(*map(len, _ref_cycles(a)))
+    assert (p ** p.order()).is_identity()
+    assert [p(i) for i in range(1, n + 1)] == list(a)
+    assert (p == q) == (a == b) and (p == Permutation(a)) and hash(p) == hash(Permutation(a))
+    assert (p * p.inverse()).is_identity() and (p.inverse() * p) == Permutation.identity(n)
+    assert p.is_identity() == (a == tuple(range(1, n + 1)))
+
+
+@pytest.mark.parametrize("n", BOUNDARY_DEGREES)
+def test_kernel_order_and_points_outside_the_degree(n):
+    shift = Permutation([i % n + 1 for i in range(1, n + 1)])
+    assert shift.order() == _ref_order(shift.images) == n
+    assert parse_cycles(cycle_string(shift), n) == shift
+    for bad in (0, n + 1):
+        with pytest.raises(ValueError, match="outside"):
+            shift(bad)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        shift * Permutation.identity(n + 1)
+
+
+def test_identities_of_different_degrees_differ():
+    assert Permutation.identity(5) != Permutation.identity(6)
+    assert parse_cycles("(1,2)", 5) != parse_cycles("(1,2)", 6)
+    assert Permutation.identity(255) != Permutation.identity(256)
+    assert len({Permutation.identity(5), Permutation.identity(6)}) == 2
+
+
+def test_constructor_checks_the_bijection_past_the_byte_cut_off():
+    with pytest.raises(ValueError, match="repeated"):
+        Permutation([1] * 300)
+    with pytest.raises(ValueError, match="outside"):
+        Permutation(list(range(2, 258)))
