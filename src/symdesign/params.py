@@ -107,44 +107,37 @@ def _candidate(v: int, k: int, lam: int, t: int) -> ParamCandidate:
 def enumerate_params(
     v: int, m_order: int, m_factorization: dict[int, int] | None = None
 ) -> list[ParamCandidate]:
-    """All admissible (v,k,lam) with k dividing m_order, by divisor splits.
+    """All admissible (v,k,lam) with k dividing m_order, by unitary splits.
 
-    Splits v-1 = k1*k2 over the divisors k2 of t = gcd(v-1, m_order), takes
-    k = 1 + k1*lam1 ranging over the divisors of m_order in the progression
-    1 mod k1, and keeps exactly the triples with lam integral, lam*v < k^2,
-    and 2 < k < v-1.  Agrees with brute_force_params by construction.
+    As gcd(k, k-1) = 1, (v-1) | k(k-1) holds exactly when v-1 = a*b with
+    gcd(a, b) = 1, a | k and b | k-1; and k | m_order forces a | m_order,
+    so a is a product of full prime powers of v-1 (p^r | v-1 with p not
+    dividing (v-1)/p^r) that divide m_order.  For each such a the CRT gives
+    the one k in [0, v-1) with k = 0 mod a and k = 1 mod b, so there are at
+    most 2^w candidates for the w primes of t = gcd(v-1, m_order).  A k is
+    kept when k > 2 and k | m_order.  That is every k in 3..v-2 that
+    brute_force_params keeps, since its last test, lam*v < k^2, reads
+    (k-1)v < k(v-1), i.e. k < v.  m_factorization, when given, must be the
+    prime factorization of m_order.
     """
+    if m_order < 1:
+        raise ValueError(f"subgroup order {m_order} must be positive")
     if v < 4:
         return []
     fact = m_factorization if m_factorization is not None else factorize(m_order)
-    t = math.gcd(v - 1, m_order)
-    t_fact = {}
+    n = v - 1
+    t = math.gcd(n, m_order)
+    units = [1]
     for p, e in fact.items():
-        r = 0
-        n = v - 1
-        while n % p == 0 and r < e:
-            n //= p
-            r += 1
-        if r:
-            t_fact[p] = r
-    m_divs = divisors(m_order, fact)
-    found: dict[int, int] = {}
-    for k2 in divisors(t, t_fact):
-        k1 = (v - 1) // k2
-        for k in m_divs:
-            if k <= 2 or k >= v - 1 or (k - 1) % k1:
-                continue
-            lam1 = (k - 1) // k1
-            if lam1 > k2 or math.gcd(lam1, k2) != 1:
-                continue
-            num = k * (k - 1)
-            if num % (v - 1):
-                continue
-            lam = num // (v - 1)
-            if lam * v >= k * k:
-                continue
-            found[k] = lam
-    return [_candidate(v, k, found[k], t) for k in sorted(found)]
+        q = math.gcd(n, p**e)
+        if q > 1 and n // q % p:  # p^e covers all of p in v-1
+            units += [a * q for a in units]
+    out = []
+    for a in units:
+        k = a * pow(a, -1, n // a) % n
+        if k > 2 and m_order % k == 0:
+            out.append(_candidate(v, k, k * (k - 1) // n, t))
+    return sorted(out, key=lambda c: c.k)
 
 
 def brute_force_params(v: int, m_order: int) -> list[tuple]:

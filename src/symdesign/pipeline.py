@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .arith import divisors
+from .arith import divisors, is_probable_prime
 from .catalog import CatalogError
 from .design import NotSymmetric, certify, construct_design, verify_symmetric
 from .group import CosetAction, PermGroup, assert_subgroup, coset_action
@@ -293,14 +293,24 @@ def _int(value, where: str) -> int:
     raise CatalogError(f"{where}: expected an integer, got {value!r}")
 
 
-def _parse_factorization(value, where: str) -> dict | None:
+def _parse_factorization(value, order: int, where: str) -> dict | None:
+    """{prime: exponent} from [p, e] rows; primes, e >= 1, product = order."""
     if value is None:
         return None
     where = f"{where}.order_factorization"
-    return {
-        _int(p, f"{where}[{i}][0]"): _int(e, f"{where}[{i}][1]")
-        for i, (p, e) in enumerate(_pairs(value, where))
-    }
+    fact = {}
+    product = 1
+    for i, (p, e) in enumerate(_pairs(value, where)):
+        p, e = _int(p, f"{where}[{i}][0]"), _int(e, f"{where}[{i}][1]")
+        if not is_probable_prime(p):
+            raise CatalogError(f"{where}[{i}][0]: {p} is not a prime")
+        if e < 1:
+            raise CatalogError(f"{where}[{i}][1]: exponent {e} is below 1")
+        fact[p] = e
+        product *= p**e
+    if product != order:
+        raise CatalogError(f"{where}: product {product} != order {order}")
+    return fact
 
 
 def _index_rows(rows, where: str) -> tuple:
@@ -335,15 +345,11 @@ def _load_one_catalog(data: dict) -> GroupCatalog:
     name = _field(grp, "name", "group")
     order = _int(_field(grp, "order", "group"), "group.order")
     degree = grp.get("degree")
-    if degree is not None and (not isinstance(degree, int) or degree < 1):
-        raise CatalogError(f"group: degree {degree!r} is not a positive integer")
-    fact = _parse_factorization(grp.get("order_factorization"), "group")
-    if fact is not None:
-        check = 1
-        for p, e in fact.items():
-            check *= p**e
-        if check != order:
-            raise CatalogError(f"{name}: order factorization does not multiply out")
+    if degree is not None:
+        degree = _int(degree, "group.degree")
+        if degree < 1:
+            raise CatalogError(f"group.degree: {degree} is not a positive integer")
+    fact = _parse_factorization(grp.get("order_factorization"), order, "group")
     gens = _parse_generators(grp.get("generators"), degree, "group")
     group = None
     if gens is not None:
@@ -357,13 +363,15 @@ def _load_one_catalog(data: dict) -> GroupCatalog:
     for where, rec in _records(data, "maximals"):
         m_name = _field(rec, "name", where)
         m_gens = _parse_generators(rec.get("generators"), degree, where)
+        m_order = _int(_field(rec, "order", where), f"{where}.order")
         record = MaximalRecord(
             name=m_name,
-            order=_int(_field(rec, "order", where), f"{where}.order"),
+            order=m_order,
             index=_int(_field(rec, "index", where), f"{where}.index"),
             group=None if m_gens is None else PermGroup(m_gens, degree=degree),
             subgroup_entries=_parse_entries(rec, where),
-            order_factorization=_parse_factorization(rec.get("order_factorization"), where),
+            order_factorization=_parse_factorization(
+                rec.get("order_factorization"), m_order, where),
         )
         if record.order * record.index != order:
             raise CatalogError(f"{record.name}: order*index != |{name}|")

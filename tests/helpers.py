@@ -1,11 +1,14 @@
 """Shared fixture groups and brute-force oracles for the test suite."""
 
+import math
 from collections import Counter
 from itertools import combinations
 
+from symdesign.arith import divisors, factorize
 from symdesign.design import DesignParams, NotSymmetric
 from symdesign.perm import Permutation, parse_cycles
 from symdesign.group import BlockSystem, PermGroup
+from symdesign.params import _candidate
 
 
 def grp(degree, *cycle_strings):
@@ -163,3 +166,42 @@ def reference_minimal_block_systems(group):
                    for o in found.values())
     ]
     return sorted(minimal, key=lambda s: (s.class_size, s.classes))
+
+
+def reference_enumerate_params(v, m_order, m_factorization=None):
+    """``params.enumerate_params`` by the divisor double loop it replaced.
+
+    Splits v-1 = k1*k2 over the divisors k2 of t = gcd(v-1, m_order) and
+    scans every divisor k of m_order for k = 1 + k1*lam1.
+    """
+    if v < 4:
+        return []
+    fact = m_factorization if m_factorization is not None else factorize(m_order)
+    t = math.gcd(v - 1, m_order)
+    t_fact = {}
+    for p, e in fact.items():
+        r = 0
+        n = v - 1
+        while n % p == 0 and r < e:
+            n //= p
+            r += 1
+        if r:
+            t_fact[p] = r
+    m_divs = divisors(m_order, fact)
+    found = {}
+    for k2 in divisors(t, t_fact):
+        k1 = (v - 1) // k2
+        for k in m_divs:
+            if k <= 2 or k >= v - 1 or (k - 1) % k1:
+                continue
+            lam1 = (k - 1) // k1
+            if lam1 > k2 or math.gcd(lam1, k2) != 1:
+                continue
+            num = k * (k - 1)
+            if num % (v - 1):
+                continue
+            lam = num // (v - 1)
+            if lam * v >= k * k:
+                continue
+            found[k] = lam
+    return [_candidate(v, k, found[k], t) for k in sorted(found)]

@@ -91,6 +91,14 @@ def test_search_params_negative(capsys):
     assert main(["search-params", "--v", "5", "--m-order", "120"]) == 1
 
 
+@pytest.mark.parametrize("v", ["3", "10"])
+def test_search_params_rejects_a_nonpositive_order(capsys, v):
+    assert main(["search-params", "--v", v, "--m-order", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: subgroup order 0 must be positive\n"
+
+
 def test_classify_type_verb(capsys):
     assert main(["classify-type", "--v", "144", "--k", "66", "--lambda", "30"]) == 0
     assert "type: a" in capsys.readouterr().out
@@ -175,6 +183,12 @@ def test_malformed_group_file(tmp_path):
 _C4 = {"name": "C4", "order": "4"}
 
 
+def _m11a_factorization(fact):
+    """A group of order |M12| whose maximal M11a claims ``fact``."""
+    return json.dumps({"group": {"name": "G", "order": "95040"}, "maximals": [
+        {"name": "M11a", "order": "7920", "index": "12", "order_factorization": fact}]})
+
+
 @pytest.mark.parametrize("verb, name, text, message", [
     ("pipeline", "cat.json",
      json.dumps({"group": _C4, "maximals": [{"order": "2", "index": "2"}]}),
@@ -223,11 +237,23 @@ _C4 = {"name": "C4", "order": "4"}
                  "subgroup_hints": [{"name": "h", "inside": "C2", "index": [1],
                                      "generators": ["(1,3)(2,4)"]}]}),
      "subgroup_hints[0].index: expected an integer, got [1]"),
+    ("pipeline", "cat.json", _m11a_factorization([[2, 3], [3, 2], [5, 1], [11, 1]]),
+     "maximals[0].order_factorization: product 3960 != order 7920"),
+    ("pipeline", "cat.json", _m11a_factorization([[4, 2], [3, 2], [5, 1], [11, 1]]),
+     "maximals[0].order_factorization[0][0]: 4 is not a prime"),
+    ("pipeline", "cat.json", _m11a_factorization([[2, 4], [3, 2], [5, 1], [11, 1], [7, 0]]),
+     "maximals[0].order_factorization[4][1]: exponent 0 is below 1"),
+    ("pipeline", "cat.json", json.dumps({"group": dict(_C4, order_factorization=[[2, 1]])}),
+     "group.order_factorization: product 2 != order 4"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": {"name": "C1", "order": "1", "degree": True, "generators": ["()"]}}),
+     "group.degree: expected an integer, got True"),
 ], ids=["maximal-without-name", "top-level-list", "row-of-wrong-arity", "degree-zero",
         "indices-not-a-list", "generators-not-a-list", "hint-index-zero",
         "order-not-a-number", "table-index-not-a-number", "order-not-an-integer",
         "index-is-a-bool", "index-table-row-not-a-number", "factorization-not-a-number",
-        "hint-index-not-a-number"])
+        "hint-index-not-a-number", "factorization-product-short", "factorization-base-not-prime",
+        "factorization-exponent-zero", "group-factorization-product-short", "degree-is-a-bool"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, verb, name, text, message):
     path = tmp_path / name
     path.write_text(text)

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdesign.arith import divisors, factorize, is_probable_prime
+from symdesign.catalog import load
+from symdesign.pipeline import candidate_vs, large_filter, load_catalogs
 from symdesign.params import (
     ParamCandidate,
     brute_force_params,
@@ -14,6 +16,8 @@ from symdesign.params import (
     derive_cdl,
     enumerate_params,
 )
+
+from helpers import reference_enumerate_params
 
 
 # ---- arith helpers ----------------------------------------------------------
@@ -113,6 +117,74 @@ def test_enumerate_matches_brute_force(v, m_order):
     assert [c.triple for c in enumerate_params(v, m_order)] == brute_force_params(
         v, m_order
     )
+
+
+def _pipeline_inputs(dataset):
+    """Every (v, |M|, factorization) that run_pipeline enumerates for a catalog."""
+    out = []
+    for cat in load_catalogs(load(dataset)):
+        for M in cat.maximals:
+            if large_filter(cat.order, M.order):
+                out += [(v, M.order, M.order_factorization)
+                        for v in candidate_vs(cat.order, M)]
+    return out
+
+
+@pytest.mark.parametrize("dataset, count, top", [
+    ("fi22/catalog-stub", 1598, 64561751654400),
+    ("m12-144/catalog", 141, 95040),
+])
+def test_enumerate_matches_reference_on_every_pipeline_input(dataset, count, top):
+    inputs = _pipeline_inputs(dataset)
+    assert len(inputs) == count and max(v for v, _, _ in inputs) == top
+    for v, m_order, fact in inputs:
+        assert enumerate_params(v, m_order, fact) == reference_enumerate_params(
+            v, m_order, fact
+        ), (v, m_order)
+
+
+_SMOOTH = (2, 3, 5, 7, 11)
+_smooth_exponents = st.lists(st.integers(0, 3), min_size=5, max_size=5)
+
+
+def _smooth(exponents):
+    return math.prod(p**e for p, e in zip(_SMOOTH, exponents))
+
+
+@st.composite
+def _crt_edge_cases(draw):
+    """(v, |M|) pairs at the edges of the unitary-split construction."""
+    m_exps = draw(_smooth_exponents)
+    kind = draw(st.sampled_from(
+        ["planted", "prime-power", "deeper", "trivial-M", "v=4", "huge-v"]))
+    if kind == "planted":
+        # a k dividing |M| and a v-1 dividing k(k-1) with k < v-1
+        m_exps[1] = max(m_exps[1], 1)
+        k = draw(st.sampled_from([d for d in divisors(_smooth(m_exps)) if d > 2]))
+        v = draw(st.sampled_from([n for n in divisors(k * (k - 1)) if n > k + 1])) + 1
+    elif kind == "prime-power":
+        v = draw(st.sampled_from(_SMOOTH + (13, 10007))) ** draw(st.integers(1, 12)) + 1
+    elif kind == "deeper":
+        # a prime of |M| divides v-1 to a higher power than it divides |M|
+        i = draw(st.integers(0, 4))
+        m_exps[i] = max(m_exps[i], 1)
+        n_exps = [max(0, e + draw(st.integers(-3, 3))) for e in m_exps]
+        n_exps[i] = m_exps[i] + draw(st.integers(1, 4))
+        v = _smooth(n_exps) * draw(st.sampled_from([1, 13, 17 * 19])) + 1
+    elif kind == "trivial-M":
+        m_exps, v = [0] * 5, draw(st.integers(1, 10**12))
+    elif kind == "v=4":
+        v = 4
+    else:
+        v = draw(st.integers(4, 10**12))
+    return v, _smooth(m_exps)
+
+
+@given(_crt_edge_cases())
+@settings(max_examples=300, deadline=None)
+def test_enumerate_matches_reference_on_crt_edge_cases(case):
+    v, m_order = case
+    assert enumerate_params(v, m_order) == reference_enumerate_params(v, m_order)
 
 
 def test_candidate_witness_identities_hold_on_random_instances():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ from symdesign.pipeline import (
 from helpers import FIXTURES, cyclic, pairwise_meets
 
 
+GOLDEN = Path(__file__).parent / "golden"
 HS_SUBDEGREES = (7, 42, 126, 210, 252, 630, 1260, 2520)
 
 
@@ -276,6 +278,15 @@ def test_fi22_stub_all_nsg():
     assert all(t.status == "nsg" for t in sec.tuples)
     assert sorted({t.i_H for t in sec.tuples}) == [14, 40, 105]
     assert sec.candidates() == []
+
+
+def test_fi22_report_bytes_are_pinned():
+    # the JSON is pinned in the form ``symdesign pipeline --json`` prints
+    report = run_pipeline(load("fi22/catalog-stub"))
+    assert report.to_text() == (GOLDEN / "fi22_report.txt").read_text()
+    assert json.dumps(report.to_json_dict(), indent=1, sort_keys=True) + "\n" == (
+        GOLDEN / "fi22_report.json"
+    ).read_text()
 
 
 def test_run_pipeline_empty_catalog():
