@@ -30,7 +30,6 @@ from .design import (
     complement,
     construct_design,
     block_stabilizer,
-    flags,
     is_flag_transitive,
     is_anti_flag_transitive,
     imprimitivity_profile,

@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("designfile")
     p.set_defaults(func=_cmd_verify_design)
 
-    p = sub.add_parser("flag-transitive", help="flag orbit count under a group")
+    p = sub.add_parser("flag-transitive", help="flag transitivity under a group")
     p.add_argument("designfile")
     p.add_argument("groupfile")
     p.add_argument("--anti", action="store_true")

@@ -1,4 +1,4 @@
-"""Symmetric 2-designs: verification, complements, flags, group actions.
+"""Symmetric 2-designs: verification, complements, group actions.
 
 A design is a point set {1..v} plus a list of blocks.  Designs are
 immutable after construction; ``verify_symmetric`` caches the certified
@@ -27,7 +27,6 @@ __all__ = [
     "complement",
     "construct_design",
     "block_stabilizer",
-    "flags",
     "is_flag_transitive",
     "is_anti_flag_transitive",
     "imprimitivity_profile",
@@ -252,6 +251,8 @@ def _block_action_images(G: PermGroup, design: Design):
 
 def block_stabilizer(G: PermGroup, design: Design, block_index: int) -> PermGroup:
     """Setwise stabilizer of one block, cut out of the action on the block orbit."""
+    if G.degree != design.v:
+        raise ValueError("group degree does not match the point count")
     if not 0 <= block_index < design.num_blocks:
         raise ValueError(f"block index {block_index} outside 0..{design.num_blocks - 1}")
     rows = _block_action_images(G, design)
@@ -260,38 +261,21 @@ def block_stabilizer(G: PermGroup, design: Design, block_index: int) -> PermGrou
     return G.stabilizer_of_action(block_index, lambda g, idx: action_of[g][idx])
 
 
-def flags(design: Design) -> list[tuple]:
-    """All incident (point, block index) pairs."""
-    return [(pt, i) for i, b in enumerate(design.blocks) for pt in b]
-
-
 def is_flag_transitive(design: Design, G: PermGroup, force: bool = False) -> bool:
     """Whether G acts transitively on the flags of the design.
 
-    Computed by orbit expansion over the flags; every generator must
-    permute the block set.  Trivial designs are refused unless ``force``.
+    G is flag-transitive exactly when it is point-transitive and the
+    stabilizer of one block is transitive on that block.  Every generator
+    must permute the block set, which ``block_stabilizer`` checks even when
+    G is intransitive.  Trivial designs are refused unless ``force``.
     """
     params = _verified(design)
     if not params.nontrivial and not force:
         raise ValueError(f"design {params} is trivial; pass force=True to override")
-    if G.degree != design.v:
-        raise ValueError("group degree does not match the point count")
-    rows = _block_action_images(G, design)
-    tables = [g.table for g in G.generators]
-    total = sum(len(b) for b in design.blocks)
-    start = (design.blocks[0][0], 0)
-    seen = {start}
-    queue = [start]
-    qi = 0
-    while qi < len(queue):
-        pt, bi = queue[qi]
-        qi += 1
-        for t, row in zip(tables, rows):
-            nxt = (t[pt], row[bi])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == total
+    stab = block_stabilizer(G, design, 0)
+    first = design.blocks[0]
+    # Block's lemma: G has as many block orbits as point orbits, so points stand in for blocks
+    return G.is_transitive() and len(stab.orbit(first[0])) == len(first)
 
 
 def is_anti_flag_transitive(design: Design, G: PermGroup, force: bool = False) -> bool:

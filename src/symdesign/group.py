@@ -1,13 +1,12 @@
 """Permutation groups: stabilizer chains, orbits, blocks, coset actions.
 
 A PermGroup's generators and degree never change.  Two things are filled
-in lazily: the stabilizer chain, on first use (call ``ensure_chain`` to
-build it up front), and a private memo of point stabilizers, which
-``subdegrees`` and ``minimal_block_systems`` share.  Each fill is a single
-dict or attribute store of a value that depends only on the generators,
-so threads that query one group concurrently at worst repeat work; they
-never see a partial value.  Queries return fresh lists, so callers may
-mutate what they get.
+in lazily: the stabilizer chain, on first use, and a private memo of
+point stabilizers, which ``subdegrees`` and ``minimal_block_systems``
+share.  Each fill is a single dict or attribute store of a value that
+depends only on the generators, so threads that query one group
+concurrently at worst repeat work; they never see a partial value.
+Queries return fresh lists, so callers may mutate what they get.
 """
 
 from __future__ import annotations
@@ -169,11 +168,6 @@ class PermGroup:
         if self._chain is None:
             self._chain = StabChain(self.generators, self.degree)
         return self._chain
-
-    def ensure_chain(self) -> "PermGroup":
-        """Force chain construction now (for sharing across threads)."""
-        _ = self.chain
-        return self
 
     def order(self) -> int:
         return self.chain.order()
@@ -472,23 +466,24 @@ class CosetAction:
         self._hchain = H.chain
         reps = [self._canonical(G.identity())]
         labels = {reps[0].table: 1}
+        rows = [[] for _ in G.generators]  # rows[i][j-1]: label of coset j times generator i
         qi = 0
         while qi < len(reps):
             w = reps[qi]
             qi += 1
-            for g in G.generators:
+            for g, row in zip(G.generators, rows):
                 wg = self._canonical(w * g)
-                if wg.table not in labels:
+                label = labels.get(wg.table)
+                if label is None:
                     reps.append(wg)
-                    labels[wg.table] = len(reps)
+                    label = labels[wg.table] = len(reps)
+                row.append(label)
         self.degree = len(reps)
         self.reps = reps
         self._labels = labels
         if self.degree * H.chain.order() != G.order():
             raise RuntimeError("coset enumeration does not match the index")
-        self.group = PermGroup(
-            [self.image_of(g) for g in G.generators], degree=self.degree
-        )
+        self.group = PermGroup([Permutation(row) for row in rows], degree=self.degree)
 
     def _canonical(self, g: Permutation) -> Permutation:
         """Unique coset representative: minimizes base images level by level."""

@@ -207,17 +207,15 @@ class SearchOutcome:
     orbit_lengths: tuple = ()
 
 
-def base_block_search(G: PermGroup, H: PermGroup, K: PermGroup, params: tuple,
-                      action: CosetAction | None = None) -> SearchOutcome:
-    """Hunt for a base block among the K-orbits on the cosets of H.
+def base_block_search(act: CosetAction, K: PermGroup, params: tuple) -> SearchOutcome:
+    """Hunt for a base block among the K-orbits on the cosets of the action.
 
     Every K-orbit of length k is tried as a base block for a design under
-    the coset image of G; the first verified symmetric design with the
-    expected parameters is returned with its certificate.
+    the coset image of ``act.G``; the first verified symmetric design with
+    the expected parameters is returned with its certificate.
     """
     v, k, lam = params
-    act = action if action is not None else coset_action(G, H)
-    assert_subgroup(G, K, "base block search subgroup")
+    assert_subgroup(act.G, K, "base block search subgroup")
     images = [act.image_of(g) for g in K.generators]
     korbits = PermGroup(images, degree=act.degree).orbits()
     lengths = tuple(sorted(len(o) for o in korbits))
@@ -571,7 +569,7 @@ def _evaluate(cat: GroupCatalog, tup: CandidateTuple, M: MaximalRecord,
         subdeg = act.group.subdegrees(1)
         e = first_bad_subdegree(tup.k, tup.lam, subdeg)
         if e is None:
-            surviving.append((hname, H, act))
+            surviving.append((hname, act))
         elif bad_e is None:
             bad_e = e
     if not surviving:
@@ -591,11 +589,9 @@ def _evaluate(cat: GroupCatalog, tup: CandidateTuple, M: MaximalRecord,
 
     saw_orbit = False
     lengths_seen = None
-    for hname, H, act in surviving:
+    for hname, act in surviving:
         for kname, K in ks:
-            outcome = base_block_search(
-                cat.group, H, K, tup.params, action=act
-            )
+            outcome = base_block_search(act, K, tup.params)
             if outcome.status == STATUS_DESIGN:
                 tup.status = STATUS_DESIGN
                 tup.detail = f"H={hname}, K={kname}"

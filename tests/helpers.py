@@ -5,7 +5,7 @@ from collections import Counter
 from itertools import combinations
 
 from symdesign.arith import divisors, factorize
-from symdesign.design import DesignParams, NotSymmetric
+from symdesign.design import DesignParams, NotSymmetric, _block_action_images, _verified
 from symdesign.perm import Permutation, parse_cycles
 from symdesign.group import BlockSystem, PermGroup
 from symdesign.params import _candidate
@@ -127,6 +127,31 @@ def reference_verify_symmetric(design):
                 "point-pair", (a, b), f"points {a},{b} lie on {meet} blocks, expected {lam}"
             )
     return DesignParams(v, k, lam)
+
+
+def reference_is_flag_transitive(design, G, force=False):
+    """Flag transitivity by a breadth-first search over (point, block) flags."""
+    params = _verified(design)
+    if not params.nontrivial and not force:
+        raise ValueError(f"design {params} is trivial; pass force=True to override")
+    if G.degree != design.v:
+        raise ValueError("group degree does not match the point count")
+    rows = _block_action_images(G, design)
+    tables = [g.table for g in G.generators]
+    total = sum(len(b) for b in design.blocks)
+    start = (design.blocks[0][0], 0)
+    seen = {start}
+    queue = [start]
+    qi = 0
+    while qi < len(queue):
+        pt, bi = queue[qi]
+        qi += 1
+        for t, row in zip(tables, rows):
+            nxt = (t[pt], row[bi])
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return len(seen) == total
 
 
 def _reference_finest_system_joining(group, a, b):

@@ -13,7 +13,6 @@ from symdesign.design import (
     complement,
     construct_design,
     design_file_text,
-    flags,
     imprimitivity_profile,
     is_anti_flag_transitive,
     is_flag_transitive,
@@ -21,9 +20,17 @@ from symdesign.design import (
     verify_symmetric,
 )
 from symdesign.group import BlockSystem, PermGroup
-from symdesign.perm import parse_cycles
+from symdesign.perm import Permutation, parse_cycles
 
-from helpers import FIXTURES, cyclic, grp, reference_verify_symmetric
+from helpers import (
+    FIXTURES,
+    cyclic,
+    element_closure,
+    grp,
+    reference_is_flag_transitive,
+    reference_verify_symmetric,
+    sym,
+)
 
 
 @pytest.fixture(scope="module")
@@ -72,9 +79,10 @@ def test_pair_condition_refutation(fano):
         verify_symmetric(Design(7, blocks))
 
 
-def _paley_11():
-    """2-(11,5,2) from the squares mod 11, under x -> x+1 (point x is x+1)."""
-    return construct_design(cyclic(11), [x * x % 11 + 1 for x in range(1, 11)])
+def _paley(q=11):
+    """2-(q,(q-1)/2,(q-3)/4) from the squares mod a prime q = 3 (mod 4),
+    under x -> x+1 (point x is x+1)."""
+    return construct_design(cyclic(q), [x * x % q + 1 for x in range(1, q)])
 
 
 def _m12():
@@ -115,7 +123,7 @@ def _outcome(check, design):
 
 @pytest.mark.parametrize("make, count", [
     (lambda: construct_design(cyclic(7), [1, 2, 4]), 60),
-    (_paley_11, 60),
+    (_paley, 60),
     (_m12, 6),
 ], ids=["fano", "paley-11", "m12"])
 def test_verify_symmetric_matches_the_reference_on_perturbed_designs(make, count):
@@ -172,8 +180,11 @@ def test_block_stabilizer_of_globally_fixed_block():
     assert stab.order() == triv_group.order() == 1
 
 
-def test_flags_count(fano):
-    assert len(flags(fano)) == 21
+@pytest.mark.parametrize("degree", [3, 300])
+def test_group_degree_must_match_the_point_count(fano, degree):
+    for check in (lambda G: block_stabilizer(G, fano, 0), lambda G: is_flag_transitive(fano, G)):
+        with pytest.raises(ValueError, match="group degree does not match the point count"):
+            check(cyclic(degree))
 
 
 def test_fano_flag_transitive_under_frobenius(fano, f21):
@@ -200,6 +211,74 @@ def test_flag_transitivity_refuses_trivial_designs():
 
 def test_fano_not_anti_flag_transitive(fano, f21):
     assert not is_anti_flag_transitive(fano, f21)
+
+
+def test_flag_transitivity_rejects_an_intransitive_non_automorphism(fano):
+    # <(1,2)> fixes points 3..7, so the non-automorphism must be caught
+    # before the transitivity test could answer no
+    group = grp(7, "(1,2)")
+    for check in (is_flag_transitive, reference_is_flag_transitive):
+        with pytest.raises(ValueError, match="maps block"):
+            check(fano, group)
+
+
+def _subgroups(rng, draw, degree, sizes, per_size):
+    """Subgroups generated by ``n`` random elements for each n in ``sizes``."""
+    return [PermGroup([draw() for _ in range(n)], degree=degree)
+            for n in sizes for _ in range(per_size)]
+
+
+def _fano_cases(rng):
+    f21 = FIXTURES["F21"][0]
+    members = sorted(element_closure(f21), key=lambda p: p.images)
+    yield construct_design(cyclic(7), [1, 2, 4]), [
+        f21, *_subgroups(rng, lambda: rng.choice(members), 7, (1, 2, 3), 5)]
+
+
+def _paley_cases(rng):
+    for q in (11, 19, 23, 43):
+        squares = sorted({x * x % q for x in range(1, q)})
+
+        def affine():  # x -> ax+b with a a nonzero square, on points x+1
+            a, b = rng.choice(squares), rng.randrange(q)
+            return Permutation([(a * x + b) % q + 1 for x in range(q)])
+
+        yield _paley(q), _subgroups(rng, affine, q, (1, 2, 3), 3)
+
+
+def _trivial_cases(rng):
+    for v in range(2, 7):
+        points = range(1, v + 1)
+        groups = [sym(v), cyclic(v), PermGroup.trivial(v)]
+        yield Design(v, [(p,) for p in points]), groups
+        yield Design(v, [tuple(x for x in points if x != p) for p in points]), groups
+
+
+def _m12_cases(rng):
+    G = load("m12-144/G")
+
+    def word():  # a random element of M12 as a product of generators
+        g = G.identity()
+        for _ in range(40):
+            g = g * rng.choice(G.generators)
+        return g
+
+    others = [load(f"m12-144/{x}") for x in ("H", "K", "maximal-l211")]
+    yield _m12(), [G, *others, *_subgroups(rng, word, 144, (1, 2), 2)]
+
+
+@pytest.mark.parametrize("cases, seed", [
+    (_fano_cases, 1), (_paley_cases, 2), (_trivial_cases, 3), (_m12_cases, 4),
+], ids=["fano", "paley", "trivial", "m12"])
+def test_flag_transitivity_matches_the_flag_bfs(cases, seed):
+    verdicts = set()
+    for design, groups in cases(random.Random(seed)):
+        for D in (design, complement(design)):
+            for G in groups:
+                got = is_flag_transitive(D, G, force=True)
+                assert got == reference_is_flag_transitive(D, G, force=True)
+                verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def _fano_under_f21():

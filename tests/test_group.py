@@ -314,6 +314,16 @@ def test_coset_action_is_a_homomorphism_on_random_pairs():
         assert act.image_of(a * b) == act.image_of(a) * act.image_of(b)
 
 
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_coset_action_group_is_the_image_of_the_generators(name):
+    G, _ = FIXTURES[name]
+    for H in (G.point_stabilizer(1), PermGroup.trivial(G.degree), G):
+        act = coset_action(G, H)
+        assert len(act.group.generators) == len(G.generators)
+        for i, g in enumerate(G.generators):
+            assert act.group.generators[i] == act.image_of(g)
+
+
 def test_coset_action_rejects_non_subgroups():
     A4, _ = FIXTURES["A4"]
     fake = PermGroup([parse_cycles("(1,2)", 4)])

@@ -42,6 +42,14 @@ def test_coset_action_on_h_matches_the_natural_action(G):
     assert act.group.subdegrees(1) == [1, 11, 11, 55, 66]
 
 
+@pytest.mark.parametrize("subgroup", ["H", "maximal-l211"])
+def test_coset_action_group_is_the_image_of_the_generators(G, subgroup):
+    act = coset_action(G, load(f"m12-144/{subgroup}"))
+    assert len(act.group.generators) == len(G.generators)
+    for i, g in enumerate(G.generators):
+        assert act.group.generators[i] == act.image_of(g)
+
+
 def test_induced_orbits_of_k(G):
     H = load("m12-144/H")
     K = load("m12-144/K")

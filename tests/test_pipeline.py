@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from symdesign.catalog import load
-from symdesign.group import PermGroup
+from symdesign.group import PermGroup, coset_action
 from symdesign.pipeline import (
     CatalogError,
     GATE_NSG,
@@ -135,7 +135,7 @@ def test_subdegree_gate_k_itself_always_passes():
 def test_base_block_search_finds_fano():
     F21, _ = FIXTURES["F21"]
     H = F21.point_stabilizer(1)
-    out = base_block_search(F21, H, H, (7, 3, 1))
+    out = base_block_search(coset_action(F21, H), H, (7, 3, 1))
     assert out.status == "design-found"
     assert out.design.num_blocks == 7
     assert out.certificate["params"] == (7, 3, 1)
@@ -145,7 +145,7 @@ def test_base_block_search_finds_fano():
 
 def test_m12_block_intersections_match_a_pairwise_recount():
     G, H, K = (load(f"m12-144/{x}") for x in "GHK")
-    out = base_block_search(G, H, K, (144, 66, 30))
+    out = base_block_search(coset_action(G, H), K, (144, 66, 30))
     assert out.status == "design-found"
     derived = out.certificate["block_intersections"]
     assert derived == pairwise_meets(out.design) == ((30, 10296),)
@@ -154,7 +154,7 @@ def test_m12_block_intersections_match_a_pairwise_recount():
 def test_base_block_search_no_block_of_length_k():
     C7 = cyclic(7)
     triv = PermGroup.trivial(7)
-    out = base_block_search(C7, triv, triv, (7, 3, 1))
+    out = base_block_search(coset_action(C7, triv), triv, (7, 3, 1))
     assert out.status == "no-block-of-length-k"
     assert out.orbit_lengths == (1,) * 7
 
@@ -163,7 +163,7 @@ def test_base_block_search_orbit_fails_verification():
     C15 = cyclic(15)
     triv = PermGroup.trivial(15)
     K = PermGroup([C15.generators[0] ** 3])  # C5: three orbits of length 5
-    out = base_block_search(C15, triv, K, (15, 5, 2))
+    out = base_block_search(coset_action(C15, triv), K, (15, 5, 2))
     assert out.status == "not-a-design"
 
 
