@@ -5,8 +5,8 @@ Submodules:
   group     stabilizer chains, orbits, block systems, coset actions
   design    symmetric 2-design verification and group actions on designs
   params    admissible parameter enumeration and imprimitivity arithmetic
-  pipeline  catalog-driven search for flag-transitive imprimitive designs
-  catalog   embedded, checksum-pinned datasets
+  pipeline  catalog-driven search: gates, base-block search, runner, report
+  catalog   embedded, checksum-pinned datasets and the catalog format
   cli       command-line interface
 """
 

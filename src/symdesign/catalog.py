@@ -1,4 +1,4 @@
-"""Embedded, checksum-pinned datasets used by the tests and the CLI.
+"""Embedded, checksum-pinned datasets and the pipeline catalog format.
 
 Each dataset id maps to a payload (group file, point list, design, or
 pipeline catalog), a provenance note, and a validator that re-checks the
@@ -6,18 +6,37 @@ defining invariants on every load.  Transcribed permutation data is the
 dominant risk here, so the validators are deliberately strict: group
 orders, fixed points, and orbit signatures all have to match before a
 payload is handed out.
+
+``load_catalogs`` turns the JSON catalog format into the records the
+pipeline searches.  It checks every field's shape and type, every stated
+order against its factorization and its generators, order * index
+against the group order, and that all generators lie in the group, so
+the pipeline's gates can trust what they get.  Anything malformed or
+inconsistent raises CatalogError naming the JSON path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 from importlib import resources
 
+from .arith import is_probable_prime
 from .design import Design, parse_design_file, verify_symmetric
 from .group import PermGroup, parse_group_file
+from .perm import MAX_DEGREE, parse_cycles
 
-__all__ = ["CatalogError", "load", "dataset_ids", "provenance"]
+__all__ = [
+    "CatalogError",
+    "MaximalRecord",
+    "SubgroupHint",
+    "GroupCatalog",
+    "load_catalogs",
+    "load",
+    "dataset_ids",
+    "provenance",
+]
 
 
 class CatalogError(ValueError):
@@ -170,3 +189,218 @@ def load(dataset_id: str):
     except KeyError as exc:
         raise CatalogError(f"unknown dataset id {dataset_id!r}") from exc
     return loader()
+
+
+# ---- the pipeline catalog format ---------------------------------------------
+
+
+@dataclass
+class MaximalRecord:
+    """A maximal subgroup: order, index, and optionally its group (built
+    from stated generators) and its order factorization."""
+
+    name: str
+    order: int
+    index: int
+    group: PermGroup | None = None
+    order_factorization: dict | None = None
+
+
+@dataclass
+class SubgroupHint:
+    """Known subgroup of a maximal class, with explicit generators."""
+
+    name: str
+    inside: str
+    index: int
+    group: PermGroup
+
+
+@dataclass
+class GroupCatalog:
+    """One group's search data; ``index_tables`` maps a group name to its
+    (maximal subgroup name or None, index) rows."""
+
+    name: str
+    order: int
+    group: PermGroup | None
+    maximals: tuple
+    hints: tuple
+    index_tables: dict
+
+
+def _record(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise CatalogError(f"{where}: expected a JSON object")
+    return value
+
+
+def _field(rec: dict, key: str, where: str):
+    if key not in rec:
+        raise CatalogError(f"{where}: missing field {key!r}")
+    return rec[key]
+
+
+def _str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise CatalogError(f"{where}: expected a string")
+    return value
+
+
+def _list(value, where: str):
+    if not isinstance(value, (list, tuple)):
+        raise CatalogError(f"{where}: expected a list")
+    return value
+
+
+def _records(data: dict, key: str) -> list:
+    """(path, object) for each entry of the optional list ``data[key]``."""
+    items = _list(data.get(key, []), key)
+    return [(f"{key}[{i}]", _record(item, f"{key}[{i}]")) for i, item in enumerate(items)]
+
+
+def _pairs(rows, where: str):
+    for row in _list(rows, where):
+        if not isinstance(row, (list, tuple)) or len(row) != 2:
+            raise CatalogError(f"{where}: row {row!r} is not a pair")
+    return rows
+
+
+def _int(value, where: str) -> int:
+    """An integer given as a JSON number or a decimal string."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise CatalogError(f"{where}: expected an integer, got {value!r}")
+
+
+def _parse_factorization(value, order: int, where: str) -> dict | None:
+    """{prime: exponent} from [p, e] rows; primes, e >= 1, product = order."""
+    if value is None:
+        return None
+    where = f"{where}.order_factorization"
+    fact = {}
+    product = 1
+    for i, (p, e) in enumerate(_pairs(value, where)):
+        p, e = _int(p, f"{where}[{i}][0]"), _int(e, f"{where}[{i}][1]")
+        if not is_probable_prime(p):
+            raise CatalogError(f"{where}[{i}][0]: {p} is not a prime")
+        if not 1 <= e <= order.bit_length():  # checked before p**e is computed
+            raise CatalogError(
+                f"{where}[{i}][1]: exponent {e} is below 1 or above {order.bit_length()}")
+        fact[p] = e
+        product *= p**e
+    if product != order:
+        raise CatalogError(f"{where}: product {product} != order {order}")
+    return fact
+
+
+def _index_rows(rows, where: str) -> tuple:
+    """(name, index) rows of an index table; a null name stays None."""
+    return tuple(
+        (None if name is None else str(name), _int(index, f"{where}[{i}][1]"))
+        for i, (name, index) in enumerate(_pairs(rows, where))
+    )
+
+
+def _parse_entries(record: dict, where: str) -> tuple:
+    entries = list(_index_rows(record.get("maximal_subgroups", []),
+                               f"{where}.maximal_subgroups"))
+    where = f"{where}.maximal_indices"
+    indices = _list(record.get("maximal_indices", []), where)
+    entries += [(None, _int(index, f"{where}[{i}]")) for i, index in enumerate(indices)]
+    return tuple(entries)
+
+
+def _parse_generators(strings, degree: int | None, where: str):
+    if strings is None:
+        return None
+    if degree is None:
+        raise CatalogError(f"{where}: generators given without a degree")
+    where = f"{where}.generators"
+    if not all(isinstance(s, str) for s in _list(strings, where)):
+        raise CatalogError(f"{where}: expected cycle strings")
+    try:
+        return tuple(parse_cycles(s, degree) for s in strings)
+    except ValueError as exc:
+        raise CatalogError(f"{where}: {exc}") from None
+
+
+def _load_one_catalog(data: dict) -> GroupCatalog:
+    grp = _record(_field(data, "group", "catalog"), "group")
+    name = _str(_field(grp, "name", "group"), "group.name")
+    order = _int(_field(grp, "order", "group"), "group.order")
+    degree = grp.get("degree")
+    if degree is not None:
+        degree = _int(degree, "group.degree")
+        if not 1 <= degree <= MAX_DEGREE:
+            raise CatalogError(f"group.degree: {degree} is outside 1..{MAX_DEGREE}")
+    _parse_factorization(grp.get("order_factorization"), order, "group")
+    gens = _parse_generators(grp.get("generators"), degree, "group")
+    group = None if gens is None else PermGroup(gens, degree=degree)
+    if group is not None and group.order() != order:
+        raise CatalogError(f"{name}: stated order {order} != computed {group.order()}")
+
+    def subgroup(sub_gens, label: str) -> PermGroup:
+        """The group generated by ``sub_gens``, which must lie in ``group``."""
+        if group is not None and not all(map(group.contains, sub_gens)):
+            raise CatalogError(f"{label}: generator outside {name}")
+        return PermGroup(sub_gens, degree=degree)
+
+    tables = {
+        key: _index_rows(rows, f"index_tables.{key}")
+        for key, rows in _record(data.get("index_tables", {}), "index_tables").items()
+    }
+    maximals = []
+    for where, rec in _records(data, "maximals"):
+        m_name = _str(_field(rec, "name", where), f"{where}.name")
+        m_gens = _parse_generators(rec.get("generators"), degree, where)
+        m_order = _int(_field(rec, "order", where), f"{where}.order")
+        m_index = _int(_field(rec, "index", where), f"{where}.index")
+        entries = _parse_entries(rec, where)
+        if entries:
+            tables.setdefault(m_name, entries)
+        fact = _parse_factorization(rec.get("order_factorization"), m_order, where)
+        if m_order * m_index != order:
+            raise CatalogError(f"{m_name}: order*index != |{name}|")
+        m_group = None if m_gens is None else subgroup(m_gens, m_name)
+        if m_group is not None and m_group.order() != m_order:
+            raise CatalogError(f"{m_name}: generator order != stated order")
+        maximals.append(MaximalRecord(m_name, m_order, m_index, m_group, fact))
+
+    hints = []
+    for where, rec in _records(data, "subgroup_hints"):
+        inside = _str(_field(rec, "inside", where), f"{where}.inside")
+        h_name = _str(rec.get("name", f"hint-{inside}"), f"{where}.name")
+        owner = next((m for m in maximals if m.name == inside), None)
+        if owner is None:
+            raise CatalogError(f"hint {h_name}: unknown maximal {inside!r}")
+        if group is None:
+            raise CatalogError(f"hint {h_name}: hints need group generators")
+        h_gens = _list(_field(rec, "generators", where), f"{where}.generators")
+        hgroup = subgroup(_parse_generators(h_gens, degree, where), f"hint {h_name}")
+        index = _int(_field(rec, "index", where), f"{where}.index")
+        if index < 1 or owner.order % index or hgroup.order() != owner.order // index:
+            raise CatalogError(
+                f"hint {h_name}: order {hgroup.order()} is not |{inside}|/{index}"
+            )
+        hints.append(SubgroupHint(h_name, inside, index, hgroup))
+
+    return GroupCatalog(name, order, group, tuple(maximals), tuple(hints), tables)
+
+
+def load_catalogs(data) -> list[GroupCatalog]:
+    """Accept a single parsed catalog object or {"groups": [...]}; validate all.
+
+    Malformed data raises CatalogError naming the record and the field.
+    """
+    data = _record(data, "catalog")
+    if not data:
+        return []
+    if "groups" in data:
+        return [_load_one_catalog(rec) for _, rec in _records(data, "groups")]
+    return [_load_one_catalog(data)]

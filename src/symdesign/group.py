@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import prod
 
-from .perm import Permutation, cycle_string, parse_cycles
+from .perm import MAX_DEGREE, Permutation, cycle_string, parse_cycles
 
 __all__ = [
     "PermGroup",
@@ -462,7 +462,6 @@ class CosetAction:
     def __init__(self, G: PermGroup, H: PermGroup):
         assert_subgroup(G, H, "coset action subgroup")
         self.G = G
-        self.H = H
         self._hchain = H.chain
         reps = [self._canonical(G.identity())]
         labels = {reps[0].table: 1}
@@ -494,33 +493,24 @@ class CosetAction:
                 w = lv.transversal[best] * w
         return w
 
-    def label_of(self, g: Permutation) -> int:
-        """Label of the coset Hg."""
-        label = self._labels.get(self._canonical(g).table)
-        if label is None:
-            raise ValueError("element is not in the acted-on group")
-        return label
-
     def image_of(self, g: Permutation) -> Permutation:
         """Image of g in the coset action (g need not be a generator)."""
-        return Permutation(tuple(self.label_of(w * g) for w in self.reps))
+        labels = [self._labels.get(self._canonical(w * g).table) for w in self.reps]
+        if None in labels:
+            raise ValueError("element is not in the acted-on group")
+        return Permutation(labels)
 
 
 def coset_action(G: PermGroup, H: PermGroup) -> CosetAction:
     return CosetAction(G, H)
 
 
-def induced_orbits(G: PermGroup, H: PermGroup, K: PermGroup) -> tuple[CosetAction, list[list[int]]]:
-    """Orbits of K <= G on the coset labels of the action of G on H.
-
-    Returns the action together with the K-orbit partition of the labels,
-    sorted by (length, min label).
-    """
-    act = coset_action(G, H)
-    assert_subgroup(G, K, "induced orbit subgroup")
+def induced_orbits(act: CosetAction, K: PermGroup) -> list[list[int]]:
+    """Orbits of K <= act.G on the coset labels of ``act``, sorted by
+    (length, min label)."""
+    assert_subgroup(act.G, K, "induced orbit subgroup")
     images = [act.image_of(k) for k in K.generators]
-    korb = PermGroup(images, degree=act.degree).orbits()
-    return act, korb
+    return PermGroup(images, degree=act.degree).orbits()
 
 
 # ---- group file format ---------------------------------------------------
@@ -541,8 +531,9 @@ def parse_group_file(text: str) -> tuple[PermGroup, str | None]:
             continue
         if line.lower().startswith("degree:"):
             degree = int(line.split(":", 1)[1])
-            if degree < 1:
-                raise ValueError(f"line {lineno}: degree {degree} must be positive")
+            if not 1 <= degree <= MAX_DEGREE:
+                raise ValueError(f"line {lineno}: degree {degree} must be positive "
+                                 f"and at most {MAX_DEGREE}")
             continue
         if line.lower().startswith("name:"):
             name = line.split(":", 1)[1].strip()

@@ -104,33 +104,29 @@ def _candidate(v: int, k: int, lam: int, t: int) -> ParamCandidate:
     )
 
 
-def enumerate_params(
-    v: int, m_order: int, m_factorization: dict[int, int] | None = None
-) -> list[ParamCandidate]:
+def enumerate_params(v: int, m_order: int) -> list[ParamCandidate]:
     """All admissible (v,k,lam) with k dividing m_order, by unitary splits.
 
     As gcd(k, k-1) = 1, (v-1) | k(k-1) holds exactly when v-1 = a*b with
     gcd(a, b) = 1, a | k and b | k-1; and k | m_order forces a | m_order,
     so a is a product of full prime powers of v-1 (p^r | v-1 with p not
-    dividing (v-1)/p^r) that divide m_order.  For each such a the CRT gives
-    the one k in [0, v-1) with k = 0 mod a and k = 1 mod b, so there are at
-    most 2^w candidates for the w primes of t = gcd(v-1, m_order).  A k is
-    kept when k > 2 and k | m_order.  That is every k in 3..v-2 that
-    brute_force_params keeps, since its last test, lam*v < k^2, reads
-    (k-1)v < k(v-1), i.e. k < v.  m_factorization, when given, must be the
-    prime factorization of m_order.
+    dividing (v-1)/p^r) that divide t = gcd(v-1, m_order), the one number
+    factored here.  For each such a the CRT gives the one k in [0, v-1)
+    with k = 0 mod a and k = 1 mod b, so there are at most 2^w candidates
+    for the w primes of t.  A k is kept when k > 2 and k | m_order.  That
+    is every k in 3..v-2 that brute_force_params keeps, since its last
+    test, lam*v < k^2, reads (k-1)v < k(v-1), i.e. k < v.
     """
     if m_order < 1:
         raise ValueError(f"subgroup order {m_order} must be positive")
     if v < 4:
         return []
-    fact = m_factorization if m_factorization is not None else factorize(m_order)
     n = v - 1
     t = math.gcd(n, m_order)
     units = [1]
-    for p, e in fact.items():
-        q = math.gcd(n, p**e)
-        if q > 1 and n // q % p:  # p^e covers all of p in v-1
+    for p, e in factorize(t).items():
+        q = p**e
+        if n // q % p:  # p^e covers all of p in v-1
             units += [a * q for a in units]
     out = []
     for a in units:

@@ -24,7 +24,11 @@ import re
 from functools import cache
 from operator import itemgetter
 
-__all__ = ["Permutation", "parse_cycles", "cycle_string"]
+__all__ = ["MAX_DEGREE", "Permutation", "parse_cycles", "cycle_string"]
+
+# Largest degree the parsers accept; checked before a table of degree + 1
+# slots is allocated.
+MAX_DEGREE = 10**6
 
 _BYTES_MAX = 255
 _BYTE_IDENTITY = bytes(range(256))
@@ -180,8 +184,8 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     identity.  Raises ValueError naming the offending token for repeated
     points, out-of-range points, or malformed parentheses.
     """
-    if degree < 1:
-        raise ValueError("degree must be positive")
+    if not 1 <= degree <= MAX_DEGREE:
+        raise ValueError(f"degree {degree} is outside 1..{MAX_DEGREE}")
     stripped = re.sub(r"\s+", "", text)
     images = list(range(degree + 1))
     seen = bytearray(degree + 1)

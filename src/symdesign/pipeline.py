@@ -1,30 +1,24 @@
 """Catalog-driven search for flag-transitive point-imprimitive designs.
 
-Consumes a group catalog (JSON), produces candidate tuples
-(M, N, (v,k,lam)) with imprimitivity data, applies the subgroup-index and
-subdegree eliminations, and attempts base-block design construction for
-the tuples that survive.  Candidate tuples are independent work items over
-immutable shared groups; this runner evaluates them sequentially in
-canonical order so reports are byte-identical across runs.
+Runs on catalogs as ``catalog.load_catalogs`` returns them: produces
+candidate tuples (M, N, (v,k,lam)) with imprimitivity data, applies the
+subgroup-index and subdegree eliminations, and attempts base-block design
+construction for the tuples that survive.  Candidate tuples are independent
+work items over immutable shared groups; this runner evaluates them
+sequentially in canonical order so reports are byte-identical across runs.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from .arith import divisors, is_probable_prime
-from .catalog import CatalogError
+from .arith import divisors
+from .catalog import CatalogError, GroupCatalog, MaximalRecord, load_catalogs
 from .design import NotSymmetric, certify, construct_design, verify_symmetric
-from .group import CosetAction, PermGroup, assert_subgroup, coset_action
+from .group import CosetAction, PermGroup, coset_action, induced_orbits
 from .params import classify_type, derive_cdl, enumerate_params
-from .perm import parse_cycles
 
 __all__ = [
-    "CatalogError",
-    "MaximalRecord",
-    "SubgroupHint",
-    "GroupCatalog",
     "CandidateTuple",
     "PipelineReport",
     "GATE_POSSIBLE",
@@ -34,10 +28,8 @@ __all__ = [
     "candidate_vs",
     "divisibility_gate",
     "subgroup_index_gate",
-    "subdegree_gate",
     "first_bad_subdegree",
     "base_block_search",
-    "load_catalogs",
     "run_pipeline",
 ]
 
@@ -51,44 +43,6 @@ STATUS_NSD = "nsd"
 STATUS_DESIGN = "design-found"
 STATUS_NO_BLOCK = "no-block-of-length-k"
 STATUS_NOT_DESIGN = "not-a-design"
-
-
-@dataclass
-class MaximalRecord:
-    """A maximal subgroup: order, index, and optional structure data.
-
-    ``subgroup_entries`` lists (name, index) for its own maximal subgroups;
-    the name may be None when only the index is known.
-    """
-
-    name: str
-    order: int
-    index: int
-    group: PermGroup | None = None
-    subgroup_entries: tuple = ()
-    order_factorization: dict | None = None
-
-
-@dataclass
-class SubgroupHint:
-    """Known subgroup of a maximal class, with explicit generators."""
-
-    name: str
-    inside: str
-    index: int
-    group: PermGroup
-
-
-@dataclass
-class GroupCatalog:
-    name: str
-    order: int
-    degree: int | None
-    group: PermGroup | None
-    maximals: tuple
-    hints: tuple
-    index_tables: dict
-    order_factorization: dict | None = None
 
 
 @dataclass
@@ -126,14 +80,12 @@ def large_filter(g_order: int, m_order: int) -> bool:
     return g_order <= m_order**3
 
 
-def candidate_vs(g_order: int, M: MaximalRecord) -> list[int]:
+def candidate_vs(M: MaximalRecord) -> list[int]:
     """Candidate point counts v = z * index(M) over divisors z > 1 of |M|.
 
     z = 1 is excluded: a point-imprimitive stabilizer is never maximal, so
     the index of M cannot itself be the point count.
     """
-    if M.order * M.index != g_order:
-        raise CatalogError(f"{M.name}: order*index != group order")
     if M.order_factorization is None and M.order > 10**18:
         raise CatalogError(
             f"{M.name}: order exceeds 10^18; supply order_factorization in the catalog"
@@ -142,11 +94,9 @@ def candidate_vs(g_order: int, M: MaximalRecord) -> list[int]:
     return [z * M.index for z in zs if z > 1]
 
 
-def divisibility_gate(params: tuple, N: MaximalRecord, g_order: int) -> bool:
+def divisibility_gate(params: tuple, N: MaximalRecord) -> bool:
     """k must divide |N| and the index of N must divide v."""
     v, k, _lam = params
-    if N.order * N.index != g_order:
-        raise CatalogError(f"{N.name}: order*index != group order")
     return N.order % k == 0 and v % N.index == 0
 
 
@@ -183,13 +133,9 @@ def subgroup_index_gate(name: str, i: int, index_tables: dict) -> str:
     return verdict
 
 
-def subdegree_gate(k: int, lam: int, subdegrees) -> bool:
-    """k must divide lam*e for every nontrivial subdegree e."""
-    return first_bad_subdegree(k, lam, subdegrees) is None
-
-
 def first_bad_subdegree(k: int, lam: int, subdegrees) -> int | None:
-    """Smallest nontrivial subdegree e with k not dividing lam*e."""
+    """Smallest nontrivial subdegree e with k not dividing lam*e; a tuple
+    passes the subdegree gate when there is none."""
     for e in sorted(subdegrees):
         if e > 1 and (lam * e) % k:
             return e
@@ -215,10 +161,8 @@ def base_block_search(act: CosetAction, K: PermGroup, params: tuple) -> SearchOu
     the expected parameters is returned with its certificate.
     """
     v, k, lam = params
-    assert_subgroup(act.G, K, "base block search subgroup")
-    images = [act.image_of(g) for g in K.generators]
-    korbits = PermGroup(images, degree=act.degree).orbits()
-    lengths = tuple(sorted(len(o) for o in korbits))
+    korbits = induced_orbits(act, K)
+    lengths = tuple(len(o) for o in korbits)
     hits = [o for o in korbits if len(o) == k]
     if not hits:
         return SearchOutcome(STATUS_NO_BLOCK, orbit_lengths=lengths)
@@ -243,203 +187,6 @@ def base_block_search(act: CosetAction, K: PermGroup, params: tuple) -> SearchOu
         }
         return SearchOutcome(STATUS_DESIGN, design, invariants, lengths)
     return SearchOutcome(STATUS_NOT_DESIGN, orbit_lengths=lengths)
-
-
-# ---- catalog loading -------------------------------------------------------
-
-
-def _record(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise CatalogError(f"{where}: expected a JSON object")
-    return value
-
-
-def _field(rec: dict, key: str, where: str):
-    if key not in rec:
-        raise CatalogError(f"{where}: missing field {key!r}")
-    return rec[key]
-
-
-def _list(value, where: str):
-    if not isinstance(value, (list, tuple)):
-        raise CatalogError(f"{where}: expected a list")
-    return value
-
-
-def _records(data: dict, key: str) -> list:
-    """(path, object) for each entry of the optional list ``data[key]``."""
-    items = _list(data.get(key, []), key)
-    return [(f"{key}[{i}]", _record(item, f"{key}[{i}]")) for i, item in enumerate(items)]
-
-
-def _pairs(rows, where: str):
-    for row in _list(rows, where):
-        if not isinstance(row, (list, tuple)) or len(row) != 2:
-            raise CatalogError(f"{where}: row {row!r} is not a pair")
-    return rows
-
-
-def _int(value, where: str) -> int:
-    """An integer given as a JSON number or a decimal string."""
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    elif isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise CatalogError(f"{where}: expected an integer, got {value!r}")
-
-
-def _parse_factorization(value, order: int, where: str) -> dict | None:
-    """{prime: exponent} from [p, e] rows; primes, e >= 1, product = order."""
-    if value is None:
-        return None
-    where = f"{where}.order_factorization"
-    fact = {}
-    product = 1
-    for i, (p, e) in enumerate(_pairs(value, where)):
-        p, e = _int(p, f"{where}[{i}][0]"), _int(e, f"{where}[{i}][1]")
-        if not is_probable_prime(p):
-            raise CatalogError(f"{where}[{i}][0]: {p} is not a prime")
-        if e < 1:
-            raise CatalogError(f"{where}[{i}][1]: exponent {e} is below 1")
-        fact[p] = e
-        product *= p**e
-    if product != order:
-        raise CatalogError(f"{where}: product {product} != order {order}")
-    return fact
-
-
-def _index_rows(rows, where: str) -> tuple:
-    """(name, index) rows of an index table; a null name stays None."""
-    return tuple(
-        (None if name is None else str(name), _int(index, f"{where}[{i}][1]"))
-        for i, (name, index) in enumerate(_pairs(rows, where))
-    )
-
-
-def _parse_entries(record: dict, where: str) -> tuple:
-    entries = list(_index_rows(record.get("maximal_subgroups", []),
-                               f"{where}.maximal_subgroups"))
-    where = f"{where}.maximal_indices"
-    indices = _list(record.get("maximal_indices", []), where)
-    entries += [(None, _int(index, f"{where}[{i}]")) for i, index in enumerate(indices)]
-    return tuple(entries)
-
-
-def _parse_generators(strings, degree: int | None, where: str):
-    if strings is None:
-        return None
-    if degree is None:
-        raise CatalogError(f"{where}: generators given without a degree")
-    if not all(isinstance(s, str) for s in _list(strings, f"{where}.generators")):
-        raise CatalogError(f"{where}.generators: expected cycle strings")
-    return tuple(parse_cycles(s, degree) for s in strings)
-
-
-def _load_one_catalog(data: dict) -> GroupCatalog:
-    grp = _record(_field(data, "group", "catalog"), "group")
-    name = _field(grp, "name", "group")
-    order = _int(_field(grp, "order", "group"), "group.order")
-    degree = grp.get("degree")
-    if degree is not None:
-        degree = _int(degree, "group.degree")
-        if degree < 1:
-            raise CatalogError(f"group.degree: {degree} is not a positive integer")
-    fact = _parse_factorization(grp.get("order_factorization"), order, "group")
-    gens = _parse_generators(grp.get("generators"), degree, "group")
-    group = None
-    if gens is not None:
-        group = PermGroup(gens, degree=degree)
-        if group.order() != order:
-            raise CatalogError(
-                f"{name}: stated order {order} != computed {group.order()}"
-            )
-
-    maximals = []
-    for where, rec in _records(data, "maximals"):
-        m_name = _field(rec, "name", where)
-        m_gens = _parse_generators(rec.get("generators"), degree, where)
-        m_order = _int(_field(rec, "order", where), f"{where}.order")
-        record = MaximalRecord(
-            name=m_name,
-            order=m_order,
-            index=_int(_field(rec, "index", where), f"{where}.index"),
-            group=None if m_gens is None else PermGroup(m_gens, degree=degree),
-            subgroup_entries=_parse_entries(rec, where),
-            order_factorization=_parse_factorization(
-                rec.get("order_factorization"), m_order, where),
-        )
-        if record.order * record.index != order:
-            raise CatalogError(f"{record.name}: order*index != |{name}|")
-        maximals.append(record)
-
-    known_names = {m.name for m in maximals}
-    hints = []
-    for where, rec in _records(data, "subgroup_hints"):
-        inside = _field(rec, "inside", where)
-        if inside not in known_names:
-            raise CatalogError(f"hint {rec.get('name')}: unknown maximal {inside!r}")
-        if group is None:
-            raise CatalogError(f"hint {rec.get('name')}: hints need group generators")
-        hgens = _parse_generators(_field(rec, "generators", where), degree, where)
-        for g in hgens:
-            if not group.contains(g):
-                raise CatalogError(
-                    f"hint {rec.get('name')}: generator outside {name}"
-                )
-        hgroup = PermGroup(hgens, degree=degree)
-        index = _int(_field(rec, "index", where), f"{where}.index")
-        owner = next(m for m in maximals if m.name == inside)
-        if index < 1 or owner.order % index or hgroup.order() != owner.order // index:
-            raise CatalogError(
-                f"hint {rec.get('name')}: order {hgroup.order()} is not "
-                f"|{inside}|/{index}"
-            )
-        hints.append(SubgroupHint(rec.get("name", f"hint-{inside}"), inside, index, hgroup))
-
-    tables: dict = {}
-    for key, rows in _record(data.get("index_tables", {}), "index_tables").items():
-        tables[key] = _index_rows(rows, f"index_tables.{key}")
-    for m in maximals:
-        if m.subgroup_entries:
-            tables.setdefault(m.name, m.subgroup_entries)
-
-    for m in maximals:
-        if m.group is not None:
-            if m.group.order() != m.order:
-                raise CatalogError(f"{m.name}: generator order != stated order")
-            if group is not None:
-                for g in m.group.generators:
-                    if not group.contains(g):
-                        raise CatalogError(f"{m.name}: generator outside {name}")
-
-    return GroupCatalog(
-        name=name,
-        order=order,
-        degree=degree,
-        group=group,
-        maximals=tuple(maximals),
-        hints=tuple(hints),
-        index_tables=tables,
-        order_factorization=fact,
-    )
-
-
-def load_catalogs(data) -> list[GroupCatalog]:
-    """Accept a single catalog object or {"groups": [...]}; validate all.
-
-    Malformed data raises CatalogError naming the record and the field.
-    """
-    if isinstance(data, str):
-        data = json.loads(data)
-    data = _record(data, "catalog")
-    if not data:
-        return []
-    if "groups" in data:
-        return [_load_one_catalog(rec) for _, rec in _records(data, "groups")]
-    return [_load_one_catalog(data)]
 
 
 # ---- the runner ------------------------------------------------------------
@@ -617,10 +364,10 @@ def run_pipeline(catalog_data) -> PipelineReport:
         tuples = []
         action_cache: dict = {}
         for nr_M, M in enumerate(large, 1):
-            for v in candidate_vs(cat.order, M):
-                for cand in enumerate_params(v, M.order, M.order_factorization):
+            for v in candidate_vs(M):
+                for cand in enumerate_params(v, M.order):
                     for nr_N, N in enumerate(large, 1):
-                        if not divisibility_gate(cand.triple, N, cat.order):
+                        if not divisibility_gate(cand.triple, N):
                             continue
                         tup = CandidateTuple(
                             group=cat.name,

@@ -19,7 +19,7 @@ from symdesign.design import (
 )
 from symdesign.group import parse_group_file
 from symdesign.params import brute_force_params, derive_cdl, check_basic, classify_type, enumerate_params
-from symdesign.pipeline import first_bad_subdegree, run_pipeline, subdegree_gate
+from symdesign.pipeline import first_bad_subdegree, run_pipeline
 
 
 def _announce(n, text):
@@ -99,9 +99,9 @@ def test_acceptance_4_parameter_search():
 
 
 def test_acceptance_5_subdegree_filter():
-    assert subdegree_gate(66, 30, (1, 11, 11, 55, 66))
+    assert first_bad_subdegree(66, 30, (1, 11, 11, 55, 66)) is None
     hs = (7, 42, 126, 210, 252, 630, 1260, 2520)
-    assert not subdegree_gate(420, 20, hs)
+    assert first_bad_subdegree(420, 20, hs) is not None
     assert first_bad_subdegree(420, 20, hs) == 7
     _announce(5, "subdegree gate passes the M12 case, fails the 8800-point case at e=7")
 

@@ -1,8 +1,27 @@
+import contextlib
+import io
+import json
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from symdesign import catalog
-from symdesign.catalog import CatalogError, dataset_ids, load, provenance
+from symdesign.arith import divisors, factorize
+from symdesign.catalog import (
+    CatalogError,
+    GroupCatalog,
+    dataset_ids,
+    load,
+    load_catalogs,
+    provenance,
+)
+from symdesign.cli import main
 from symdesign.design import verify_symmetric
+from symdesign.group import PermGroup
+from symdesign.perm import Permutation, cycle_string, parse_cycles
+
+from helpers import element_closure
 
 
 def test_every_dataset_loads():
@@ -132,3 +151,120 @@ def test_catalog_payloads_parse_for_pipeline():
     stub = load("fi22/catalog-stub")
     assert stub["group"]["name"] == "Fi22"
     assert len(stub["maximals"]) == 2
+
+
+# ---- bounded fuzz of the catalog loader ----------------------------------------
+#
+# Catalogs start from a real group on at most 6 points (order <= 720, so
+# every coset action the pipeline builds stays small), with maximals and
+# hints that are point stabilizers or spans of random elements, and then
+# lose or get junk in up to two fields.  Junk is small: integers up to 8,
+# so a degree never exceeds 8, and short fixed strings.
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 8),
+    st.sampled_from(["", "x", "2", "-1", "1.5", "()", "(1,2", "(1,9)"]),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.just({}),
+)
+
+
+# Elements spanning subgroups of S5 and S6 whose index makes a pipeline
+# tuple reach the coset action and the base-block search: S4, D8 =
+# <(1,2,3,4), (1,3)>, S5 and F20 = <(1,2,3,4,5), (2,3,5,4)>.
+_NAMED = ("(1,2,3,4)", "(1,3)", "(1,2)", "(1,2,3,4,5)", "(2,3,5,4)")
+
+
+def _subgroup(draw, group, named: bool):
+    """The span of up to two elements of ``group``, from the named ones when
+    ``named``, or else a point stabilizer or the span of random elements."""
+    elements = sorted(element_closure(group), key=lambda g: g.images)
+    if named:
+        elements = [g for g in elements if cycle_string(g) in _NAMED] or elements
+    elif draw(st.booleans()):
+        return group.point_stabilizer(draw(st.integers(1, group.degree)))
+    return PermGroup(draw(st.lists(st.sampled_from(elements), max_size=2)), degree=group.degree)
+
+
+def _gens(group) -> list:
+    return [cycle_string(g) for g in group.generators]
+
+
+def _slots(obj):
+    """(container, key) for every value nested in ``obj``."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    out = []
+    for key, value in items:
+        out.append((obj, key))
+        if isinstance(value, (dict, list)):
+            out += _slots(value)
+    return out
+
+
+@st.composite
+def _catalogs(draw):
+    named = draw(st.booleans())
+    if named:  # S5 or S6, with the stabilizer of the last point as M0
+        degree = draw(st.sampled_from([5, 6]))
+        gens = [parse_cycles(c, degree) for c in (str(tuple(range(1, degree + 1))), "(1,2)")]
+    else:
+        degree = draw(st.integers(1, 6))
+        gens = [Permutation(draw(st.permutations(range(1, degree + 1))))
+                for _ in range(draw(st.integers(1, 2)))]
+    G = PermGroup(gens, degree=degree)
+    order = G.order()
+    group = {"name": "G", "order": str(order)}
+    if named or draw(st.booleans()):
+        group.update(degree=degree, generators=_gens(G))
+    if draw(st.booleans()):
+        group["order_factorization"] = [[p, e] for p, e in factorize(order).items()]
+    maximals, hints = [], []
+    for i in range(draw(st.integers(int(named), 3))):
+        M = G.point_stabilizer(degree) if named and i == 0 else _subgroup(draw, G, named)
+        rec = {"name": f"M{i}", "order": M.order(), "index": order // M.order()}
+        if "generators" in group and draw(st.booleans()):
+            rec["generators"] = _gens(M)
+        if draw(st.integers(0, 3)) == 0:
+            rec["maximal_subgroups"] = [
+                [draw(st.sampled_from([None, "M0", "X"])), d]
+                for d in draw(st.lists(st.sampled_from(divisors(M.order())), max_size=2))]
+        maximals.append(rec)
+        for j in range(draw(st.integers(0, 2))):
+            H = _subgroup(draw, M, named)
+            hints.append({"name": f"h{i}{j}", "inside": f"M{i}",
+                          "index": M.order() // H.order(), "generators": _gens(H)})
+    data = {"group": group, "maximals": maximals, "subgroup_hints": hints}
+    if draw(st.booleans()):
+        data["index_tables"] = {"G": [[f"M{i}", m["index"]] for i, m in enumerate(maximals)]}
+    for _ in range(draw(st.integers(0, 2))):
+        parent, key = draw(st.sampled_from(_slots(data)))
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(_JUNK)
+    return {"groups": [data]} if draw(st.booleans()) else data
+
+
+@given(_catalogs())
+@settings(max_examples=200, deadline=None)
+def test_loader_fuzz_raises_only_catalog_errors(data):
+    try:
+        cats = load_catalogs(data)
+    except CatalogError:
+        return
+    assert all(isinstance(cat, GroupCatalog) for cat in cats)
+
+
+@given(_catalogs())
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_pipeline_verb_fuzz_exits_0_1_or_2(tmp_path, data):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["pipeline", str(path)])
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.getvalue().startswith("error: ")

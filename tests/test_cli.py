@@ -248,12 +248,40 @@ def _m11a_factorization(fact):
     ("pipeline", "cat.json",
      json.dumps({"group": {"name": "C1", "order": "1", "degree": True, "generators": ["()"]}}),
      "group.degree: expected an integer, got True"),
+    ("pipeline", "cat.json", _m11a_factorization([[2, 10**10], [3, 2], [5, 1], [11, 1]]),
+     "maximals[0].order_factorization[0][1]: exponent 10000000000 is below 1 or above 13"),
+    ("order", "huge.grp", "degree: 99999999999\n",
+     "degree 99999999999 must be positive and at most 1000000"),
+    ("order", "huge.grp", "degree: 99999999999\n(1,2)\n",
+     "degree 99999999999 must be positive and at most 1000000"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": dict(_C4, degree=99999999999, generators=["(1,2,3,4)"])}),
+     "group.degree: 99999999999 is outside 1..1000000"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": _C4, "maximals": [{"name": ["M11"], "order": "2", "index": "2"}]}),
+     "maximals[0].name: expected a string"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": dict(_C4, degree=4, generators=["(1,2,3,4)"]),
+                 "maximals": [{"name": "C2", "order": "2", "index": "2"}],
+                 "subgroup_hints": [{"name": "h", "inside": ["C2"], "index": 1,
+                                     "generators": ["(1,3)(2,4)"]}]}),
+     "subgroup_hints[0].inside: expected a string"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": dict(_C4, degree=4, generators=["(1,2,3,4)"]),
+                 "maximals": [{"name": "C2", "order": "2", "index": "2"}],
+                 "subgroup_hints": [{"name": "h", "inside": "C2", "index": 1,
+                                     "generators": None}]}),
+     "subgroup_hints[0].generators: expected a list"),
 ], ids=["maximal-without-name", "top-level-list", "row-of-wrong-arity", "degree-zero",
         "indices-not-a-list", "generators-not-a-list", "hint-index-zero",
         "order-not-a-number", "table-index-not-a-number", "order-not-an-integer",
         "index-is-a-bool", "index-table-row-not-a-number", "factorization-not-a-number",
         "hint-index-not-a-number", "factorization-product-short", "factorization-base-not-prime",
-        "factorization-exponent-zero", "group-factorization-product-short", "degree-is-a-bool"])
+        "factorization-exponent-zero", "group-factorization-product-short", "degree-is-a-bool",
+        "factorization-exponent-huge", "group-file-degree-huge",
+        "group-file-degree-huge-with-generator",
+        "catalog-degree-huge", "maximal-name-not-a-string", "hint-inside-not-a-string",
+        "hint-generators-null"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, verb, name, text, message):
     path = tmp_path / name
     path.write_text(text)

@@ -334,14 +334,14 @@ def test_coset_action_rejects_non_subgroups():
 def test_induced_orbits_of_stabilizer_match_subdegrees():
     F21, _ = FIXTURES["F21"]
     H = F21.point_stabilizer(1)
-    _, orbits = induced_orbits(F21, H, H)
+    orbits = induced_orbits(coset_action(F21, H), H)
     assert sorted(len(o) for o in orbits) == F21.subdegrees(1)
 
 
 def test_induced_orbits_of_whole_group():
     F21, _ = FIXTURES["F21"]
     H = F21.point_stabilizer(1)
-    _, orbits = induced_orbits(F21, H, F21)
+    orbits = induced_orbits(coset_action(F21, H), F21)
     assert [len(o) for o in orbits] == [7]
 
 
@@ -349,7 +349,7 @@ def test_induced_orbit_lengths_sum_to_index():
     S5, _ = FIXTURES["S5"]
     H = S5.point_stabilizer(2)
     K = S5.point_stabilizer(1)
-    _, orbits = induced_orbits(S5, H, K)
+    orbits = induced_orbits(coset_action(S5, H), K)
     assert sum(len(o) for o in orbits) == S5.order() // H.order()
 
 

@@ -53,7 +53,7 @@ def test_coset_action_group_is_the_image_of_the_generators(G, subgroup):
 def test_induced_orbits_of_k(G):
     H = load("m12-144/H")
     K = load("m12-144/K")
-    _, orbits = induced_orbits(G, H, K)
+    orbits = induced_orbits(coset_action(G, H), K)
     assert sorted(len(o) for o in orbits) == [1, 11, 11, 55, 66]
 
 

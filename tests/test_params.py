@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symdesign import params
 from symdesign.arith import divisors, factorize, is_probable_prime
-from symdesign.catalog import load
-from symdesign.pipeline import candidate_vs, large_filter, load_catalogs
+from symdesign.catalog import load, load_catalogs
+from symdesign.pipeline import candidate_vs, large_filter
 from symdesign.params import (
     ParamCandidate,
     brute_force_params,
@@ -126,7 +127,7 @@ def _pipeline_inputs(dataset):
         for M in cat.maximals:
             if large_filter(cat.order, M.order):
                 out += [(v, M.order, M.order_factorization)
-                        for v in candidate_vs(cat.order, M)]
+                        for v in candidate_vs(M)]
     return out
 
 
@@ -138,7 +139,7 @@ def test_enumerate_matches_reference_on_every_pipeline_input(dataset, count, top
     inputs = _pipeline_inputs(dataset)
     assert len(inputs) == count and max(v for v, _, _ in inputs) == top
     for v, m_order, fact in inputs:
-        assert enumerate_params(v, m_order, fact) == reference_enumerate_params(
+        assert enumerate_params(v, m_order) == reference_enumerate_params(
             v, m_order, fact
         ), (v, m_order)
 
@@ -185,6 +186,22 @@ def _crt_edge_cases(draw):
 def test_enumerate_matches_reference_on_crt_edge_cases(case):
     v, m_order = case
     assert enumerate_params(v, m_order) == reference_enumerate_params(v, m_order)
+
+
+@pytest.mark.parametrize("v, m_order", [
+    (10, 10**38 - 1),  # factoring |M| itself takes Pollard rho beyond 10 s
+    (144, 7920),
+    (1000, 2**89 - 1),
+    (2017, 2**5 * 3**2 * 7 * (2**61 - 1)),
+])
+def test_enumerate_factors_only_a_divisor_of_v_minus_1(monkeypatch, v, m_order):
+    def guarded(n):
+        if (v - 1) % n:
+            raise AssertionError(f"factorize({n}) on a number that does not divide v-1")
+        return factorize(n)
+
+    monkeypatch.setattr(params, "factorize", guarded)
+    assert [c.triple for c in enumerate_params(v, m_order)] == brute_force_params(v, m_order)
 
 
 def test_candidate_witness_identities_hold_on_random_instances():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdesign.perm import Permutation, parse_cycles, cycle_string
+from symdesign.perm import MAX_DEGREE, Permutation, parse_cycles, cycle_string
 
 
 def test_involution_squares_to_identity():
@@ -61,6 +61,12 @@ def test_parse_errors_name_the_problem():
         parse_cycles("(1,2", 4)
     with pytest.raises(ValueError, match="empty entry"):
         parse_cycles("(1,,2)", 4)
+
+
+def test_parse_rejects_a_degree_outside_the_bound_before_allocating():
+    for degree in (0, MAX_DEGREE + 1, 99999999999):
+        with pytest.raises(ValueError, match=f"degree {degree} is outside 1..{MAX_DEGREE}"):
+            parse_cycles("(1,2)", degree)
 
 
 def test_order_and_cycles():

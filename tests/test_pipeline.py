@@ -3,22 +3,18 @@ from pathlib import Path
 
 import pytest
 
-from symdesign.catalog import load
+from symdesign.catalog import CatalogError, MaximalRecord, load, load_catalogs
 from symdesign.group import PermGroup, coset_action
 from symdesign.pipeline import (
-    CatalogError,
     GATE_NSG,
     GATE_POSSIBLE,
     GATE_UNKNOWN,
-    MaximalRecord,
     base_block_search,
     candidate_vs,
     divisibility_gate,
     first_bad_subdegree,
     large_filter,
-    load_catalogs,
     run_pipeline,
-    subdegree_gate,
     subgroup_index_gate,
 )
 
@@ -38,7 +34,7 @@ def test_large_filter():
 
 def test_candidate_vs_for_m11_in_m12():
     M = MaximalRecord(name="M11", order=7920, index=12)
-    vs = candidate_vs(95040, M)
+    vs = candidate_vs(M)
     assert 144 in vs
     assert 12 not in vs  # z = 1 is excluded on the point side
     assert vs == sorted(vs)
@@ -47,34 +43,36 @@ def test_candidate_vs_for_m11_in_m12():
 
 def test_candidate_vs_prime_order_maximal():
     M = MaximalRecord(name="P", order=5, index=4)
-    assert candidate_vs(20, M) == [20]
+    assert candidate_vs(M) == [20]
 
 
 def test_candidate_vs_checks_consistency():
-    M = MaximalRecord(name="broken", order=7920, index=13)
-    with pytest.raises(CatalogError):
-        candidate_vs(95040, M)
+    # the loader rejects order*index != |G| before candidate_vs sees a record
+    bad = {"group": {"name": "M12", "order": 95040},
+           "maximals": [{"name": "broken", "order": 7920, "index": 13}]}
+    with pytest.raises(CatalogError, match="order\\*index"):
+        load_catalogs(bad)
 
 
 def test_candidate_vs_demands_factorization_for_huge_orders():
     order = 2**64
     M = MaximalRecord(name="huge", order=order, index=3)
     with pytest.raises(CatalogError, match="order_factorization"):
-        candidate_vs(order * 3, M)
+        candidate_vs(M)
     M = MaximalRecord(
         name="huge", order=order, index=3, order_factorization={2: 64}
     )
-    vs = candidate_vs(order * 3, M)
+    vs = candidate_vs(M)
     assert vs[0] == 6 and len(vs) == 64
 
 
 def test_divisibility_gate():
     m11 = MaximalRecord(name="M11", order=7920, index=12)
     l211 = MaximalRecord(name="L2(11)", order=660, index=144)
-    assert divisibility_gate((144, 66, 30), m11, 95040)
-    assert divisibility_gate((144, 66, 30), l211, 95040)
+    assert divisibility_gate((144, 66, 30), m11)
+    assert divisibility_gate((144, 66, 30), l211)
     small = MaximalRecord(name="tiny", order=100, index=144)
-    assert not divisibility_gate((144, 66, 30), small, 14400)
+    assert not divisibility_gate((144, 66, 30), small)
 
 
 M11_TABLE = {
@@ -116,16 +114,16 @@ def test_subgroup_index_gate_unknown_without_data():
 
 
 def test_subdegree_gate_m12_case():
-    assert subdegree_gate(66, 30, (1, 11, 11, 55, 66))
+    assert first_bad_subdegree(66, 30, (1, 11, 11, 55, 66)) is None
 
 
 def test_subdegree_gate_reproduces_the_rank_breaking_case():
-    assert not subdegree_gate(420, 20, HS_SUBDEGREES)
+    assert first_bad_subdegree(420, 20, HS_SUBDEGREES) is not None
     assert first_bad_subdegree(420, 20, HS_SUBDEGREES) == 7
 
 
 def test_subdegree_gate_k_itself_always_passes():
-    assert subdegree_gate(66, 30, (66,))
+    assert first_bad_subdegree(66, 30, (66,)) is None
     assert first_bad_subdegree(66, 30, (1, 66)) is None
 
 
