@@ -8,11 +8,12 @@ orders, fixed points, and orbit signatures all have to match before a
 payload is handed out.
 
 ``load_catalogs`` turns the JSON catalog format into the records the
-pipeline searches.  It checks every field's shape and type, every stated
-order against its factorization and its generators, order * index
-against the group order, and that all generators lie in the group, so
-the pipeline's gates can trust what they get.  Anything malformed or
-inconsistent raises CatalogError naming the JSON path.
+pipeline searches.  It checks every field's shape and type, that orders
+and indices are at least 1, every stated order against its factorization
+and its generators, order * index against the group order, and that all
+generators lie in the group, so the pipeline's gates can trust what they
+get.  Anything malformed or inconsistent raises CatalogError naming the
+JSON path.
 """
 
 from __future__ import annotations
@@ -278,6 +279,14 @@ def _int(value, where: str) -> int:
     raise CatalogError(f"{where}: expected an integer, got {value!r}")
 
 
+def _positive(value, where: str) -> int:
+    """An integer of at least 1, as ``_int`` reads it: an order or an index."""
+    n = _int(value, where)
+    if n < 1:
+        raise CatalogError(f"{where}: {n} is below 1")
+    return n
+
+
 def _parse_factorization(value, order: int, where: str) -> dict | None:
     """{prime: exponent} from [p, e] rows; primes, e >= 1, product = order."""
     if value is None:
@@ -302,7 +311,7 @@ def _parse_factorization(value, order: int, where: str) -> dict | None:
 def _index_rows(rows, where: str) -> tuple:
     """(name, index) rows of an index table; a null name stays None."""
     return tuple(
-        (None if name is None else str(name), _int(index, f"{where}[{i}][1]"))
+        (None if name is None else str(name), _positive(index, f"{where}[{i}][1]"))
         for i, (name, index) in enumerate(_pairs(rows, where))
     )
 
@@ -312,7 +321,7 @@ def _parse_entries(record: dict, where: str) -> tuple:
                                f"{where}.maximal_subgroups"))
     where = f"{where}.maximal_indices"
     indices = _list(record.get("maximal_indices", []), where)
-    entries += [(None, _int(index, f"{where}[{i}]")) for i, index in enumerate(indices)]
+    entries += [(None, _positive(index, f"{where}[{i}]")) for i, index in enumerate(indices)]
     return tuple(entries)
 
 
@@ -333,7 +342,7 @@ def _parse_generators(strings, degree: int | None, where: str):
 def _load_one_catalog(data: dict) -> GroupCatalog:
     grp = _record(_field(data, "group", "catalog"), "group")
     name = _str(_field(grp, "name", "group"), "group.name")
-    order = _int(_field(grp, "order", "group"), "group.order")
+    order = _positive(_field(grp, "order", "group"), "group.order")
     degree = grp.get("degree")
     if degree is not None:
         degree = _int(degree, "group.degree")
@@ -359,8 +368,8 @@ def _load_one_catalog(data: dict) -> GroupCatalog:
     for where, rec in _records(data, "maximals"):
         m_name = _str(_field(rec, "name", where), f"{where}.name")
         m_gens = _parse_generators(rec.get("generators"), degree, where)
-        m_order = _int(_field(rec, "order", where), f"{where}.order")
-        m_index = _int(_field(rec, "index", where), f"{where}.index")
+        m_order = _positive(_field(rec, "order", where), f"{where}.order")
+        m_index = _positive(_field(rec, "index", where), f"{where}.index")
         entries = _parse_entries(rec, where)
         if entries:
             tables.setdefault(m_name, entries)

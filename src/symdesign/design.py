@@ -378,11 +378,18 @@ def parse_design_file(text: str) -> Design:
         if not line:
             continue
         if line.lower().startswith("v:"):
-            v = int(line.split(":", 1)[1])
+            value = line.split(":", 1)[1].strip()
+            try:
+                v = int(value)
+            except ValueError:
+                raise ValueError(f"line {lineno}: v {value!r} is not an integer") from None
             continue
         if v is None:
             raise ValueError(f"line {lineno}: block before the v line")
-        blocks.append(tuple(int(x) for x in line.split(",")))
+        try:
+            blocks.append(tuple(int(x) for x in line.split(",")))
+        except ValueError:
+            raise ValueError(f"line {lineno}: block {line!r} has a non-integer point") from None
     if v is None:
         raise ValueError("missing v line")
     return Design(v, blocks)

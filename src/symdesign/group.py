@@ -7,6 +7,12 @@ share.  Each fill is a single dict or attribute store of a value that
 depends only on the generators, so threads that query one group
 concurrently at worst repeat work; they never see a partial value.
 Queries return fresh lists, so callers may mutate what they get.
+
+A stored chain is always complete: its order is the group's order.
+Stabilizers rely on this.  Once a group's chain is built, a stabilizer
+stops cutting out Schreier generators as soon as its own chain reaches
+|G|/|orbit| (orbit-stabilizer); a group without a chain is never given
+one just to learn its order.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ class SubgroupError(ValueError):
 
 
 class _Level:
-    __slots__ = ("point", "gens", "orbit", "transversal", "inv")
+    __slots__ = ("point", "gens", "orbit", "transversal", "inv", "tree")
 
     def __init__(self, point: int, degree: int):
         ident = Permutation.identity(degree)
@@ -43,6 +49,7 @@ class _Level:
         self.orbit = [point]
         self.transversal = {point: ident}
         self.inv = {point: ident}
+        self.tree: set[tuple[int, int]] = set()  # (x, j): gens[j] extends the BFS tree at x
 
 
 class StabChain:
@@ -101,9 +108,12 @@ class StabChain:
         None when the level verifies cleanly.
         """
         lv = self.levels[i]
+        tree = lv.tree
         for x in lv.orbit:
             ux = lv.transversal[x]
-            for s in lv.gens:
+            for j, s in enumerate(lv.gens):
+                if (x, j) in tree:
+                    continue  # u_x * s is u_{x^s}: the Schreier generator is the identity
                 sg = ux * s * lv.inv[s.table[x]]
                 if sg.is_identity():
                     continue
@@ -127,19 +137,52 @@ class StabChain:
         trans = {lv.point: ident}
         inv = {lv.point: ident}
         orbit = [lv.point]
+        tree = set()
         qi = 0
         while qi < len(orbit):
             x = orbit[qi]
             qi += 1
             ux = trans[x]
-            for s in lv.gens:
+            for j, s in enumerate(lv.gens):
                 y = s.table[x]
                 if y not in trans:
                     u = ux * s
                     trans[y] = u
                     inv[y] = u.inverse()
                     orbit.append(y)
-        lv.orbit, lv.transversal, lv.inv = orbit, trans, inv
+                    tree.add((x, j))
+        lv.orbit, lv.transversal, lv.inv, lv.tree = orbit, trans, inv, tree
+
+
+def _schreier_generators(gens, action, orbit, parent, ident):
+    """u_x * g * u_y^-1 for each non-tree edge x -> y = action(g, x), in
+    orbit order then generator order; u_x maps the seed to x along the tree.
+
+    Transversal elements and their inverses are formed on first use by an
+    iterative walk up the parent links, so a long tree needs no recursion.
+    """
+    trans = {orbit[0]: ident}
+    inv = {orbit[0]: ident}
+
+    def rep(y):
+        path = []
+        while y not in trans:
+            path.append(y)
+            y = parent[y][0]
+        u = trans[y]
+        for z in reversed(path):
+            u = trans[z] = u * gens[parent[z][1]]
+        return u
+
+    for x in orbit:
+        for i, g in enumerate(gens):
+            y = action(g, x)
+            if parent[y] == (x, i):
+                continue  # tree edge: u_x * g is u_y
+            uy_inv = inv.get(y)
+            if uy_inv is None:
+                uy_inv = inv[y] = rep(y).inverse()
+            yield rep(x) * g * uy_inv
 
 
 class PermGroup:
@@ -228,40 +271,44 @@ class PermGroup:
 
         ``action(g, x)`` gives the image of an auxiliary point x under a
         group element g and must be a genuine action (respect products).
-        The result is cut out by Schreier generators, reduced so that each
-        kept generator strictly grows the subgroup; it lives in this group
-        as original-degree permutations whatever the auxiliary points are.
+        The result is cut out by the Schreier generators of the non-tree
+        edges of a breadth-first Schreier tree, reduced so that each kept
+        generator strictly grows the subgroup; it lives in this group as
+        original-degree permutations whatever the auxiliary points are.
+
+        When this group's chain is already built, |G| is known and the
+        stabilizer has order |G|/|orbit|: the loop stops as soon as the
+        kept generators reach that order, and a regular orbit gives the
+        trivial group at once.  This is sound because a stored chain is
+        always complete.  Without a chain every Schreier generator is
+        tried.  Either way the kept generators are the same prefix of one
+        deterministic sequence, and the result's chain is complete.
         """
-        ident = self.identity()
-        trans = {seed: ident}
-        inv = {seed: ident}
+        gens = self.generators
+        parent = {seed: None}  # Schreier tree: y -> (x, i) with action(gens[i], x) == y
         orbit = [seed]
         qi = 0
         while qi < len(orbit):
             x = orbit[qi]
             qi += 1
-            ux = trans[x]
-            for g in self.generators:
+            for i, g in enumerate(gens):
                 y = action(g, x)
-                if y not in trans:
-                    u = ux * g
-                    trans[y] = u
-                    inv[y] = u.inverse()
+                if y not in parent:
+                    parent[y] = (x, i)
                     orbit.append(y)
+        target = None if self._chain is None else self._chain.order() // len(orbit)
         kept: list[Permutation] = []
-        chain = None
-        for x in orbit:
-            ux = trans[x]
-            for g in self.generators:
-                sg = ux * g * inv[action(g, x)]
-                if sg.is_identity():
-                    continue
-                if chain is not None and chain.contains(sg):
+        chain = StabChain((), self.degree)
+        if target != 1:
+            for sg in _schreier_generators(gens, action, orbit, parent, self.identity()):
+                if sg.is_identity() or chain.contains(sg):
                     continue
                 kept.append(sg)
                 chain = StabChain(kept, self.degree)
+                if chain.order() == target:
+                    break
         stab = PermGroup(kept, degree=self.degree)
-        stab._chain = chain if chain is not None else StabChain((), self.degree)
+        stab._chain = chain
         return stab
 
     def point_stabilizer(self, point: int) -> "PermGroup":
@@ -530,7 +577,11 @@ def parse_group_file(text: str) -> tuple[PermGroup, str | None]:
         if not line:
             continue
         if line.lower().startswith("degree:"):
-            degree = int(line.split(":", 1)[1])
+            value = line.split(":", 1)[1].strip()
+            try:
+                degree = int(value)
+            except ValueError:
+                raise ValueError(f"line {lineno}: degree {value!r} is not an integer") from None
             if not 1 <= degree <= MAX_DEGREE:
                 raise ValueError(f"line {lineno}: degree {degree} must be positive "
                                  f"and at most {MAX_DEGREE}")

@@ -7,7 +7,7 @@ from itertools import combinations
 from symdesign.arith import divisors, factorize
 from symdesign.design import DesignParams, NotSymmetric, _block_action_images, _verified
 from symdesign.perm import Permutation, parse_cycles
-from symdesign.group import BlockSystem, PermGroup
+from symdesign.group import BlockSystem, PermGroup, StabChain
 from symdesign.params import _candidate
 
 
@@ -76,7 +76,74 @@ def wreath(inner, outer):
     return PermGroup(gens, degree=c * d)
 
 
+def random_wreath_subgroup(rng):
+    """Two random words in S_c wr S_d, relabelled by a random permutation:
+    often transitive and imprimitive."""
+    whole = wreath(sym(rng.randint(2, 4)), sym(rng.randint(2, 4)))
+    images = list(range(1, whole.degree + 1))
+    rng.shuffle(images)
+    pi = Permutation(images)
+    gens = []
+    for _ in range(2):
+        word = whole.identity()
+        for _ in range(12):
+            word = word * rng.choice(whole.generators)
+        gens.append(pi.inverse() * word * pi)
+    return PermGroup(gens, degree=whole.degree)
+
+
+def paley(q):
+    """The affine group x -> ax+b, a a nonzero square, on Z_q for a prime
+    q = 3 (mod 4), and the Paley base block of the squares; x is point x+1.
+
+    The group has order q(q-1)/2 and is generated by x -> x+1 and x -> r^2 x
+    for the smallest primitive root r."""
+    r = next(r for r in range(2, q)
+             if all(pow(r, (q - 1) // p, q) != 1 for p in factorize(q - 1)))
+    shift = Permutation([(x + 1) % q + 1 for x in range(q)])
+    scale = Permutation([r * r * x % q + 1 for x in range(q)])
+    squares = sorted({x * x % q for x in range(1, q)})
+    return PermGroup([shift, scale], degree=q), [x + 1 for x in squares]
+
+
 # ---- reference implementations that the fast kernels are tested against ------
+
+
+def reference_stabilizer_of_action(group, seed, action):
+    """``PermGroup.stabilizer_of_action`` without the early stop: the whole
+    transversal and its inverses up front, and every Schreier generator of
+    every edge sifted, whether or not the group's order is known."""
+    ident = group.identity()
+    trans = {seed: ident}
+    inv = {seed: ident}
+    orbit = [seed]
+    qi = 0
+    while qi < len(orbit):
+        x = orbit[qi]
+        qi += 1
+        ux = trans[x]
+        for g in group.generators:
+            y = action(g, x)
+            if y not in trans:
+                u = ux * g
+                trans[y] = u
+                inv[y] = u.inverse()
+                orbit.append(y)
+    kept = []
+    chain = None
+    for x in orbit:
+        ux = trans[x]
+        for g in group.generators:
+            sg = ux * g * inv[action(g, x)]
+            if sg.is_identity():
+                continue
+            if chain is not None and chain.contains(sg):
+                continue
+            kept.append(sg)
+            chain = StabChain(kept, group.degree)
+    stab = PermGroup(kept, degree=group.degree)
+    stab._chain = chain if chain is not None else StabChain((), group.degree)
+    return stab
 
 
 def reference_verify_symmetric(design):

@@ -272,6 +272,31 @@ def _m11a_factorization(fact):
                  "subgroup_hints": [{"name": "h", "inside": "C2", "index": 1,
                                      "generators": None}]}),
      "subgroup_hints[0].generators: expected a list"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": {"name": "G", "order": "0"},
+                 "maximals": [{"name": "M", "order": "0", "index": "5"}]}),
+     "group.order: 0 is below 1"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": {"name": "G", "order": "-6"},
+                 "maximals": [{"name": "M", "order": "-3", "index": "2"}]}),
+     "group.order: -6 is below 1"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": _C4, "maximals": [{"name": "M", "order": "-2", "index": "-2"}]}),
+     "maximals[0].order: -2 is below 1"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": _C4, "maximals": [{"name": "M", "order": "4", "index": "-1"}]}),
+     "maximals[0].index: -1 is below 1"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": _C4, "maximals": [
+         {"name": "C2", "order": "2", "index": "2", "maximal_subgroups": [["A", 0]]}]}),
+     "maximals[0].maximal_subgroups[0][1]: 0 is below 1"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": _C4, "index_tables": {"C2": [["C1", "-2"]]}}),
+     "index_tables.C2[0][1]: -2 is below 1"),
+    ("order", "bad.grp", "degree: x\n", "line 1: degree 'x' is not an integer"),
+    ("verify-design", "bad.design", "v: y\n", "line 1: v 'y' is not an integer"),
+    ("verify-design", "bad.design", "v: 3\n1,2\n1,x\n",
+     "line 3: block '1,x' has a non-integer point"),
 ], ids=["maximal-without-name", "top-level-list", "row-of-wrong-arity", "degree-zero",
         "indices-not-a-list", "generators-not-a-list", "hint-index-zero",
         "order-not-a-number", "table-index-not-a-number", "order-not-an-integer",
@@ -281,7 +306,10 @@ def _m11a_factorization(fact):
         "factorization-exponent-huge", "group-file-degree-huge",
         "group-file-degree-huge-with-generator",
         "catalog-degree-huge", "maximal-name-not-a-string", "hint-inside-not-a-string",
-        "hint-generators-null"])
+        "hint-generators-null", "group-order-zero", "group-order-negative",
+        "maximal-order-negative", "maximal-index-negative",
+        "maximal-table-index-zero", "index-table-index-negative", "group-file-degree-not-a-number",
+        "design-file-v-not-a-number", "design-file-point-not-a-number"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, verb, name, text, message):
     path = tmp_path / name
     path.write_text(text)

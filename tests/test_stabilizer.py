@@ -1,0 +1,137 @@
+"""The early-stopping stabilizer against the exhaustive reference.
+
+``PermGroup.stabilizer_of_action`` stops at |G|/|orbit| once the group's
+chain is built and skips the Schreier tree's own edges.  Every case runs
+twice, on a fresh group (no chain: every Schreier generator is tried) and
+on one whose order is already known, and must agree with
+``reference_stabilizer_of_action`` on the order and the orbit partition.
+"""
+
+import random
+import sys
+import tracemalloc
+
+import pytest
+
+from symdesign.catalog import load
+from symdesign.design import _block_action_images, block_stabilizer, construct_design
+from symdesign.group import PermGroup
+from symdesign.perm import Permutation
+
+from helpers import (
+    FIXTURES,
+    cyclic,
+    paley,
+    random_wreath_subgroup,
+    reference_stabilizer_of_action,
+    sym,
+    wreath,
+)
+
+
+def point_action(g, x):
+    return g.table[x]
+
+
+def block_action(G, design):
+    rows = dict(zip(G.generators, _block_action_images(G, design)))
+    return lambda g, idx: rows[g][idx]
+
+
+def class_action(system):
+    reps = [cls[0] for cls in system.classes]
+    return lambda g, idx: system.class_of[g.table[reps[idx]]]
+
+
+def _point_cases(G):
+    return [(point, point_action) for point in sorted({1, (G.degree + 1) // 2, G.degree})]
+
+
+def _fixture_cases():
+    groups = {name: group for name, (group, _order) in FIXTURES.items()}
+    groups["C2wrS3"] = wreath(cyclic(2), sym(3))
+    groups["S3wrC4"] = wreath(sym(3), cyclic(4))
+    for seed in range(8):
+        groups[f"wreath-word-{seed}"] = random_wreath_subgroup(random.Random(seed))
+    for name, G in groups.items():
+        cases = _point_cases(G)
+        if G.is_transitive() and G.degree > 1:
+            for system in G.minimal_block_systems():
+                cases.append((0, class_action(system)))
+        yield name, G, cases
+
+
+def _m12_cases():
+    G = load("m12-144/G")
+    design = construct_design(G, load("m12-144/base-block"))
+    cases = _point_cases(G) + [(0, block_action(G, design)), (77, block_action(G, design))]
+    cases += [(0, class_action(system)) for system in G.minimal_block_systems()]
+    yield "m12-144", G, cases
+
+
+def _paley_cases():
+    for q in (11, 19, 23, 43, 263):
+        G, block = paley(q)
+        design = construct_design(G, block)
+        yield f"paley-{q}", G, _point_cases(G) + [(0, block_action(G, design))]
+
+
+CASES = {name: (G, cases) for make in (_fixture_cases, _m12_cases, _paley_cases)
+         for name, G, cases in make()}
+
+
+@pytest.mark.parametrize("order_known", [False, True], ids=["fresh", "order-known"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stabilizer_matches_the_reference(name, order_known):
+    G, cases = CASES[name]
+    for seed, action in cases:
+        group = PermGroup(G.generators, degree=G.degree)
+        if order_known:
+            group.order()
+        stab = group.stabilizer_of_action(seed, action)
+        ref = reference_stabilizer_of_action(G, seed, action)
+        assert stab.order() == ref.order()
+        assert stab.orbits() == ref.orbits()
+        # the same deterministic sequence of kept generators, cut short at most
+        assert stab.generators == ref.generators[:len(stab.generators)]
+        if not order_known:
+            assert stab.generators == ref.generators
+        assert (group._chain is not None) == order_known  # never built just for |G|
+
+
+def test_long_schreier_tree_needs_no_recursion():
+    """One 1500-cycle, no chain: the only non-tree edge closes a path of
+    1499 tree edges, which the transversal walk climbs without recursing."""
+    n = 1500
+    assert n > sys.getrecursionlimit()
+    G = cyclic(n)
+    tracemalloc.start()
+    try:
+        stab = G.point_stabilizer(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stab.order() == 1 and stab.generators == ()
+    # about 12 kB per transversal element of degree 1500; no eager inverses
+    assert peak < 30 * 2**20
+
+
+def test_block_stabilizer_work_once_the_order_is_known(monkeypatch):
+    """Counts products instead of timing: the Paley-263 block stabilizer is
+    cyclic of order 131 and stops after its first kept generator."""
+    G, block = paley(263)
+    design = construct_design(G, block)
+    assert G.order() == 263 * 131
+    products = 0
+    mul = Permutation.__mul__
+
+    def counting_mul(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Permutation, "__mul__", counting_mul)
+    stab = block_stabilizer(G, design, 0)
+    monkeypatch.undo()
+    assert stab.order() == 131
+    assert products <= 300

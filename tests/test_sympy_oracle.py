@@ -11,10 +11,23 @@ import pytest
 sympy_comb = pytest.importorskip("sympy.combinatorics")
 
 from symdesign.catalog import load  # noqa: E402
+from symdesign.design import (  # noqa: E402
+    _block_action_images,
+    block_stabilizer,
+    complement,
+    construct_design,
+)
 from symdesign.group import PermGroup  # noqa: E402
 from symdesign.perm import Permutation  # noqa: E402
 
-from helpers import FIXTURES, cyclic, sym, wreath  # noqa: E402
+from helpers import (  # noqa: E402
+    FIXTURES,
+    cyclic,
+    paley,
+    random_wreath_subgroup,
+    sym,
+    wreath,
+)
 
 
 def to_sympy(group):
@@ -41,22 +54,6 @@ def random_group(rng):
         rng.shuffle(images)
         gens.append(Permutation(images))
     return PermGroup(gens, degree=n)
-
-
-def random_wreath_subgroup(rng):
-    """Two random words in S_c wr S_d, relabelled by a random permutation:
-    often transitive and imprimitive."""
-    whole = wreath(sym(rng.randint(2, 4)), sym(rng.randint(2, 4)))
-    images = list(range(1, whole.degree + 1))
-    rng.shuffle(images)
-    pi = Permutation(images)
-    gens = []
-    for _ in range(2):
-        word = whole.identity()
-        for _ in range(12):
-            word = word * rng.choice(whole.generators)
-        gens.append(pi.inverse() * word * pi)
-    return PermGroup(gens, degree=whole.degree)
 
 
 GROUPS = {
@@ -91,3 +88,39 @@ def test_m12_on_144_points_agrees_with_sympy():
     G = load("m12-144/G")
     _compare(G)
     assert len(G.minimal_block_systems()) == 2
+
+
+def _paley_design(q):
+    G, block = paley(q)
+    return G, construct_design(G, block)
+
+
+def _m12_design():
+    G = load("m12-144/G")
+    return G, construct_design(G, load("m12-144/base-block"))
+
+
+DESIGNS = {
+    "fano-F21": lambda: (FIXTURES["F21"][0], construct_design(FIXTURES["F21"][0], [1, 2, 4])),
+    **{f"paley-{q}": (lambda q=q: _paley_design(q)) for q in (11, 19, 23, 43, 263)},
+    "m12-144": _m12_design,
+}
+
+
+@pytest.mark.parametrize("order_known", [False, True], ids=["fresh", "order-known"])
+@pytest.mark.parametrize("name", sorted(DESIGNS))
+def test_block_stabilizer_orders_agree_with_sympy(name, order_known):
+    """sympy stabilizes block i as point v+i of G acting on points and blocks
+    together, an action in which the setwise stabilizer is a point stabilizer."""
+    G, design = DESIGNS[name]()
+    for des in (design, complement(design)):
+        ref = sympy_comb.PermutationGroup([
+            sympy_comb.Permutation([x - 1 for x in g.images] + [des.v + j for j in row])
+            for g, row in zip(G.generators, _block_action_images(G, des))
+        ])
+        for index in sorted({0, des.num_blocks // 2, des.num_blocks - 1}):
+            group = PermGroup(G.generators, degree=G.degree)
+            if order_known:
+                group.order()
+            got = block_stabilizer(group, des, index).order()
+            assert got == ref.stabilizer(des.v + index).order()
