@@ -26,7 +26,7 @@ from .design import (
     parse_design_file,
     verify_symmetric,
 )
-from .group import coset_action, group_file_text, parse_group_file
+from .group import assert_subgroup, coset_action, group_file_text, parse_group_file
 from .params import check_basic, classify_type, derive_cdl, enumerate_params
 from .pipeline import run_pipeline
 
@@ -55,9 +55,7 @@ def _cmd_orbits(args) -> int:
     acting = group
     if args.under:
         sub, _ = _read_group(args.under)
-        for g in sub.generators:
-            if not group.contains(g):
-                raise ValueError(f"--under group is not a subgroup of {args.groupfile}")
+        assert_subgroup(group, sub, "--under group")
         acting = sub
     for orbit in acting.orbits():
         print(",".join(map(str, orbit)))
@@ -128,7 +126,14 @@ def _parse_block(arg: str) -> list[int]:
             text = fh.read()
     else:
         text = arg
-    return [int(x) for x in text.replace("\n", ",").split(",") if x.strip()]
+    entries = [x.strip() for x in text.replace("\n", ",").split(",") if x.strip()]
+    block = []
+    for pos, x in enumerate(entries, 1):
+        try:
+            block.append(int(x))
+        except ValueError:
+            raise ValueError(f"--block entry {pos} ({x!r}) is not an integer") from None
+    return block
 
 
 def _cmd_construct_design(args) -> int:

@@ -1,12 +1,15 @@
 """Permutation groups: stabilizer chains, orbits, blocks, coset actions.
 
-A PermGroup's generators and degree never change.  Two things are filled
-in lazily: the stabilizer chain, on first use, and a private memo of
-point stabilizers, which ``subdegrees`` and ``minimal_block_systems``
-share.  Each fill is a single dict or attribute store of a value that
-depends only on the generators, so threads that query one group
-concurrently at worst repeat work; they never see a partial value.
-Queries return fresh lists, so callers may mutate what they get.
+A PermGroup's generators and degree never change.  Three things are
+filled in lazily: the stabilizer chain, on first use; the transversal
+elements of each Schreier tree (every chain level is one) and their
+inverses, when a sift or a Schreier generator first needs them; and a
+private memo of point stabilizers, which ``subdegrees`` and
+``minimal_block_systems`` share.  Each fill is a single dict or
+attribute store of a complete value that depends only on the generators,
+so threads that query one group concurrently at worst repeat work; they
+never see a partial value.  Queries return fresh lists, so callers may
+mutate what they get.
 
 A stored chain is always complete: its order is the group's order.
 Stabilizers rely on this.  Once a group's chain is built, a stabilizer
@@ -17,6 +20,7 @@ one just to learn its order.
 
 from __future__ import annotations
 
+from functools import partial
 from math import prod
 
 from .perm import MAX_DEGREE, Permutation, cycle_string, parse_cycles
@@ -39,39 +43,101 @@ class SubgroupError(ValueError):
     """A claimed subgroup generator fails membership in the ambient group."""
 
 
-class _Level:
-    __slots__ = ("point", "gens", "orbit", "transversal", "inv", "tree")
+class _SchreierTree:
+    """Breadth-first Schreier tree of ``seed`` under ``gens``.
 
-    def __init__(self, point: int, degree: int):
-        ident = Permutation.identity(degree)
-        self.point = point
-        self.gens: list[Permutation] = []
-        self.orbit = [point]
-        self.transversal = {point: ident}
-        self.inv = {point: ident}
-        self.tree: set[tuple[int, int]] = set()  # (x, j): gens[j] extends the BFS tree at x
+    ``images[i](x)`` is the image of x under ``gens[i]`` in the action the
+    tree follows.  ``orbit`` lists the orbit in discovery order, generators
+    in input order, and ``parent[y] = (x, i)`` records the edge that found
+    y.  The transversal element u_y, the product of the generators on the
+    path from the seed (so it maps the seed to y), and its inverse are
+    formed on first use by an iterative walk up the links, so a long tree
+    needs no recursion.  Each is cached by one dict store of a complete
+    permutation.
+    """
+
+    __slots__ = ("seed", "gens", "images", "orbit", "parent", "_u", "_inv")
+
+    def __init__(self, seed, gens, images, ident: Permutation):
+        parent = {seed: None}
+        orbit = [seed]
+        for x in orbit:  # the list grows while it is read: breadth first
+            for i, image in enumerate(images):
+                y = image(x)
+                if y not in parent:
+                    parent[y] = (x, i)
+                    orbit.append(y)
+        self.seed = seed
+        self.gens = gens
+        self.images = images
+        self.orbit = orbit
+        self.parent = parent
+        self._u = {seed: ident}
+        self._inv = {seed: ident}
+
+    @classmethod
+    def on_points(cls, seed: int, gens, ident: Permutation) -> "_SchreierTree":
+        return cls(seed, gens, [g.table.__getitem__ for g in gens], ident)
+
+    def element(self, y) -> Permutation:
+        """u_y for a point y of the orbit."""
+        trans = self._u
+        u = trans.get(y)
+        if u is not None:
+            return u
+        parent, gens = self.parent, self.gens
+        path = []
+        while u is None:
+            path.append(y)
+            y = parent[y][0]
+            u = trans.get(y)
+        for z in reversed(path):
+            u = trans[z] = u * gens[parent[z][1]]
+        return u
+
+    def inverse(self, y) -> Permutation | None:
+        """u_y^-1, or None when y is not in the orbit."""
+        u_inv = self._inv.get(y)
+        if u_inv is None and y in self.parent:
+            u_inv = self._inv[y] = self.element(y).inverse()
+        return u_inv
+
+    def schreier_generators(self):
+        """u_x * g * u_y^-1 for each non-tree edge x -> y, in orbit order
+        then generator order; a tree edge gives the identity."""
+        gens, images, parent = self.gens, self.images, self.parent
+        element, cached_inv, inverse = self.element, self._inv, self.inverse
+        for x in self.orbit:
+            ux = None
+            for i, image in enumerate(images):
+                y = image(x)
+                if parent[y] != (x, i):
+                    if ux is None:
+                        ux = element(x)
+                    yield ux * gens[i] * (cached_inv.get(y) or inverse(y))
 
 
 class StabChain:
     """Deterministic Schreier-Sims stabilizer chain.
 
-    Base points are chosen as the smallest point moved by the strong
-    generator that forces a new level; transversals are stored in
-    breadth-first discovery order, so two builds from the same generator
-    list agree exactly.
+    Each level is a breadth-first Schreier tree of its base point under
+    the level's strong generators; its transversal elements and their
+    inverses are formed on first use.  Base points are chosen as the
+    smallest point moved by the strong generator that forces a new level,
+    so two builds from the same generator list agree exactly.
     """
 
     def __init__(self, generators, degree: int):
         self.degree = degree
-        self.levels: list[_Level] = []
+        self.levels: list[_SchreierTree] = []
         self._build([g for g in generators if not g.is_identity()])
 
     @property
     def base(self) -> list[int]:
-        return [lv.point for lv in self.levels]
+        return [lv.seed for lv in self.levels]
 
     def order(self) -> int:
-        return prod(len(lv.transversal) for lv in self.levels) if self.levels else 1
+        return prod(len(lv.orbit) for lv in self.levels)
 
     def sift(self, g: Permutation) -> Permutation:
         """Strip g through the chain; identity result means membership."""
@@ -81,15 +147,15 @@ class StabChain:
         return self.sift(g).is_identity()
 
     def _strip(self, g: Permutation, start: int):
-        i = start
-        while i < len(self.levels):
-            lv = self.levels[i]
-            u_inv = lv.inv.get(g.table[lv.point])
+        levels = self.levels
+        for i in range(start, len(levels)):
+            lv = levels[i]
+            y = g.table[lv.seed]
+            u_inv = lv._inv.get(y) or lv.inverse(y)
             if u_inv is None:
                 return g, i
             g = g * u_inv
-            i += 1
-        return g, len(self.levels)
+        return g, len(levels)
 
     def _build(self, gens):
         for g in gens:
@@ -107,82 +173,23 @@ class StabChain:
         Returns the level where a new strong generator was installed, or
         None when the level verifies cleanly.
         """
-        lv = self.levels[i]
-        tree = lv.tree
-        for x in lv.orbit:
-            ux = lv.transversal[x]
-            for j, s in enumerate(lv.gens):
-                if (x, j) in tree:
-                    continue  # u_x * s is u_{x^s}: the Schreier generator is the identity
-                sg = ux * s * lv.inv[s.table[x]]
-                if sg.is_identity():
-                    continue
-                h, j = self._strip(sg, i + 1)
-                if not h.is_identity():
-                    self._install(h, i + 1, j)
-                    return j
+        for sg in self.levels[i].schreier_generators():
+            if sg.is_identity():
+                continue
+            h, j = self._strip(sg, i + 1)
+            if not h.is_identity():
+                self._install(h, i + 1, j)
+                return j
         return None
 
     def _install(self, h: Permutation, lo: int, hi: int):
         """Add strong generator h (fixing base[:hi]) to levels lo..hi."""
+        ident = Permutation.identity(self.degree)
         if hi == len(self.levels):
-            self.levels.append(_Level(h.min_moved(), self.degree))
+            self.levels.append(_SchreierTree.on_points(h.min_moved(), (), ident))
         for m in range(lo, hi + 1):
             lv = self.levels[m]
-            lv.gens.append(h)
-            self._rebuild(lv)
-
-    def _rebuild(self, lv: _Level):
-        ident = Permutation.identity(self.degree)
-        trans = {lv.point: ident}
-        inv = {lv.point: ident}
-        orbit = [lv.point]
-        tree = set()
-        qi = 0
-        while qi < len(orbit):
-            x = orbit[qi]
-            qi += 1
-            ux = trans[x]
-            for j, s in enumerate(lv.gens):
-                y = s.table[x]
-                if y not in trans:
-                    u = ux * s
-                    trans[y] = u
-                    inv[y] = u.inverse()
-                    orbit.append(y)
-                    tree.add((x, j))
-        lv.orbit, lv.transversal, lv.inv, lv.tree = orbit, trans, inv, tree
-
-
-def _schreier_generators(gens, action, orbit, parent, ident):
-    """u_x * g * u_y^-1 for each non-tree edge x -> y = action(g, x), in
-    orbit order then generator order; u_x maps the seed to x along the tree.
-
-    Transversal elements and their inverses are formed on first use by an
-    iterative walk up the parent links, so a long tree needs no recursion.
-    """
-    trans = {orbit[0]: ident}
-    inv = {orbit[0]: ident}
-
-    def rep(y):
-        path = []
-        while y not in trans:
-            path.append(y)
-            y = parent[y][0]
-        u = trans[y]
-        for z in reversed(path):
-            u = trans[z] = u * gens[parent[z][1]]
-        return u
-
-    for x in orbit:
-        for i, g in enumerate(gens):
-            y = action(g, x)
-            if parent[y] == (x, i):
-                continue  # tree edge: u_x * g is u_y
-            uy_inv = inv.get(y)
-            if uy_inv is None:
-                uy_inv = inv[y] = rep(y).inverse()
-            yield rep(x) * g * uy_inv
+            self.levels[m] = _SchreierTree.on_points(lv.seed, lv.gens + (h,), ident)
 
 
 class PermGroup:
@@ -285,22 +292,12 @@ class PermGroup:
         deterministic sequence, and the result's chain is complete.
         """
         gens = self.generators
-        parent = {seed: None}  # Schreier tree: y -> (x, i) with action(gens[i], x) == y
-        orbit = [seed]
-        qi = 0
-        while qi < len(orbit):
-            x = orbit[qi]
-            qi += 1
-            for i, g in enumerate(gens):
-                y = action(g, x)
-                if y not in parent:
-                    parent[y] = (x, i)
-                    orbit.append(y)
-        target = None if self._chain is None else self._chain.order() // len(orbit)
+        tree = _SchreierTree(seed, gens, [partial(action, g) for g in gens], self.identity())
+        target = None if self._chain is None else self._chain.order() // len(tree.orbit)
         kept: list[Permutation] = []
         chain = StabChain((), self.degree)
         if target != 1:
-            for sg in _schreier_generators(gens, action, orbit, parent, self.identity()):
+            for sg in tree.schreier_generators():
                 if sg.is_identity() or chain.contains(sg):
                     continue
                 kept.append(sg)
@@ -536,8 +533,8 @@ class CosetAction:
         w = g
         for lv in self._hchain.levels:
             best = min(lv.orbit, key=w.table.__getitem__)
-            if best != lv.point:
-                w = lv.transversal[best] * w
+            if best != lv.seed:
+                w = (lv._u.get(best) or lv.element(best)) * w
         return w
 
     def image_of(self, g: Permutation) -> Permutation:

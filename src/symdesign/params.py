@@ -215,6 +215,10 @@ def derive_cdl(v: int, k: int, lam: int) -> list[tuple]:
     Iterates the divisor splits v = c*d and solves lam(c-1) = k(ell-1),
     requiring ell >= 2 dividing k and 2 <= s = k/ell <= d.
     """
+    if v < 1:
+        raise ValueError(f"v = {v} must be positive")
+    if k < 1:
+        raise ValueError(f"k = {k} must be positive")
     out = []
     for c in divisors(v):
         d = v // c

@@ -50,6 +50,15 @@ def test_orbits_under_rejects_non_subgroup(tmp_path, capsys):
     assert main(["orbits", G_FILE, "--under", str(bad)]) == 2
 
 
+def test_orbits_under_rejects_a_degree_mismatch(tmp_path, capsys):
+    small = tmp_path / "small.grp"
+    small.write_text("degree: 12\n(1,2)\n")
+    assert main(["orbits", G_FILE, "--under", str(small)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --under group: degree 12 != 144\n"
+
+
 def test_subdegrees_verb(capsys):
     assert main(["subdegrees", G_FILE, "--point", "1"]) == 0
     out = capsys.readouterr().out
@@ -99,6 +108,18 @@ def test_search_params_rejects_a_nonpositive_order(capsys, v):
     assert captured.err == "error: subgroup order 0 must be positive\n"
 
 
+@pytest.mark.parametrize("v, k, message", [
+    ("10", "0", "k = 0 must be positive"),
+    ("0", "3", "v = 0 must be positive"),
+    ("-4", "3", "v = -4 must be positive"),
+])
+def test_derive_cdl_rejects_a_nonpositive_v_or_k(capsys, v, k, message):
+    assert main(["derive-cdl", "--v", v, "--k", k, "--lambda", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_classify_type_verb(capsys):
     assert main(["classify-type", "--v", "144", "--k", "66", "--lambda", "30"]) == 0
     assert "type: a" in capsys.readouterr().out
@@ -130,6 +151,23 @@ def test_construct_design_block_from_file(tmp_path):
     blk.write_text("1,2,4\n")
     out = tmp_path / "d.design"
     assert main(["construct-design", str(c7), "--block", str(blk), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("from_file", [False, True], ids=["inline", "file"])
+def test_construct_design_names_a_non_integer_block_entry(tmp_path, capsys, from_file):
+    c7 = tmp_path / "c7.grp"
+    c7.write_text("degree: 7\n(1,2,3,4,5,6,7)\n")
+    block = "1,2\na\n"
+    if from_file:
+        path = tmp_path / "block.txt"
+        path.write_text(block)
+        block = str(path)
+    out = tmp_path / "d.design"
+    assert main(["construct-design", str(c7), "--block", block, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --block entry 3 ('a') is not an integer\n"
+    assert not out.exists()
 
 
 def test_verify_design_refutation(tmp_path, capsys):

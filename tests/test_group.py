@@ -22,6 +22,7 @@ from helpers import (
     cyclic,
     element_closure,
     grp,
+    paley,
     reference_minimal_block_systems,
     sym,
     wreath,
@@ -87,14 +88,18 @@ def test_chain_order_matches_closure_on_random_groups(group):
 
 
 def test_chain_internal_invariants():
-    for name in ("S4", "A5", "F21"):
-        group, _ = FIXTURES[name]
+    """Each level's Schreier tree forms elements mapping the base point to
+    their orbit point; Paley-263 takes the tuple path above degree 255."""
+    groups = [FIXTURES[name][0] for name in ("S4", "A5", "F21")]
+    groups += [load("m12-144/G"), paley(263)[0]]
+    for group in groups:
         chain = group.chain
         total = 1
-        for level in chain.levels:
-            total *= len(level.transversal)
-            for x, u in level.transversal.items():
-                assert u(level.point) == x
+        for level, point in zip(chain.levels, chain.base):
+            total *= len(level.orbit)
+            for x in level.orbit:
+                assert level.element(x)(point) == x
+                assert level.inverse(x)(x) == point
         assert total == group.order()
 
 

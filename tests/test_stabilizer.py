@@ -116,6 +116,37 @@ def test_long_schreier_tree_needs_no_recursion():
     assert peak < 30 * 2**20
 
 
+def test_long_chain_level_forms_no_eager_inverses():
+    """The chain of a 1500-cycle has one level of 1500 points; its tree
+    forms only the elements that sifting needs."""
+    G = cyclic(1500)
+    tracemalloc.start()
+    try:
+        assert G.order() == 1500
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20
+
+
+def test_chain_build_forms_inverses_on_demand(monkeypatch):
+    """Counts inverses instead of timing: the Paley-263 chain has levels of
+    263 and 131 points, and a build forms the inverses its sifts use."""
+    G, _block = paley(263)
+    inverses = 0
+    inverse = Permutation.inverse
+
+    def counting_inverse(self):
+        nonlocal inverses
+        inverses += 1
+        return inverse(self)
+
+    monkeypatch.setattr(Permutation, "inverse", counting_inverse)
+    assert G.order() == 263 * 131
+    monkeypatch.undo()
+    assert inverses <= 300
+
+
 def test_block_stabilizer_work_once_the_order_is_known(monkeypatch):
     """Counts products instead of timing: the Paley-263 block stabilizer is
     cyclic of order 131 and stops after its first kept generator."""
