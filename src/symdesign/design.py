@@ -230,8 +230,11 @@ def construct_design(G: PermGroup, base_block) -> Design:
 def _block_action_images(G: PermGroup, design: Design):
     """For each generator, the induced permutation of block indices.
 
-    Raises ValueError naming the first block whose image is not a block.
+    Raises ValueError when the degrees differ, or naming the first block
+    whose image is not a block.
     """
+    if G.degree != design.v:
+        raise ValueError("group degree does not match the point count")
     index = {b: i for i, b in enumerate(design.blocks)}
     rows = []
     for g in G.generators:
@@ -249,16 +252,17 @@ def _block_action_images(G: PermGroup, design: Design):
     return rows
 
 
-def block_stabilizer(G: PermGroup, design: Design, block_index: int) -> PermGroup:
-    """Setwise stabilizer of one block, cut out of the action on the block orbit."""
-    if G.degree != design.v:
-        raise ValueError("group degree does not match the point count")
-    if not 0 <= block_index < design.num_blocks:
-        raise ValueError(f"block index {block_index} outside 0..{design.num_blocks - 1}")
-    rows = _block_action_images(G, design)
+def _stabilizer_in_block_action(G: PermGroup, rows, block_index: int) -> PermGroup:
     # stabilizer_of_action applies only G's generators, so every g has a row
     action_of = dict(zip(G.generators, rows))
     return G.stabilizer_of_action(block_index, lambda g, idx: action_of[g][idx])
+
+
+def block_stabilizer(G: PermGroup, design: Design, block_index: int) -> PermGroup:
+    """Setwise stabilizer of one block, cut out of the action on the block orbit."""
+    if not 0 <= block_index < design.num_blocks:
+        raise ValueError(f"block index {block_index} outside 0..{design.num_blocks - 1}")
+    return _stabilizer_in_block_action(G, _block_action_images(G, design), block_index)
 
 
 def is_flag_transitive(design: Design, G: PermGroup, force: bool = False) -> bool:
@@ -266,13 +270,19 @@ def is_flag_transitive(design: Design, G: PermGroup, force: bool = False) -> boo
 
     G is flag-transitive exactly when it is point-transitive and the
     stabilizer of one block is transitive on that block.  Every generator
-    must permute the block set, which ``block_stabilizer`` checks even when
-    G is intransitive.  Trivial designs are refused unless ``force``.
+    must permute the block set, which is checked first, even when G is
+    intransitive.  A flag-transitive G has order divisible by the v*k
+    flags (orbit-stabilizer), so when G's chain is already built an order
+    that v*k does not divide answers no at once; no chain is built just
+    for this.  Trivial designs are refused unless ``force``.
     """
     params = _verified(design)
     if not params.nontrivial and not force:
         raise ValueError(f"design {params} is trivial; pass force=True to override")
-    stab = block_stabilizer(G, design, 0)
+    rows = _block_action_images(G, design)
+    if G._chain is not None and G.order() % (params.v * params.k):
+        return False
+    stab = _stabilizer_in_block_action(G, rows, 0)
     first = design.blocks[0]
     # Block's lemma: G has as many block orbits as point orbits, so points stand in for blocks
     return G.is_transitive() and len(stab.orbit(first[0])) == len(first)

@@ -506,6 +506,7 @@ class CosetAction:
     def __init__(self, G: PermGroup, H: PermGroup):
         assert_subgroup(G, H, "coset action subgroup")
         self.G = G
+        self.H = H
         self._hchain = H.chain
         reps = [self._canonical(G.identity())]
         labels = {reps[0].table: 1}

@@ -35,11 +35,19 @@ class BasicCheck:
         return self.ok
 
 
+def _require_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} = {value} must be positive")
+
+
 def check_basic(v: int, k: int, lam: int) -> BasicCheck:
     """Counting identity, the order bound, and nontriviality.
 
-    Passes iff k(k-1) = lam(v-1), lam*v < k*k, and 2 < k < v-1.
+    Passes iff k(k-1) = lam(v-1), lam*v < k*k, and 2 < k < v-1.  A v or
+    k below 1 is not a parameter set at all and raises ValueError.
     """
+    _require_positive("v", v)
+    _require_positive("k", k)
     failures = []
     if k * (k - 1) != lam * (v - 1):
         failures.append("k(k-1) != lam(v-1)")
@@ -115,8 +123,10 @@ def enumerate_params(v: int, m_order: int) -> list[ParamCandidate]:
     with k = 0 mod a and k = 1 mod b, so there are at most 2^w candidates
     for the w primes of t.  A k is kept when k > 2 and k | m_order.  That
     is every k in 3..v-2 that brute_force_params keeps, since its last
-    test, lam*v < k^2, reads (k-1)v < k(v-1), i.e. k < v.
+    test, lam*v < k^2, reads (k-1)v < k(v-1), i.e. k < v.  A v below 1
+    raises ValueError; v = 1..3 admits no k and gives [].
     """
+    _require_positive("v", v)
     if m_order < 1:
         raise ValueError(f"subgroup order {m_order} must be positive")
     if v < 4:
@@ -173,7 +183,10 @@ def classify_type(v: int, k: int, lam: int) -> ImprimitivityType:
 
     Clause order is a, b, c, d; the headline tag is the first match and
     every matching tag is reported.  Clauses b-d carry (c,d,ell) witnesses.
+    A v or k below 1 raises ValueError.
     """
+    _require_positive("v", v)
+    _require_positive("k", k)
     matches: list[tuple[str, tuple]] = []
     if 2 * k <= lam * (lam - 3):
         matches.append(("a", ()))
@@ -215,10 +228,8 @@ def derive_cdl(v: int, k: int, lam: int) -> list[tuple]:
     Iterates the divisor splits v = c*d and solves lam(c-1) = k(ell-1),
     requiring ell >= 2 dividing k and 2 <= s = k/ell <= d.
     """
-    if v < 1:
-        raise ValueError(f"v = {v} must be positive")
-    if k < 1:
-        raise ValueError(f"k = {k} must be positive")
+    _require_positive("v", v)
+    _require_positive("k", k)
     out = []
     for c in divisors(v):
         d = v // c

@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 
 from .arith import divisors
 from .catalog import CatalogError, GroupCatalog, MaximalRecord, load_catalogs
-from .design import NotSymmetric, certify, construct_design, verify_symmetric
+from .design import (
+    Certificate,
+    Design,
+    DesignParams,
+    NotSymmetric,
+    certify,
+    construct_design,
+    verify_symmetric,
+)
 from .group import CosetAction, PermGroup, coset_action, induced_orbits
 from .params import classify_type, derive_cdl, enumerate_params
 
@@ -153,30 +161,69 @@ class SearchOutcome:
     orbit_lengths: tuple = ()
 
 
-def base_block_search(act: CosetAction, K: PermGroup, params: tuple) -> SearchOutcome:
+class _Trial:
+    """One orbit tried as a base block, with what it gives whatever the
+    parameters sought: the design, then its verification (parameters or
+    refutation) and its certificate once a search first needs them."""
+
+    __slots__ = ("design", "verdict", "certificate")
+
+    def __init__(self, design: Design):
+        self.design = design
+        self.verdict: DesignParams | NotSymmetric | None = None
+        self.certificate: Certificate | None = None
+
+
+def _key(group: PermGroup) -> tuple:
+    """Names a group by its generators, which fix its chain and so every
+    coset label and orbit computed from it."""
+    return group.degree, tuple(g.table for g in group.generators)
+
+
+def base_block_search(act: CosetAction, K: PermGroup, params: tuple,
+                      memo: dict | None = None) -> SearchOutcome:
     """Hunt for a base block among the K-orbits on the cosets of the action.
 
     Every K-orbit of length k is tried as a base block for a design under
     the coset image of ``act.G``; the first verified symmetric design with
     the expected parameters is returned with its certificate.
+
+    ``memo`` keeps what does not depend on ``params`` for later searches:
+    the K-orbits, keyed by the generators of G, H and K, and each orbit's
+    ``_Trial``, keyed by the coset image's generators and the orbit.  A
+    shared memo gives the same outcomes as a fresh one.
     """
+    if memo is None:
+        memo = {}
     v, k, lam = params
-    korbits = induced_orbits(act, K)
+    okey = ("orbits", _key(act.G), _key(act.H), _key(K))
+    korbits = memo.get(okey)
+    if korbits is None:
+        korbits = memo[okey] = induced_orbits(act, K)
     lengths = tuple(len(o) for o in korbits)
     hits = [o for o in korbits if len(o) == k]
     if not hits:
         return SearchOutcome(STATUS_NO_BLOCK, orbit_lengths=lengths)
+    image = _key(act.group)
     for orbit in hits:
-        design = construct_design(act.group, orbit)
+        tkey = ("trial", image, tuple(orbit))
+        trial = memo.get(tkey)
+        if trial is None:
+            trial = memo[tkey] = _Trial(construct_design(act.group, orbit))
+        design = trial.design
         if design.num_blocks != v:
             continue
-        try:
-            got = verify_symmetric(design)
-        except NotSymmetric:
+        if trial.verdict is None:
+            try:
+                trial.verdict = verify_symmetric(design)
+            except NotSymmetric as exc:
+                trial.verdict = exc
+        got = trial.verdict
+        if isinstance(got, NotSymmetric) or (got.v, got.k, got.lam) != (v, k, lam):
             continue
-        if (got.v, got.k, got.lam) != (v, k, lam):
-            continue
-        cert = certify(design, act.group)
+        if trial.certificate is None:
+            trial.certificate = certify(design, act.group)
+        cert = trial.certificate
         invariants = {
             "params": (v, k, lam),
             "flag_transitive": cert.flag_transitive,
@@ -282,7 +329,7 @@ def _resolve_subgroups(cat: GroupCatalog, M: MaximalRecord, index: int) -> list:
 
 
 def _evaluate(cat: GroupCatalog, tup: CandidateTuple, M: MaximalRecord,
-              N: MaximalRecord, action_cache: dict) -> None:
+              N: MaximalRecord, memo: dict) -> None:
     tables = cat.index_tables
     tup.gate_H = subgroup_index_gate(M.name, tup.i_H, tables)
     tup.gate_K = subgroup_index_gate(N.name, tup.i_K, tables)
@@ -306,11 +353,10 @@ def _evaluate(cat: GroupCatalog, tup: CandidateTuple, M: MaximalRecord,
     surviving = []
     bad_e = None
     for hname, H in hs:
-        key = id(H)
-        act = action_cache.get(key)
+        akey = ("action", id(H))  # H is held by the catalog for the whole run
+        act = memo.get(akey)
         if act is None:
-            act = coset_action(cat.group, H)
-            action_cache[key] = act
+            act = memo[akey] = coset_action(cat.group, H)
         if act.degree != tup.v:
             continue
         subdeg = act.group.subdegrees(1)
@@ -338,7 +384,7 @@ def _evaluate(cat: GroupCatalog, tup: CandidateTuple, M: MaximalRecord,
     lengths_seen = None
     for hname, act in surviving:
         for kname, K in ks:
-            outcome = base_block_search(act, K, tup.params)
+            outcome = base_block_search(act, K, tup.params, memo)
             if outcome.status == STATUS_DESIGN:
                 tup.status = STATUS_DESIGN
                 tup.detail = f"H={hname}, K={kname}"
@@ -357,12 +403,17 @@ def _evaluate(cat: GroupCatalog, tup: CandidateTuple, M: MaximalRecord,
 
 
 def run_pipeline(catalog_data) -> PipelineReport:
-    """Execute the whole search over every group in the catalog."""
+    """Execute the whole search over every group in the catalog.
+
+    Each catalog gets one memo for this call: its coset actions, keyed on
+    the subgroup object, and what ``base_block_search`` keeps.  Nothing
+    outlives the call.
+    """
     report = PipelineReport()
     for cat in load_catalogs(catalog_data):
         large = [M for M in cat.maximals if large_filter(cat.order, M.order)]
         tuples = []
-        action_cache: dict = {}
+        memo: dict = {}
         for nr_M, M in enumerate(large, 1):
             for v in candidate_vs(M):
                 for cand in enumerate_params(v, M.order):
@@ -383,7 +434,7 @@ def run_pipeline(catalog_data) -> PipelineReport:
                             cdl=tuple(derive_cdl(cand.v, cand.k, cand.lam)),
                             type_tag=classify_type(cand.v, cand.k, cand.lam).tag,
                         )
-                        _evaluate(cat, tup, M, N, action_cache)
+                        _evaluate(cat, tup, M, N, memo)
                         tuples.append(tup)
         tuples.sort(key=lambda t: (t.nr_M, t.nr_N, t.k, t.v))
         report.sections.append(GroupReport(cat.name, tuples))

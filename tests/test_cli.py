@@ -120,6 +120,32 @@ def test_derive_cdl_rejects_a_nonpositive_v_or_k(capsys, v, k, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("v", ["0", "-5"])
+def test_search_params_rejects_a_nonpositive_v(capsys, v):
+    assert main(["search-params", "--v", v, "--m-order", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: v = {v} must be positive\n"
+
+
+@pytest.mark.parametrize("v", ["1", "3"])
+def test_search_params_below_four_points_is_a_negative_verdict(capsys, v):
+    assert main(["search-params", "--v", v, "--m-order", "7"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("v, k, message", [
+    ("0", "0", "v = 0 must be positive"),
+    ("10", "0", "k = 0 must be positive"),
+    ("-4", "3", "v = -4 must be positive"),
+])
+def test_classify_type_rejects_a_nonpositive_v_or_k(capsys, v, k, message):
+    assert main(["classify-type", "--v", v, "--k", k, "--lambda", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_classify_type_verb(capsys):
     assert main(["classify-type", "--v", "144", "--k", "66", "--lambda", "30"]) == 0
     assert "type: a" in capsys.readouterr().out

@@ -27,6 +27,7 @@ from helpers import (
     cyclic,
     element_closure,
     grp,
+    paley,
     reference_is_flag_transitive,
     reference_verify_symmetric,
     sym,
@@ -220,6 +221,24 @@ def test_flag_transitivity_rejects_an_intransitive_non_automorphism(fano):
     for check in (is_flag_transitive, reference_is_flag_transitive):
         with pytest.raises(ValueError, match="maps block"):
             check(fano, group)
+
+
+def test_flag_transitivity_answers_no_from_a_known_order(monkeypatch):
+    """The Paley-263 complement has 263*132 flags, which do not divide
+    |G| = 263*131, so no block stabilizer is cut out."""
+    G, block = paley(263)
+    comp = complement(construct_design(G, block))
+    assert G.order() == 263 * 131
+
+    def refuse(*_args):
+        raise AssertionError("stabilizer_of_action was called")
+
+    monkeypatch.setattr(PermGroup, "stabilizer_of_action", refuse)
+    assert is_flag_transitive(comp, G) is False
+    swap = PermGroup([parse_cycles("(1,2)", 263)])
+    assert swap.order() == 2
+    with pytest.raises(ValueError, match="outside the block set"):
+        is_flag_transitive(comp, swap)
 
 
 def _subgroups(rng, draw, degree, sizes, per_size):

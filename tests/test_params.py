@@ -86,6 +86,14 @@ def test_check_basic_rejects_trivial_k():
     assert not check_basic(7, 2, 0)
 
 
+@pytest.mark.parametrize("check", [check_basic, classify_type])
+def test_basic_checks_reject_a_nonpositive_v_or_k(check):
+    with pytest.raises(ValueError, match="v = 0 must be positive"):
+        check(0, 3, 1)
+    with pytest.raises(ValueError, match="k = -1 must be positive"):
+        check(7, -1, 1)
+
+
 # ---- enumeration against the oracle -----------------------------------------
 
 
@@ -102,6 +110,9 @@ def test_enumerate_small_instances():
     assert [c.triple for c in enumerate_params(7, 24)] == [(7, 3, 1), (7, 4, 2)]
     assert [c.triple for c in enumerate_params(7, 42)] == [(7, 3, 1)]
     assert enumerate_params(5, 120) == []
+    assert enumerate_params(1, 120) == []
+    with pytest.raises(ValueError, match="v = 0 must be positive"):
+        enumerate_params(0, 120)
 
 
 def test_enumerate_agrees_with_brute_force_on_named_instances():

@@ -1,8 +1,10 @@
 import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from symdesign import pipeline
 from symdesign.catalog import CatalogError, MaximalRecord, load, load_catalogs
 from symdesign.group import PermGroup, coset_action
 from symdesign.pipeline import (
@@ -18,7 +20,7 @@ from symdesign.pipeline import (
     subgroup_index_gate,
 )
 
-from helpers import FIXTURES, cyclic, pairwise_meets
+from helpers import FIXTURES, cyclic, grp, pairwise_meets
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -165,6 +167,57 @@ def test_base_block_search_orbit_fails_verification():
     assert out.status == "not-a-design"
 
 
+def _outcome(out):
+    return out.status, out.orbit_lengths, out.design, out.certificate
+
+
+def test_a_shared_memo_gives_what_fresh_searches_give():
+    """Searches that differ in G, in H, in K, in the orbits tried or only
+    in the parameters sought, in turn through one memo."""
+    F21, S4 = FIXTURES["F21"][0], FIXTURES["S4"][0]
+    P1, P2 = F21.point_stabilizer(1), F21.point_stabilizer(2)
+    C7 = PermGroup([F21.generators[0]])
+    # index 12 in S4; <(1,2)> has 2 fixed cosets under itself, <(1,2)(3,4)> none
+    T, V = grp(4, "(1,2)"), grp(4, "(1,2)(3,4)")
+    acts = {id(H): coset_action(G, H) for G, H in ((F21, P1), (F21, P2), (S4, T), (S4, V))}
+    searches = [(P1, P1, (7, 3, 1)), (P2, P1, (7, 3, 1)), (P1, P2, (7, 3, 1)),
+                (P1, C7, (7, 3, 1)), (P1, P1, (7, 3, 2)),
+                (T, T, (12, 3, 1)), (V, T, (12, 3, 1))]
+    fresh = [_outcome(base_block_search(acts[id(H)], K, params))
+             for H, K, params in searches]
+    assert all(a != b for a, b in combinations(fresh, 2))
+    memo: dict = {}
+    shared = [_outcome(base_block_search(acts[id(H)], K, params, memo))
+              for H, K, params in searches]
+    assert shared == fresh
+
+
+def test_m12_run_does_each_search_step_once(monkeypatch):
+    """The four design-found tuples share one design: one construction, one
+    verification, and K-orbits for the 3 distinct (H, K) contents."""
+    counts: dict = {}
+
+    def counting(name):
+        fn = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, wrapper)
+
+    for name in ("construct_design", "verify_symmetric", "induced_orbits",
+                 "coset_action", "base_block_search"):
+        counting(name)
+    data = load("m12-144/catalog")
+    expected = {"construct_design": 1, "verify_symmetric": 1, "induced_orbits": 3,
+                "coset_action": 4, "base_block_search": 8}
+    for _run in range(2):
+        counts.clear()
+        run_pipeline(data)
+        assert counts == expected
+
+
 # ---- catalog loading ----------------------------------------------------------
 
 
@@ -284,6 +337,13 @@ def test_fi22_report_bytes_are_pinned():
     assert report.to_text() == (GOLDEN / "fi22_report.txt").read_text()
     assert json.dumps(report.to_json_dict(), indent=1, sort_keys=True) + "\n" == (
         GOLDEN / "fi22_report.json"
+    ).read_text()
+
+
+def test_m12_report_bytes_are_pinned(m12_report):
+    assert m12_report.to_text() == (GOLDEN / "m12_report.txt").read_text()
+    assert json.dumps(m12_report.to_json_dict(), indent=1, sort_keys=True) + "\n" == (
+        GOLDEN / "m12_report.json"
     ).read_text()
 
 
