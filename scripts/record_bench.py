@@ -1,0 +1,51 @@
+"""Run every benchmark workload once at seed 0 and record the results.
+
+    python3 scripts/record_bench.py N
+
+For each workload of BENCHMARK.json, in its order, this runs the declared
+command with ``--workload W --seed 0 --seconds 22 --trace 0`` from the
+repository root, one workload after another, and writes BENCH_N.json
+there.  The file holds the git revision (``dirty`` when the working tree
+had uncommitted changes) and each workload's JSON result line, the last
+line the benchmark prints.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ARGS = ["--seed", "0", "--seconds", "22", "--trace", "0"]
+
+
+def _git(*args) -> str:
+    out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+def main(argv) -> int:
+    if len(argv) != 1 or not argv[0].isdigit():
+        print("usage: record_bench.py N", file=sys.stderr)
+        return 2
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    record = {
+        "revision": _git("rev-parse", "HEAD"),
+        "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+        "args": ARGS,
+        "workloads": {},
+    }
+    for workload in spec["workloads"]:
+        name = workload["name"]
+        cmd = [*spec["command"], "--workload", name, *ARGS]
+        out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True)
+        record["workloads"][name] = json.loads(out.stdout.strip().splitlines()[-1])
+        print(f"{name}: op_p50_s {record['workloads'][name]['metrics']['op_p50_s']['value']}")
+    path = ROOT / f"BENCH_{argv[0]}.json"
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

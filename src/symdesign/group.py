@@ -16,6 +16,12 @@ Stabilizers rely on this.  Once a group's chain is built, a stabilizer
 stops cutting out Schreier generators as soon as its own chain reaches
 |G|/|orbit| (orbit-stabilizer); a group without a chain is never given
 one just to learn its order.
+
+A coset action of a point stabilizer H = G_x takes its labels from the
+orbit x^G instead of enumerating cosets.  When that orbit is every point,
+the image is G relabelled, and it is handed G's chain relabelled level by
+level; the conjugate of a complete chain is complete, so it counts as a
+stored chain like any other.
 """
 
 from __future__ import annotations
@@ -86,7 +92,13 @@ class _SchreierTree:
         if u is not None:
             return u
         parent, gens = self.parent, self.gens
-        path = []
+        x, i = parent[y]
+        u = trans.get(x)
+        if u is not None:  # one step: the parent's element is already formed
+            u = trans[y] = u * gens[i]
+            return u
+        path = [y]
+        y = x
         while u is None:
             path.append(y)
             y = parent[y][0]
@@ -181,6 +193,27 @@ class StabChain:
                 self._install(h, i + 1, j)
                 return j
         return None
+
+    def _relabelled(self, label, relabel) -> "StabChain":
+        """This chain carried through a bijection of the points: base point
+        y becomes ``label[y]`` and strong generator p becomes ``relabel(p)``.
+
+        The conjugate of a complete chain is a complete chain of the
+        conjugate group, and each level's breadth-first tree walks the
+        relabelled orbit in the same order.
+        """
+        ident = Permutation.identity(self.degree)
+        moved: dict[int, Permutation] = {}  # levels share strong generators
+        chain = StabChain((), self.degree)
+        for lv in self.levels:
+            gens = []
+            for g in lv.gens:
+                h = moved.get(id(g))
+                if h is None:
+                    h = moved[id(g)] = relabel(g)
+                gens.append(h)
+            chain.levels.append(_SchreierTree.on_points(label[lv.seed], tuple(gens), ident))
+        return chain
 
     def _install(self, h: Permutation, lo: int, hi: int):
         """Add strong generator h (fixing base[:hi]) to levels lo..hi."""
@@ -501,12 +534,36 @@ class CosetAction:
     input order.  ``group`` is the image permutation group on the labels
     (generator for generator), and ``image_of`` extends the quotient map
     to arbitrary elements of G.
+
+    When H fixes a point x whose G-orbit has length |G:H|, H is the
+    stabilizer G_x (orbit-stabilizer), and Hw -> x^w is a G-equivariant
+    bijection onto that orbit.  The labels are then read off a
+    breadth-first walk of x^G, which gives the same labels as the coset
+    expansion, and ``image_of`` relabels a member of G point by point.
+    If x^G is every point, ``group`` is G relabelled, and it gets G's
+    chain relabelled level by level, which is complete.  Any other H
+    enumerates cosets by canonical representatives.
     """
 
     def __init__(self, G: PermGroup, H: PermGroup):
         assert_subgroup(G, H, "coset action subgroup")
         self.G = G
         self.H = H
+        self._orbit = _orbit_of_fixed_point(G, H, G.order() // H.chain.order())
+        if self._orbit is None:
+            self.group = PermGroup(self._enumerate_cosets(), degree=self.degree)
+            return
+        self.degree = len(self._orbit)
+        self._label = [0] * (G.degree + 1)
+        for j, y in enumerate(self._orbit, 1):
+            self._label[y] = j
+        self.group = PermGroup(map(self._relabel, G.generators), degree=self.degree)
+        if self.degree == G.degree:
+            self.group._chain = G.chain._relabelled(self._label, self._relabel)
+
+    def _enumerate_cosets(self) -> list[Permutation]:
+        """Labels cosets by canonical representatives; the generator rows."""
+        G, H = self.G, self.H
         self._hchain = H.chain
         reps = [self._canonical(G.identity())]
         labels = {reps[0].table: 1}
@@ -523,11 +580,11 @@ class CosetAction:
                     label = labels[wg.table] = len(reps)
                 row.append(label)
         self.degree = len(reps)
-        self.reps = reps
+        self._reps = reps
         self._labels = labels
         if self.degree * H.chain.order() != G.order():
             raise RuntimeError("coset enumeration does not match the index")
-        self.group = PermGroup([Permutation(row) for row in rows], degree=self.degree)
+        return [Permutation(row) for row in rows]
 
     def _canonical(self, g: Permutation) -> Permutation:
         """Unique coset representative: minimizes base images level by level."""
@@ -538,12 +595,42 @@ class CosetAction:
                 w = (lv._u.get(best) or lv.element(best)) * w
         return w
 
+    def _relabel(self, g: Permutation) -> Permutation:
+        """g on the labels of the orbit, for g in G."""
+        t, label = g.table, self._label
+        return Permutation([label[t[y]] for y in self._orbit])
+
     def image_of(self, g: Permutation) -> Permutation:
         """Image of g in the coset action (g need not be a generator)."""
-        labels = [self._labels.get(self._canonical(w * g).table) for w in self.reps]
-        if None in labels:
+        if self._orbit is None:
+            labels = [self._labels.get(self._canonical(w * g).table) for w in self._reps]
+            if None in labels:
+                raise ValueError("element is not in the acted-on group")
+            return Permutation(labels)
+        if g.degree != self.G.degree:
+            raise ValueError(f"degree mismatch: {self.G.degree} vs {g.degree}")
+        if not self.G.contains(g):
             raise ValueError("element is not in the acted-on group")
-        return Permutation(labels)
+        return self._relabel(g)
+
+
+def _orbit_of_fixed_point(G: PermGroup, H: PermGroup, index: int) -> list[int] | None:
+    """The G-orbit, in breadth-first order over G's generators, of the first
+    point fixed by H whose orbit has length ``index``; None if there is none.
+
+    Points of one orbit have conjugate stabilizers, so each G-orbit is
+    walked once, from its first point fixed by H.
+    """
+    htables = [h.table for h in H.generators]
+    seen: set[int] = set()
+    for x in range(1, G.degree + 1):
+        if x in seen or any(t[x] != x for t in htables):
+            continue
+        orbit = _SchreierTree.on_points(x, G.generators, G.identity()).orbit
+        if len(orbit) == index:
+            return orbit
+        seen.update(orbit)
+    return None
 
 
 def coset_action(G: PermGroup, H: PermGroup) -> CosetAction:

@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 from itertools import combinations
+from types import SimpleNamespace
 
 from symdesign.arith import divisors, factorize
 from symdesign.design import DesignParams, NotSymmetric, _block_action_images, _verified
@@ -144,6 +145,52 @@ def reference_stabilizer_of_action(group, seed, action):
     stab = PermGroup(kept, degree=group.degree)
     stab._chain = chain if chain is not None else StabChain((), group.degree)
     return stab
+
+
+def reference_coset_action(G, H):
+    """``CosetAction`` by canonical coset representatives for every H, even
+    a point stabilizer: a breadth-first expansion over G's generators in
+    input order, each coset named by the representative that minimizes the
+    base images of H's chain level by level.
+
+    Returns a namespace with ``degree``, ``group`` (the image, generator
+    for generator, with no chain) and ``image_of``.
+    """
+    hchain = H.chain
+
+    def canonical(g):
+        w = g
+        for lv in hchain.levels:
+            best = min(lv.orbit, key=w.table.__getitem__)
+            if best != lv.seed:
+                w = lv.element(best) * w
+        return w
+
+    reps = [canonical(G.identity())]
+    labels = {reps[0].table: 1}
+    rows = [[] for _ in G.generators]
+    qi = 0
+    while qi < len(reps):
+        w = reps[qi]
+        qi += 1
+        for g, row in zip(G.generators, rows):
+            wg = canonical(w * g)
+            label = labels.get(wg.table)
+            if label is None:
+                reps.append(wg)
+                label = labels[wg.table] = len(reps)
+            row.append(label)
+    if len(reps) * hchain.order() != G.order():
+        raise RuntimeError("coset enumeration does not match the index")
+
+    def image_of(g):
+        images = [labels.get(canonical(w * g).table) for w in reps]
+        if None in images:
+            raise ValueError("element is not in the acted-on group")
+        return Permutation(images)
+
+    group = PermGroup([Permutation(row) for row in rows], degree=len(reps))
+    return SimpleNamespace(degree=len(reps), group=group, image_of=image_of)
 
 
 def reference_verify_symmetric(design):

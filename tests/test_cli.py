@@ -91,6 +91,18 @@ def test_coset_action_verb(tmp_path, f21_file, capsys):
     assert image.order() == 21
 
 
+@pytest.mark.parametrize("sub", ["H", "K", "N3"])
+def test_m12_coset_action_files_are_pinned(tmp_path, capsys, sub):
+    # H and K are point stabilizers, labelled by their point orbit; the
+    # maximal L2(11) in N3 fixes no point and is enumerated by coset
+    # representatives.  Both must write the pinned bytes.
+    out = tmp_path / "image.grp"
+    assert main(["coset-action", G_FILE, str(DATA / f"m12_144_{sub}.grp"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"degree 144 action written to {out}\n"
+    golden = Path(__file__).parent / "golden" / f"coset_{sub}.grp"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_search_params_verb(capsys):
     assert main(["search-params", "--v", "144", "--m-order", "7920"]) == 0
     assert capsys.readouterr().out.strip() == "144 66 30"

@@ -1,0 +1,167 @@
+"""Coset actions read off a point orbit, checked against canonical-representative
+enumeration, and the stabilizer chain the image carries over from G."""
+
+import random
+
+import pytest
+
+from symdesign.catalog import load, load_catalogs
+from symdesign.group import PermGroup, StabChain, coset_action
+from symdesign.perm import Permutation, cycle_string, parse_cycles
+
+from helpers import FIXTURES, cyclic, grp, paley, reference_coset_action
+
+
+def random_elements(G, rng, count, length=12):
+    out = []
+    for _ in range(count):
+        w = G.identity()
+        for _ in range(length):
+            w = w * rng.choice(G.generators)
+        out.append(w)
+    return out
+
+
+def assert_matches_reference(G, H, rng, samples=10):
+    """The same degree, generator rows and images of random members of G
+    as the canonical-representative enumeration; returns the action."""
+    act = coset_action(G, H)
+    ref = reference_coset_action(G, H)
+    assert act.degree == ref.degree
+    assert [g.table for g in act.group.generators] == [g.table for g in ref.group.generators]
+    for g in random_elements(G, rng, samples):
+        assert act.image_of(g) == ref.image_of(g)
+    return act
+
+
+def m12_catalog(seed):
+    """The M12 catalog; a nonzero seed relabels its 144 points."""
+    data = load("m12-144/catalog")
+    if seed:
+        points = list(range(1, 145))
+        random.Random(seed).shuffle(points)
+        pi = Permutation(points)
+        pi_inv = pi.inverse()
+        for rec in (data["group"], *data["maximals"], *data["subgroup_hints"]):
+            if rec.get("generators") is not None:
+                rec["generators"] = [cycle_string(pi_inv * parse_cycles(s, 144) * pi)
+                                     for s in rec["generators"]]
+    [cat] = load_catalogs(data)
+    return cat
+
+
+def intransitive_cases():
+    s3_c2 = grp(5, "(1,2,3)", "(1,2)", "(4,5)")
+    # the first fixed point of the trivial subgroup has an orbit of length 2,
+    # shorter than the index 6; the orbit of 3 is the regular one
+    c6 = grp(8, "(1,2)(3,4,5,6,7,8)")
+    return [(s3_c2, s3_c2.point_stabilizer(1)), (s3_c2, s3_c2.point_stabilizer(4)),
+            (c6, PermGroup.trivial(8))]
+
+
+# ---- the orbit labels agree with coset enumeration -------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 11, 12])
+def test_m12_hints_match_enumeration(seed):
+    cat = m12_catalog(seed)
+    rng = random.Random(seed)
+    assert len(cat.hints) == 4
+    for hint in cat.hints:
+        act = assert_matches_reference(cat.group, hint.group, rng, samples=6)
+        assert act._orbit is not None
+        assert act.group._chain is not None
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_point_stabilizers_match_enumeration(name):
+    G, _ = FIXTURES[name]
+    rng = random.Random(name)
+    for point in (1, G.degree):
+        H = G.point_stabilizer(point)
+        act = assert_matches_reference(G, H, rng)
+        x = act._orbit[0]  # the first point H fixes, not always ``point``
+        assert all(h.table[x] == x for h in H.generators)
+        assert act.group._chain is not None
+
+
+@pytest.mark.parametrize("q", [11, 263])
+def test_paley_point_stabilizer_matches_enumeration(q):
+    G, _ = paley(q)
+    act = assert_matches_reference(G, G.point_stabilizer(1), random.Random(q), samples=4)
+    assert act.group._chain is not None
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_a_proper_orbit_gets_no_carried_chain(case):
+    G, H = intransitive_cases()[case]
+    act = assert_matches_reference(G, H, random.Random(case))
+    assert act._orbit is not None and act.degree < G.degree
+    assert act.group._chain is None
+
+
+def test_subgroups_that_are_no_point_stabilizer_are_enumerated():
+    S4, _ = FIXTURES["S4"]
+    rng = random.Random(4)
+    # <(2,3)> fixes 1 and 4 but is a proper subgroup of their stabilizers
+    for H in (grp(4, "(2,3)"), grp(4, "(1,2)(3,4)", "(1,3)(2,4)"), S4):
+        act = assert_matches_reference(S4, H, rng)
+        assert act._orbit is None and act.group._chain is None
+    G = load("m12-144/G")
+    act = assert_matches_reference(G, load("m12-144/maximal-l211"), rng, samples=3)
+    assert act._orbit is None and act.group._chain is None
+
+
+# ---- the carried chain -----------------------------------------------------
+
+
+CARRIED = ["m12-H", "m12-K", "paley-263", "C7-trivial", *sorted(FIXTURES)]
+
+
+def carried_case(name):
+    """(G, H) with H a point stabilizer of a transitive G."""
+    if name.startswith("m12-"):
+        return load("m12-144/G"), load(f"m12-144/{name[4:]}")
+    if name == "paley-263":
+        G, _ = paley(263)
+        return G, G.point_stabilizer(1)
+    if name == "C7-trivial":
+        return cyclic(7), PermGroup.trivial(7)
+    G, _ = FIXTURES[name]
+    return G, G.point_stabilizer(1)
+
+
+@pytest.mark.parametrize("name", CARRIED)
+def test_the_carried_chain_is_complete(name):
+    G, H = carried_case(name)
+    act = coset_action(G, H)
+    image = act.group
+    assert image._chain is not None
+    fresh = PermGroup(image.generators, degree=act.degree)
+    assert image.order() == StabChain(image.generators, act.degree).order()
+    base = image.chain.base
+    for i, lv in enumerate(image.chain.levels):
+        for g in lv.gens:
+            assert fresh.contains(g)
+            assert all(g.table[b] == b for b in base[:i])
+    assert image.subdegrees(1) == fresh.subdegrees(1)
+    assert image.minimal_block_systems() == fresh.minimal_block_systems()
+
+
+# ---- errors ----------------------------------------------------------------
+
+
+def test_image_of_rejects_what_enumeration_rejects():
+    A5, _ = FIXTURES["A5"]
+    orbit_path = coset_action(A5, A5.point_stabilizer(1))
+    enumerated = coset_action(A5, grp(5, "(1,2,3)"))
+    assert orbit_path._orbit is not None and enumerated._orbit is None
+    for H, act in ((A5.point_stabilizer(1), orbit_path), (grp(5, "(1,2,3)"), enumerated)):
+        ref = reference_coset_action(A5, H)
+        for bad, message in ((parse_cycles("(1,2)", 5), "element is not in the acted-on group"),
+                             (Permutation.identity(6), "degree mismatch: 5 vs 6")):
+            with pytest.raises(ValueError) as want:
+                ref.image_of(bad)
+            with pytest.raises(ValueError) as got:
+                act.image_of(bad)
+            assert str(got.value) == str(want.value) == message

@@ -361,13 +361,42 @@ def test_induced_orbit_lengths_sum_to_index():
 # ---- chain determinism and group files --------------------------------------
 
 
+DETERMINISM_CASES = [*sorted(FIXTURES), "m12-144", "paley-11", "paley-263"]
+
+
+def fresh_group(name):
+    if name == "m12-144":
+        return load("m12-144/G")
+    if name.startswith("paley-"):
+        return paley(int(name.split("-")[1]))[0]
+    G = FIXTURES[name][0]
+    return PermGroup(G.generators, degree=G.degree)
+
+
 def test_chain_is_deterministic():
-    a = sym(5)
-    b = sym(5)
-    assert a.chain.base == b.chain.base
-    assert [len(lv.orbit) for lv in a.chain.levels] == [
-        len(lv.orbit) for lv in b.chain.levels
-    ]
+    for name in DETERMINISM_CASES:
+        a, b = fresh_group(name), fresh_group(name)
+        assert a.chain.base == b.chain.base
+        assert [lv.orbit for lv in a.chain.levels] == [lv.orbit for lv in b.chain.levels]
+        assert [lv.gens for lv in a.chain.levels] == [lv.gens for lv in b.chain.levels]
+        assert a.point_stabilizer(1).generators == b.point_stabilizer(1).generators
+
+
+@pytest.mark.parametrize("name", ["A7", "m12-144", "paley-263"])
+def test_transversal_elements_follow_the_tree_in_any_request_order(name):
+    levels = fresh_group(name).chain.levels
+    rng = random.Random(name)
+    for lv in levels:
+        points = list(lv.orbit)
+        rng.shuffle(points)
+        for y in points:
+            u = lv.element(y)
+            assert u.table[lv.seed] == y
+            if y == lv.seed:
+                assert u.is_identity()
+                continue
+            x, i = lv.parent[y]
+            assert u == lv.element(x) * lv.gens[i]
 
 
 def test_group_file_round_trip():
