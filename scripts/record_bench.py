@@ -5,11 +5,13 @@
 For each workload of BENCHMARK.json, in its order, this runs the declared
 command with ``--workload W --seed 0 --seconds 22 --trace 0`` from the
 repository root, one workload after another, and writes BENCH_N.json
-there.  The file holds the git revision (``dirty`` when the working tree
-had uncommitted changes) and each workload's JSON result line, the last
-line the benchmark prints.
+there.  The file holds the git revision (``dirty`` when ``git diff HEAD``
+is not empty, and then ``diff_sha256``, the sha256 of that diff, so the
+record names the code it timed) and each workload's JSON result line, the
+last line the benchmark prints.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -19,9 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 ARGS = ["--seed", "0", "--seconds", "22", "--trace", "0"]
 
 
-def _git(*args) -> str:
-    out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
-    return out.stdout.strip()
+def _git(*args) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
 
 
 def main(argv) -> int:
@@ -29,12 +30,11 @@ def main(argv) -> int:
         print("usage: record_bench.py N", file=sys.stderr)
         return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    record = {
-        "revision": _git("rev-parse", "HEAD"),
-        "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
-        "args": ARGS,
-        "workloads": {},
-    }
+    diff = _git("diff", "HEAD")
+    record = {"revision": _git("rev-parse", "HEAD").decode().strip(), "dirty": bool(diff)}
+    if diff:
+        record["diff_sha256"] = hashlib.sha256(diff).hexdigest()
+    record.update(args=ARGS, workloads={})
     for workload in spec["workloads"]:
         name = workload["name"]
         cmd = [*spec["command"], "--workload", name, *ARGS]

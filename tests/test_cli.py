@@ -213,6 +213,13 @@ def test_verify_design_refutation(tmp_path, capsys):
     bad.write_text("v: 7\n1,2,4\n1,2,4\n1,3,7\n1,5,6\n2,3,5\n2,6,7\n3,4,6\n")
     assert main(["verify-design", str(bad)]) == 1
     assert "not symmetric" in capsys.readouterr().out
+    # two triangles: every block has size 2 and every point degree 2
+    uneven = tmp_path / "uneven.design"
+    uneven.write_text("v: 6\n1,2\n2,3\n1,3\n4,5\n5,6\n4,6\n")
+    assert main(["verify-design", str(uneven)]) == 1
+    assert capsys.readouterr().out == (
+        "not symmetric: blocks 0,3 meet in 0, expected 1 [axiom block-pair]\n"
+    )
 
 
 def test_flag_transitive_verb(tmp_path, f21_file, capsys):

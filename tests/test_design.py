@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symdesign.catalog import load
 from symdesign.design import (
@@ -140,11 +142,59 @@ def test_verify_symmetric_matches_the_reference_on_perturbed_designs(make, count
     assert axioms >= {"params", "block-pair", "point-degree", "block-size", "duplicate-block"}
 
 
-def test_complement_of_fano(fano):
-    comp = complement(fano)
-    params = comp.params
-    assert (params.v, params.k, params.lam) == (7, 4, 2)
-    assert complement(comp) == fano
+@st.composite
+def _regular_structures(draw):
+    """A square 0/1 incidence structure with every block size and point
+    degree k: circulant blocks {i, ..., i+k-1} mod v, or Fano or Paley-11,
+    with the points relabelled and then 2x2 trades applied (a in B_i and b
+    in B_j change places).  Only such inputs reach the block-pair check."""
+    base = draw(st.sampled_from(["circulant", "fano", "paley-11"]))
+    if base == "circulant":
+        v = draw(st.integers(2, 15))
+        k = draw(st.integers(1, v - 1))
+        blocks = [[(i + t) % v + 1 for t in range(k)] for i in range(v)]
+    else:
+        design = construct_design(cyclic(7), [1, 2, 4]) if base == "fano" else _paley()
+        v, blocks = design.v, [list(b) for b in design.blocks]
+    relabel = draw(st.permutations(range(1, v + 1)))
+    blocks = [[relabel[pt - 1] for pt in b] for b in blocks]
+    for i, j, x, y in draw(st.lists(st.tuples(*[st.integers(0, 255)] * 4), max_size=6)):
+        bi, bj = blocks[i % v], blocks[j % v]
+        only_i = [pt for pt in bi if pt not in bj]
+        only_j = [pt for pt in bj if pt not in bi]
+        if only_i:
+            a, b = only_i[x % len(only_i)], only_j[y % len(only_j)]
+            bi[bi.index(a)], bj[bj.index(b)] = b, a
+    return Design(v, blocks)
+
+
+@given(_regular_structures())
+@settings(max_examples=300, deadline=None)
+def test_block_pairs_decide_regular_square_structures(design):
+    """The point-pair count is implied once the block pairs agree (Ryser):
+    the full double count never refutes at a point pair."""
+    expected = _outcome(reference_verify_symmetric, design)
+    assert expected[0] != "point-pair"
+    assert _outcome(verify_symmetric, design) == expected
+
+
+@pytest.mark.parametrize("make, params", [
+    (lambda: construct_design(cyclic(7), [1, 2, 4]), (7, 4, 2)),
+    (_paley, (11, 6, 3)),
+    (_m12, (144, 78, 42)),
+    (lambda: construct_design(cyclic(5), [2]), (5, 4, 3)),
+], ids=["fano", "paley-11", "m12", "trivial"])
+def test_complement(make, params):
+    design = make()
+    comp = complement(design)
+    assert comp.params == DesignParams(*params)
+    assert comp.params == reference_verify_symmetric(comp)
+    assert complement(comp) == design
+
+
+def test_complement_of_a_single_point_has_an_empty_block():
+    with pytest.raises(ValueError, match="^empty block$"):
+        complement(Design(1, [(1,)]))
 
 
 def test_construct_design_from_difference_set(fano):
