@@ -264,15 +264,14 @@ def is_flag_transitive(design: Design, G: PermGroup, force: bool = False) -> boo
     stabilizer of one block is transitive on that block.  Every generator
     must permute the block set, which is checked first, even when G is
     intransitive.  A flag-transitive G has order divisible by the v*k
-    flags (orbit-stabilizer), so when G's chain is already built an order
-    that v*k does not divide answers no at once; no chain is built just
-    for this.  Trivial designs are refused unless ``force``.
+    flags (orbit-stabilizer); any other order answers no before a block
+    stabilizer is formed.  Trivial designs are refused unless ``force``.
     """
     params = _verified(design)
     if not params.nontrivial and not force:
         raise ValueError(f"design {params} is trivial; pass force=True to override")
     rows = _block_action_images(G, design)
-    if G._chain is not None and G.order() % (params.v * params.k):
+    if G.order() % (params.v * params.k):
         return False
     stab = _stabilizer_in_block_action(G, rows, 0)
     first = design.blocks[0]

@@ -1,21 +1,17 @@
 """Permutation groups: stabilizer chains, orbits, blocks, coset actions.
 
-A PermGroup's generators and degree never change.  Three things are
-filled in lazily: the stabilizer chain, on first use; the transversal
-elements of each Schreier tree (every chain level is one) and their
-inverses, when a sift or a Schreier generator first needs them; and a
-private memo of point stabilizers, which ``subdegrees`` and
-``minimal_block_systems`` share.  Each fill is a single dict or
+A PermGroup's generators and degree never change.  Its stabilizer chain
+is filled in on first use, and the transversal elements of each Schreier
+tree (every chain level is one) and their inverses when a sift or a
+Schreier generator first needs them.  Each fill is a single dict or
 attribute store of a complete value that depends only on the generators,
 so threads that query one group concurrently at worst repeat work; they
 never see a partial value.  Queries return fresh lists, so callers may
 mutate what they get.
 
-A stored chain is always complete: its order is the group's order.
-Stabilizers rely on this.  Once a group's chain is built, a stabilizer
-stops cutting out Schreier generators as soon as its own chain reaches
-|G|/|orbit| (orbit-stabilizer); a group without a chain is never given
-one just to learn its order.
+A stored chain is always complete: its order is the group's order.  So
+a point stabilizer is read off the chain, and any other stabilizer stops
+cutting out Schreier generators at |G|/|orbit| (orbit-stabilizer).
 
 A coset action of a point stabilizer H = G_x takes its labels from the
 orbit x^G instead of enumerating cosets.  When that orbit is every point,
@@ -194,18 +190,20 @@ class StabChain:
                 return j
         return None
 
-    def _relabelled(self, label, relabel) -> "StabChain":
-        """This chain carried through a bijection of the points: base point
-        y becomes ``label[y]`` and strong generator p becomes ``relabel(p)``.
+    def _relabelled(self, levels, label, relabel) -> "StabChain":
+        """``levels``, a tail of this chain, carried through a bijection of
+        the points: base point y becomes ``label[y]`` and strong generator
+        p becomes ``relabel(p)``.
 
-        The conjugate of a complete chain is a complete chain of the
-        conjugate group, and each level's breadth-first tree walks the
-        relabelled orbit in the same order.
+        A tail of a complete chain is complete for the stabilizer of the
+        base points above it, and its conjugate for the conjugate group;
+        each level's breadth-first tree walks the relabelled orbit in the
+        same order.
         """
         ident = Permutation.identity(self.degree)
         moved: dict[int, Permutation] = {}  # levels share strong generators
         chain = StabChain((), self.degree)
-        for lv in self.levels:
+        for lv in levels:
             gens = []
             for g in lv.gens:
                 h = moved.get(id(g))
@@ -240,7 +238,6 @@ class PermGroup:
         self.degree = degree
         self.generators = generators
         self._chain: StabChain | None = None
-        self._stabilizers: dict[int, PermGroup] = {}
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
@@ -316,17 +313,14 @@ class PermGroup:
         generator strictly grows the subgroup; it lives in this group as
         original-degree permutations whatever the auxiliary points are.
 
-        When this group's chain is already built, |G| is known and the
-        stabilizer has order |G|/|orbit|: the loop stops as soon as the
-        kept generators reach that order, and a regular orbit gives the
-        trivial group at once.  This is sound because a stored chain is
-        always complete.  Without a chain every Schreier generator is
-        tried.  Either way the kept generators are the same prefix of one
+        The loop stops once the kept generators reach |G|/|orbit|, |G| read
+        off this group's complete chain, and a regular orbit gives the
+        trivial group at once; the kept generators are a prefix of one
         deterministic sequence, and the result's chain is complete.
         """
         gens = self.generators
         tree = _SchreierTree(seed, gens, [partial(action, g) for g in gens], self.identity())
-        target = None if self._chain is None else self._chain.order() // len(tree.orbit)
+        target = self.order() // len(tree.orbit)
         kept: list[Permutation] = []
         chain = StabChain((), self.degree)
         if target != 1:
@@ -342,23 +336,28 @@ class PermGroup:
         return stab
 
     def point_stabilizer(self, point: int) -> "PermGroup":
-        """Stabilizer of a point, generated by reduced Schreier generators."""
+        """Stabilizer of a point.  For p in the first basic orbit, with u the
+        transversal element taking the first base point b to p, G_p is
+        u^-1 G_b u: the chain's levels below the first, conjugated by u,
+        are a complete chain of G_p (Seress 2003, sec. 4.1).  Any other
+        point, in an intransitive group, is cut out of Schreier generators.
+        """
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} outside 1..{self.degree}")
-        return self.stabilizer_of_action(point, lambda g, x: g.table[x])
-
-    def _stabilizer(self, point: int) -> "PermGroup":
-        """``point_stabilizer(point)``, computed once per group and point."""
-        stab = self._stabilizers.get(point)
-        if stab is None:
-            stab = self._stabilizers[point] = self.point_stabilizer(point)
+        levels = self.chain.levels
+        if point not in (levels[0].parent if levels else ()):
+            return self.stabilizer_of_action(point, lambda g, x: g.table[x])
+        u, u_inv = levels[0].element(point), levels[0].inverse(point)
+        chain = self.chain._relabelled(levels[1:], u.table, lambda g: u_inv * g * u)
+        stab = PermGroup(chain.levels[0].gens if chain.levels else (), degree=self.degree)
+        stab._chain = chain
         return stab
 
     def subdegrees(self, point: int) -> list[int]:
         """Orbit lengths of the point stabilizer, ascending (trivial orbit included)."""
         if not self.is_transitive():
             raise ValueError("subdegrees require a transitive group")
-        return sorted(len(o) for o in self._stabilizer(point).orbits())
+        return sorted(len(o) for o in self.point_stabilizer(point).orbits())
 
     # ---- block systems ---------------------------------------------------
 
@@ -416,7 +415,7 @@ class PermGroup:
         if not self.is_transitive():
             raise ValueError("block systems require a transitive group")
         found: dict[tuple, BlockSystem] = {}
-        for orbit in self._stabilizer(1).orbits():
+        for orbit in self.point_stabilizer(1).orbits():
             b = orbit[0]
             if b == 1:
                 continue
@@ -559,7 +558,7 @@ class CosetAction:
             self._label[y] = j
         self.group = PermGroup(map(self._relabel, G.generators), degree=self.degree)
         if self.degree == G.degree:
-            self.group._chain = G.chain._relabelled(self._label, self._relabel)
+            self.group._chain = G.chain._relabelled(G.chain.levels, self._label, self._relabel)
 
     def _enumerate_cosets(self) -> list[Permutation]:
         """Labels cosets by canonical representatives; the generator rows."""

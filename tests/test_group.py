@@ -239,7 +239,7 @@ def test_repeated_queries_give_equal_fresh_results():
 
 def test_point_stabilizer_is_a_new_group_each_call():
     group = sym(5)
-    group.subdegrees(1)  # fills the shared memo
+    group.subdegrees(1)  # reads G_1 off the chain, which it builds
     a, b = group.point_stabilizer(1), group.point_stabilizer(1)
     assert a is not b and a.generators == b.generators and a.order() == 24
 

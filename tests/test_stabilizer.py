@@ -1,9 +1,10 @@
-"""The early-stopping stabilizer against the exhaustive reference.
+"""Point stabilizers read off the chain, and the early-stopping stabilizer,
+against the exhaustive reference.
 
-``PermGroup.stabilizer_of_action`` stops at |G|/|orbit| once the group's
-chain is built and skips the Schreier tree's own edges.  Every case runs
-twice, on a fresh group (no chain: every Schreier generator is tried) and
-on one whose order is already known, and must agree with
+``PermGroup.point_stabilizer`` conjugates the chain's levels below the
+first; a point outside the first basic orbit falls back to
+``stabilizer_of_action``, which stops at |G|/|orbit| and skips the
+Schreier tree's own edges.  Every case must agree with
 ``reference_stabilizer_of_action`` on the order and the orbit partition.
 """
 
@@ -21,6 +22,7 @@ from symdesign.perm import Permutation
 from helpers import (
     FIXTURES,
     cyclic,
+    grp,
     paley,
     random_wreath_subgroup,
     reference_stabilizer_of_action,
@@ -43,8 +45,12 @@ def class_action(system):
     return lambda g, idx: system.class_of[g.table[reps[idx]]]
 
 
+def _points(G):
+    return sorted({1, (G.degree + 1) // 2, G.degree})
+
+
 def _point_cases(G):
-    return [(point, point_action) for point in sorted({1, (G.degree + 1) // 2, G.degree})]
+    return [(point, point_action) for point in _points(G)]
 
 
 def _fixture_cases():
@@ -53,6 +59,9 @@ def _fixture_cases():
     groups["S3wrC4"] = wreath(sym(3), cyclic(4))
     for seed in range(8):
         groups[f"wreath-word-{seed}"] = random_wreath_subgroup(random.Random(seed))
+    groups["S4-base-2"] = grp(4, "(2,3)", "(1,2,3,4)")  # first base point 2, not 1
+    groups["C2xC3"] = grp(5, "(1,2)", "(3,4,5)")  # 3..5 lie outside the first basic orbit
+    groups["trivial"] = PermGroup.trivial(5)  # no chain levels at all
     for name, G in groups.items():
         cases = _point_cases(G)
         if G.is_transitive() and G.degree > 1:
@@ -80,6 +89,34 @@ CASES = {name: (G, cases) for make in (_fixture_cases, _m12_cases, _paley_cases)
          for name, G, cases in make()}
 
 
+def _path(G, point):
+    """Which way ``point_stabilizer`` takes: the chain's first base point,
+    a conjugate of its stabilizer, or the Schreier-generator fallback."""
+    if not G.chain.base or point not in G.orbit(G.chain.base[0]):
+        return "fallback"
+    return "base" if point == G.chain.base[0] else "conjugate"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_point_stabilizer_matches_the_reference(name):
+    G, _cases = CASES[name]
+    for point in _points(G):
+        stab = G.point_stabilizer(point)
+        ref = reference_stabilizer_of_action(G, point, point_action)
+        assert stab.order() == ref.order()
+        assert stab.orbits() == ref.orbits()
+        for g in stab.generators:
+            assert g.table[point] == point and G.contains(g)
+
+
+def test_point_stabilizer_cases_take_every_path():
+    paths = {(name, point): _path(G, point) for name, (G, _cases) in CASES.items()
+             for point in _points(G)}
+    assert set(paths.values()) == {"base", "conjugate", "fallback"}
+    assert paths["S4-base-2", 1] == paths["m12-144", 1] == "conjugate"
+    assert paths["C2xC3", 3] == paths["trivial", 1] == "fallback"
+
+
 @pytest.mark.parametrize("order_known", [False, True], ids=["fresh", "order-known"])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stabilizer_matches_the_reference(name, order_known):
@@ -96,18 +133,19 @@ def test_stabilizer_matches_the_reference(name, order_known):
         assert stab.generators == ref.generators[:len(stab.generators)]
         if not order_known:
             assert stab.generators == ref.generators
-        assert (group._chain is not None) == order_known  # never built just for |G|
+        assert group._chain is not None  # |G| bounds the search
 
 
 def test_long_schreier_tree_needs_no_recursion():
-    """One 1500-cycle, no chain: the only non-tree edge closes a path of
-    1499 tree edges, which the transversal walk climbs without recursing."""
+    """One 1500-cycle, no chain: the chain built for |G| sifts the only
+    non-tree edge, which closes a path of 1499 tree edges that the
+    transversal walk climbs without recursing."""
     n = 1500
     assert n > sys.getrecursionlimit()
     G = cyclic(n)
     tracemalloc.start()
     try:
-        stab = G.point_stabilizer(1)
+        stab = G.stabilizer_of_action(1, point_action)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
