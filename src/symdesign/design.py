@@ -4,6 +4,9 @@ A design is a point set {1..v} plus a list of blocks.  Designs are
 immutable after construction; ``verify_symmetric`` caches the certified
 parameters on the instance, ``complement`` sets those of its result, and
 the transitivity predicates refuse trivial designs unless forced.
+``construct_design`` records the action of G's generators on the blocks it
+builds, ``complement`` keeps that action, and the flag checks reuse it
+under the same generators and recompute it for any other generating set.
 ``certify`` bundles the facts that ``symdesign reproduce-d1`` and the
 catalog pipeline both report: the verified parameters, flag transitivity,
 the minimal block systems of the group and the intersection profile of
@@ -90,6 +93,7 @@ class Design:
         self.v = v
         self.blocks: tuple[tuple, ...] = tuple(canon)
         self.params: DesignParams | None = None  # set by verify_symmetric or complement
+        self._action = None  # (generators, rows) set by construct_design or complement
 
     @property
     def num_blocks(self) -> int:
@@ -149,12 +153,8 @@ def verify_symmetric(design: Design) -> DesignParams:
             raise NotSymmetric(
                 "point-degree", pt, f"point {pt} lies on {degree[pt]} blocks, expected {k}"
             )
-    rows = []
-    for b in blocks:
-        row = 0
-        for pt in b:
-            row |= 1 << pt
-        rows.append(row)
+    bit = [1 << pt for pt in range(v + 1)]
+    rows = [sum(map(bit.__getitem__, b)) for b in blocks]  # points are distinct
     lam = None
     for i, j in combinations(range(v), 2):
         meet = (rows[i] & rows[j]).bit_count()
@@ -180,15 +180,14 @@ def _verified(design: Design) -> DesignParams:
 def complement(design: Design) -> Design:
     """The complement design, symmetric (v, v-k, v-2k+lam) with no re-count:
     its v distinct blocks have size v-k, each point lies on v-k of them, and
-    two meet in the v-2k+lam points outside both of the input's blocks."""
+    two meet in the v-2k+lam points outside both of the input's blocks.
+    Block i is the complement of block i, and (Ω∖B)^g = Ω∖B^g, so the
+    result keeps the input's recorded block action."""
     params = _verified(design)
-    universe = range(1, design.v + 1)
-    blocks = []
-    for b in design.blocks:
-        bset = set(b)
-        blocks.append(tuple(pt for pt in universe if pt not in bset))
-    comp = Design(design.v, blocks)
+    universe = frozenset(range(1, design.v + 1))
+    comp = Design(design.v, (universe.difference(b) for b in design.blocks))
     comp.params = DesignParams(params.v, params.v - params.k, params.v - 2 * params.k + params.lam)
+    comp._action = design._action
     return comp
 
 
@@ -197,36 +196,48 @@ def construct_design(G: PermGroup, base_block) -> Design:
 
     Blocks are deduplicated via canonical sorted tuples and reported in
     ascending lexicographic order; the result has v candidate blocks iff
-    the orbit has length v.
+    the orbit has length v.  The search finds every block's image under
+    every generator of G; the result records that block action, which the
+    flag checks reuse under the same generators.
     """
     start = tuple(sorted(set(base_block)))
     if not start:
         raise ValueError("base block must be nonempty")
     if start[0] < 1 or start[-1] > G.degree:
         raise ValueError(f"base block not inside 1..{G.degree}")
-    seen = {start}
+    index = {start: 0}
     queue = [start]
     maps = [g.table.__getitem__ for g in G.generators]
+    edges = [[] for _ in maps]  # edges[n][i]: queue index of queue[i] under generator n
     qi = 0
     while qi < len(queue):
         blk = queue[qi]
         qi += 1
-        for image in maps:
+        for image, out in zip(maps, edges):
             img = tuple(sorted(map(image, blk)))
-            if img not in seen:
-                seen.add(img)
+            j = index.get(img)
+            if j is None:
+                j = index[img] = len(queue)
                 queue.append(img)
-    return Design(G.degree, sorted(queue))
+            out.append(j)
+    order = sorted(range(len(queue)), key=queue.__getitem__)
+    rank = {old: new for new, old in enumerate(order)}
+    design = Design(G.degree, [queue[i] for i in order])
+    design._action = (G.generators, [[rank[out[i]] for i in order] for out in edges])
+    return design
 
 
 def _block_action_images(G: PermGroup, design: Design):
-    """For each generator, the induced permutation of block indices.
+    """For each generator, the induced permutation of block indices: the
+    design's recorded action under the same generators, else computed.
 
     Raises ValueError when the degrees differ, or naming the first block
     whose image is not a block.
     """
     if G.degree != design.v:
         raise ValueError("group degree does not match the point count")
+    if design._action is not None and design._action[0] == G.generators:
+        return design._action[1]
     index = {b: i for i, b in enumerate(design.blocks)}
     rows = []
     for g in G.generators:
@@ -263,9 +274,12 @@ def is_flag_transitive(design: Design, G: PermGroup, force: bool = False) -> boo
     G is flag-transitive exactly when it is point-transitive and the
     stabilizer of one block is transitive on that block.  Every generator
     must permute the block set, which is checked first, even when G is
-    intransitive.  A flag-transitive G has order divisible by the v*k
-    flags (orbit-stabilizer); any other order answers no before a block
-    stabilizer is formed.  Trivial designs are refused unless ``force``.
+    intransitive; the action recorded under G's generators by
+    ``construct_design`` (and kept by ``complement``) is reused, any other
+    generating set recomputes it.  A flag-transitive G has order divisible
+    by the v*k flags (orbit-stabilizer); any other order answers no before
+    a block stabilizer is formed.  Trivial designs are refused unless
+    ``force``.
     """
     params = _verified(design)
     if not params.nontrivial and not force:

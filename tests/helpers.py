@@ -6,7 +6,7 @@ from itertools import combinations
 from types import SimpleNamespace
 
 from symdesign.arith import divisors, factorize
-from symdesign.design import DesignParams, NotSymmetric, _block_action_images, _verified
+from symdesign.design import DesignParams, NotSymmetric, _verified
 from symdesign.perm import Permutation, parse_cycles
 from symdesign.group import BlockSystem, PermGroup, StabChain
 from symdesign.params import _candidate
@@ -244,14 +244,24 @@ def reference_verify_symmetric(design):
 
 
 def reference_is_flag_transitive(design, G, force=False):
-    """Flag transitivity by a breadth-first search over (point, block) flags."""
+    """Flag transitivity by a breadth-first search over (point, block) flags,
+    finding block images by its own lookup, not the design's recorded action."""
     params = _verified(design)
     if not params.nontrivial and not force:
         raise ValueError(f"design {params} is trivial; pass force=True to override")
     if G.degree != design.v:
         raise ValueError("group degree does not match the point count")
-    rows = _block_action_images(G, design)
     tables = [g.table for g in G.generators]
+    index = {b: i for i, b in enumerate(design.blocks)}
+    rows = []
+    for t in tables:
+        row = []
+        for b in design.blocks:
+            j = index.get(tuple(sorted(t[pt] for pt in b)))
+            if j is None:
+                raise ValueError(f"generator maps block {b} outside the block set")
+            row.append(j)
+        rows.append(row)
     total = sum(len(b) for b in design.blocks)
     start = (design.blocks[0][0], 0)
     seen = {start}

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from symdesign.design import (
     DesignParams,
     NotSymmetric,
     ProfileViolation,
+    _block_action_images,
     block_stabilizer,
     certify,
     complement,
@@ -289,6 +291,80 @@ def test_flag_transitivity_answers_no_from_a_known_order(monkeypatch):
     assert swap.order() == 2
     with pytest.raises(ValueError, match="outside the block set"):
         is_flag_transitive(comp, swap)
+
+
+def _m12_relabelled():
+    """M12 on 144 points and its base block, both relabelled by x -> pi(x)."""
+    G = load("m12-144/G")
+    points = list(range(1, 145))
+    random.Random(13).shuffle(points)
+    pi = Permutation(points)
+    gens = [pi.inverse() * g * pi for g in G.generators]
+    return PermGroup(gens, degree=144), [pi(x) for x in load("m12-144/base-block")]
+
+
+CARRIED = {
+    "fano-c7": lambda: (cyclic(7), [1, 2, 4]),
+    "paley-11": lambda: paley(11),
+    "paley-263": lambda: paley(263),
+    "m12": lambda: (load("m12-144/G"), load("m12-144/base-block")),
+    "m12-relabelled": _m12_relabelled,
+    "trivial": lambda: (cyclic(5), [2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CARRIED))
+def test_the_recorded_block_action_is_the_computed_one(name):
+    G, block = CARRIED[name]()
+    design = construct_design(G, block)
+    assert design.num_blocks == design.v
+    for D in (design, complement(design)):
+        carried = _block_action_images(G, D)
+        assert D._action is not None and carried is D._action[1]
+        plain = Design(D.v, D.blocks)
+        assert plain._action is None
+        assert carried == _block_action_images(G, plain)
+        twin = PermGroup([Permutation(g.images) for g in G.generators], degree=G.degree)
+        assert _block_action_images(twin, D) is carried
+        swapped = PermGroup(G.generators[::-1], degree=G.degree)
+        rows = _block_action_images(swapped, D)
+        assert rows == carried[::-1]
+        assert (rows is carried) == (swapped.generators == G.generators)
+        verdict = is_flag_transitive(D, G, force=True)
+        assert is_flag_transitive(D, swapped, force=True) == verdict
+        assert is_flag_transitive(plain, G, force=True) == verdict
+        for index in (0, D.num_blocks - 1):
+            assert (block_stabilizer(G, D, index).order()
+                    == block_stabilizer(G, plain, index).order())
+
+
+@pytest.mark.parametrize("name", ["fano-c7", "paley-263", "m12-relabelled"])
+def test_a_generator_outside_the_recorded_action_is_refused_on_both_paths(name):
+    G, block = CARRIED[name]()
+    design = construct_design(G, block)
+    wider = PermGroup([*G.generators, parse_cycles("(1,2)", G.degree)])
+    for D in (design, complement(design)):
+        messages = []
+        for E in (D, Design(D.v, D.blocks)):
+            with pytest.raises(ValueError, match="maps block") as exc:
+                is_flag_transitive(E, wider, force=True)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+
+def test_complement_streams_its_blocks():
+    """Each complement block is formed from one set at a time, not from v
+    sets built first (about 5 MB on Paley-263)."""
+    G, block = paley(263)
+    design = construct_design(G, block)
+    verify_symmetric(design)
+    tracemalloc.start()
+    try:
+        complement(design)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def _subgroups(rng, draw, degree, sizes, per_size):

@@ -24,6 +24,7 @@ from helpers import (
     grp,
     paley,
     reference_minimal_block_systems,
+    reference_stabilizer_of_action,
     sym,
     wreath,
 )
@@ -85,6 +86,18 @@ def test_chain_order_matches_closure_on_random_groups(group):
     for point in (1, group.degree):
         stab = group.point_stabilizer(point)
         assert stab.order() == sum(1 for p in members if p(point) == point)
+
+
+@given(random_groups())
+@settings(max_examples=60, deadline=None)
+def test_point_stabilizer_matches_the_reference_on_random_groups(group):
+    for point in range(1, group.degree + 1):
+        stab = group.point_stabilizer(point)
+        ref = reference_stabilizer_of_action(group, point, lambda g, x: g.table[x])
+        assert stab.order() == ref.order()
+        assert stab.orbits() == ref.orbits()
+        for g in stab.generators:
+            assert g.table[point] == point and group.contains(g)
 
 
 def test_chain_internal_invariants():
