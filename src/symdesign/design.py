@@ -7,6 +7,9 @@ the transitivity predicates refuse trivial designs unless forced.
 ``construct_design`` records the action of G's generators on the blocks it
 builds, ``complement`` keeps that action, and the flag checks reuse it
 under the same generators and recompute it for any other generating set.
+Such a design's blocks form one orbit of those generators, which carry
+block 0 to every block, so ``verify_symmetric`` meets block 0 with the rest
+and ``imprimitivity_profile`` reads block 0 alone on a partition they keep.
 ``certify`` bundles the facts that ``symdesign reproduce-d1`` and the
 catalog pipeline both report: the verified parameters, flag transitivity,
 the minimal block systems of the group and the intersection profile of
@@ -16,7 +19,7 @@ the design against each system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .group import PermGroup
 from .perm import cycle_string
@@ -95,6 +98,13 @@ class Design:
         self.params: DesignParams | None = None  # set by verify_symmetric or complement
         self._action = None  # (generators, rows) set by construct_design or complement
 
+    @classmethod
+    def _of_canonical(cls, v: int, blocks) -> Design:
+        """A design from blocks already sorted, of distinct points in 1..v."""
+        design = cls.__new__(cls)
+        design.v, design.blocks, design.params, design._action = v, tuple(blocks), None, None
+        return design
+
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
@@ -123,6 +133,9 @@ def verify_symmetric(design: Design) -> DesignParams:
     distinct k-sets meet in fewer than k points, so k > lam, and for the
     block-by-point incidence matrix N, N N^T = (k-lam) I + lam J is
     nonsingular; with N J = J N = k J it gives N^T N = (k-lam) I + lam J.
+    A design with a recorded block action is one orbit, and if B_i = B_0 g
+    then |B_i ∩ B_j| = |B_0 ∩ B_j g^-1|, so only the pairs (0, j) are met,
+    which come first in ``combinations`` order and give the same witness.
     """
     v = design.v
     blocks = design.blocks
@@ -155,8 +168,11 @@ def verify_symmetric(design: Design) -> DesignParams:
             )
     bit = [1 << pt for pt in range(v + 1)]
     rows = [sum(map(bit.__getitem__, b)) for b in blocks]  # points are distinct
+    pairs = combinations(range(v), 2)
+    if design._action is not None:  # row 0 is the first v-1 pairs
+        pairs = islice(pairs, v - 1)
     lam = None
-    for i, j in combinations(range(v), 2):
+    for i, j in pairs:
         meet = (rows[i] & rows[j]).bit_count()
         if lam is None:
             lam = meet
@@ -184,8 +200,11 @@ def complement(design: Design) -> Design:
     Block i is the complement of block i, and (Ω∖B)^g = Ω∖B^g, so the
     result keeps the input's recorded block action."""
     params = _verified(design)
+    if params.k == params.v:
+        raise ValueError("empty block")
     universe = frozenset(range(1, design.v + 1))
-    comp = Design(design.v, (universe.difference(b) for b in design.blocks))
+    blocks = (tuple(sorted(universe.difference(b))) for b in design.blocks)
+    comp = Design._of_canonical(design.v, blocks)
     comp.params = DesignParams(params.v, params.v - params.k, params.v - 2 * params.k + params.lam)
     comp._action = design._action
     return comp
@@ -222,7 +241,7 @@ def construct_design(G: PermGroup, base_block) -> Design:
             out.append(j)
     order = sorted(range(len(queue)), key=queue.__getitem__)
     rank = {old: new for new, old in enumerate(order)}
-    design = Design(G.degree, [queue[i] for i in order])
+    design = Design._of_canonical(G.degree, [queue[i] for i in order])
     design._action = (G.generators, [[rank[out[i]] for i in order] for out in edges])
     return design
 
@@ -315,15 +334,20 @@ def imprimitivity_profile(design: Design, system) -> ImprimitivityProfile:
 
     Requires |B ∩ class| constant over all nonempty meets, a constant
     number s of classes met per block, and the identities v = c d,
-    k = ell s, lam (c-1) = k (ell-1).
+    k = ell s, lam (c-1) = k (ell-1).  When the design's recorded generators
+    also permute the classes, they carry block 0 and its class meets to every
+    block, so block 0 alone is read and any violation shows there.
     """
     params = _verified(design)
     if system.degree != design.v:
         raise ValueError("block system degree does not match the design")
     class_sets = [frozenset(c) for c in system.classes]
+    blocks = design.blocks
+    if design._action is not None and system.invariance_witness(design._action[0]) is None:
+        blocks = blocks[:1]
     ell = None
     s = None
-    for bi, b in enumerate(design.blocks):
+    for bi, b in enumerate(blocks):
         bset = frozenset(b)
         met = 0
         for ci, cls in enumerate(class_sets):

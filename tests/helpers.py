@@ -5,8 +5,16 @@ from collections import Counter
 from itertools import combinations
 from types import SimpleNamespace
 
+from hypothesis import strategies as st
+
 from symdesign.arith import divisors, factorize
-from symdesign.design import DesignParams, NotSymmetric, _verified
+from symdesign.design import (
+    DesignParams,
+    ImprimitivityProfile,
+    NotSymmetric,
+    ProfileViolation,
+    _verified,
+)
 from symdesign.perm import Permutation, parse_cycles
 from symdesign.group import BlockSystem, PermGroup, StabChain
 from symdesign.params import _candidate
@@ -75,6 +83,18 @@ def wreath(inner, outer):
             (h((x - 1) // c + 1) - 1) * c + (x - 1) % c + 1 for x in range(1, c * d + 1)
         ]))
     return PermGroup(gens, degree=c * d)
+
+
+@st.composite
+def random_groups(draw):
+    """A group on 2..7 points generated by 1..3 drawn permutations."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    count = draw(st.integers(min_value=1, max_value=3))
+    gens = [
+        Permutation(draw(st.permutations(list(range(1, n + 1)))))
+        for _ in range(count)
+    ]
+    return PermGroup(gens, degree=n)
 
 
 def random_wreath_subgroup(rng):
@@ -241,6 +261,44 @@ def reference_verify_symmetric(design):
                 "point-pair", (a, b), f"points {a},{b} lie on {meet} blocks, expected {lam}"
             )
     return DesignParams(v, k, lam)
+
+
+def reference_imprimitivity_profile(design, system):
+    """``design.imprimitivity_profile`` by the full loop over every block on
+    plain sets, for a design already verified symmetric.
+
+    Raises ProfileViolation with the same fields and message, or returns the
+    same profile; it reads k and lam off blocks 0 and 1.
+    """
+    if system.degree != design.v:
+        raise ValueError("block system degree does not match the design")
+    blocks = [set(b) for b in design.blocks]
+    k = len(blocks[0])
+    lam = len(blocks[0] & blocks[1])
+    classes = [set(c) for c in system.classes]
+    ell = s = None
+    for bi, b in enumerate(blocks):
+        met = [(ci, len(b & cls)) for ci, cls in enumerate(classes) if b & cls]
+        for ci, size in met:
+            if ell is None:
+                ell = size
+            elif size != ell:
+                raise ProfileViolation(bi, ci, size, f"block {bi} meets class {ci} in {size}"
+                                       f" points, expected 0 or {ell}")
+        if s is None:
+            s = len(met)
+        elif len(met) != s:
+            raise ProfileViolation(
+                bi, -1, len(met), f"block {bi} meets {len(met)} classes, expected {s}"
+            )
+    c, d = len(classes[0]), len(classes)
+    if ell is None or ell < 2 or s < 2:
+        raise ProfileViolation(-1, -1, ell or 0, "degenerate intersection profile")
+    if k != ell * s:
+        raise ProfileViolation(-1, -1, ell, f"k != ell*s: {k} != {ell}*{s}")
+    if lam * (c - 1) != k * (ell - 1):
+        raise ProfileViolation(-1, -1, ell, f"lam(c-1) != k(ell-1) for c={c}, ell={ell}")
+    return ImprimitivityProfile(c, d, ell, s)
 
 
 def reference_is_flag_transitive(design, G, force=False):

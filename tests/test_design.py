@@ -9,6 +9,7 @@ from symdesign.catalog import load
 from symdesign.design import (
     Design,
     DesignParams,
+    ImprimitivityProfile,
     NotSymmetric,
     ProfileViolation,
     _block_action_images,
@@ -32,6 +33,8 @@ from helpers import (
     element_closure,
     grp,
     paley,
+    random_groups,
+    reference_imprimitivity_profile,
     reference_is_flag_transitive,
     reference_verify_symmetric,
     sym,
@@ -367,6 +370,92 @@ def test_complement_streams_its_blocks():
     assert peak < 2 * 2**20
 
 
+def _agrees_on_both_paths(design):
+    """``verify_symmetric`` gives one outcome with the design's recorded
+    action, on a copy without it and by the reference; so does the
+    complement of a design that verifies.  Returns the design's outcome."""
+    got = _outcome(verify_symmetric, design)
+    for D in (design, *([complement(design)] if got[0] == "params" else [])):
+        outcome = _outcome(verify_symmetric, D)
+        assert outcome == _outcome(verify_symmetric, Design(D.v, D.blocks))
+        assert outcome == _outcome(reference_verify_symmetric, D)
+    return got
+
+
+@given(random_groups() | st.integers(3, 13).map(cyclic), st.data())
+@settings(max_examples=200, deadline=None)
+def test_verify_symmetric_of_an_orbit_matches_the_reference(G, data):
+    block = data.draw(st.sets(st.integers(1, G.degree), min_size=1))
+    _agrees_on_both_paths(construct_design(G, block))
+
+
+@pytest.mark.parametrize("name", [*sorted(CARRIED), "c7-123"])
+def test_verify_symmetric_reads_row_0_of_an_orbit(name):
+    G, block = CARRIED[name]() if name in CARRIED else (cyclic(7), [1, 2, 3])
+    design = construct_design(G, block)
+    assert design._action is not None
+    got = _agrees_on_both_paths(design)
+    if name == "c7-123":  # {1,2,3} meets {1,2,7} in 2 and {1,6,7} in 1
+        assert got == ("block-pair", (0, 2), "blocks 0,2 meet in 1, expected 2")
+    else:
+        assert got[0] == "params"
+
+
+def test_a_design_without_a_recorded_action_has_every_pair_met():
+    """A trade between Fano blocks 3 and 5 of points outside block 0 keeps
+    block 0's meets, block sizes and point degrees, and breaks pair (3, 4)."""
+    blocks = list(construct_design(cyclic(7), [1, 2, 4]).blocks)
+    assert blocks[0] == (1, 2, 4) and blocks[3:6] == [(2, 3, 5), (2, 6, 7), (3, 4, 6)]
+    blocks[3], blocks[5] = (2, 3, 6), (3, 4, 5)
+    expected = ("block-pair", (3, 4), "blocks 3,4 meet in 2, expected 1")
+    assert _agrees_on_both_paths(Design(7, blocks)) == expected
+
+
+def _profile_outcome(check, design, system):
+    try:
+        return check(design, system)
+    except ProfileViolation as exc:
+        return exc.block_index, exc.class_index, exc.size, str(exc)
+
+
+def _m12_system(index):
+    return load("m12-144/G").minimal_block_systems()[index]
+
+
+def _m12_system_moved_off_g():
+    """A minimal block system of M12 with two points of block 0 in different
+    classes swapped: block 0 meets it as before, other blocks do not, and
+    the generators no longer permute its classes."""
+    system = _m12_system(0)
+    x = load("m12-144/base-block")[0]
+    y = next(p for p in load("m12-144/base-block") if system.class_of[p] != system.class_of[x])
+    swap = {x: y, y: x}
+    return BlockSystem(144, [[swap.get(p, p) for p in c] for c in system.classes])
+
+
+@pytest.mark.parametrize("make, invariant, expected", [
+    (lambda: (_m12(), _m12_system(0)), True, ImprimitivityProfile(12, 12, 6, 11)),
+    (lambda: (_m12(), _m12_system(1)), True, ImprimitivityProfile(12, 12, 6, 11)),
+    (lambda: (complement(_m12()), _m12_system(0)), True,
+     (0, 10, 12, "block 0 meets class 10 in 12 points, expected 0 or 6")),
+    (lambda: (construct_design(cyclic(15), [1, 2, 3, 5, 6, 9, 11]),
+              BlockSystem(15, [[i, i + 5, i + 10] for i in range(1, 6)])), True,
+     (0, 1, 1, "block 0 meets class 1 in 1 points, expected 0 or 3")),
+    (lambda: (_m12(), _m12_system_moved_off_g()), False, None),
+], ids=["d1-0", "d1-1", "d1-complement", "cyclic-15-mod-5", "d1-moved"])
+def test_imprimitivity_profile_matches_the_reference(make, invariant, expected):
+    design, system = make()
+    assert (system.invariance_witness(design._action[0]) is None) == invariant
+    plain = Design(design.v, design.blocks)
+    got = _profile_outcome(imprimitivity_profile, design, system)
+    assert got == _profile_outcome(imprimitivity_profile, plain, system)
+    assert got == _profile_outcome(reference_imprimitivity_profile, plain, system)
+    if expected is not None:
+        assert got == expected
+    else:  # block 0 alone would give the profile of an invariant system
+        assert isinstance(got, tuple) and got[0] > 0
+
+
 def _subgroups(rng, draw, degree, sizes, per_size):
     """Subgroups generated by ``n`` random elements for each n in ``sizes``."""
     return [PermGroup([draw() for _ in range(n)], degree=degree)
@@ -455,8 +544,11 @@ def test_imprimitivity_profile_refutes_bad_partition():
     params = verify_symmetric(D)
     assert (params.v, params.k, params.lam) == (15, 7, 3)
     system = BlockSystem(15, [[i, i + 5, i + 10] for i in range(1, 6)])
-    with pytest.raises(ProfileViolation):
+    with pytest.raises(ProfileViolation) as exc:
         imprimitivity_profile(D, system)
+    # block 0 = {1,2,3,5,6,9,11} holds class 0 = {1,6,11} and meets class 1 in {2}
+    assert (exc.value.block_index, exc.value.class_index, exc.value.size) == (0, 1, 1)
+    assert str(exc.value) == "block 0 meets class 1 in 1 points, expected 0 or 3"
 
 
 def test_design_file_round_trip(fano):

@@ -2,9 +2,8 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from symdesign.perm import Permutation, parse_cycles, cycle_string
+from symdesign.perm import parse_cycles, cycle_string
 from symdesign.group import (
     BlockSystem,
     PermGroup,
@@ -23,6 +22,7 @@ from helpers import (
     element_closure,
     grp,
     paley,
+    random_groups,
     reference_minimal_block_systems,
     reference_stabilizer_of_action,
     sym,
@@ -65,17 +65,6 @@ def test_membership_against_closure():
     outsider = parse_cycles("(1,2)", 7)
     assert outsider not in members
     assert not group.contains(outsider)
-
-
-@st.composite
-def random_groups(draw):
-    n = draw(st.integers(min_value=2, max_value=7))
-    count = draw(st.integers(min_value=1, max_value=3))
-    gens = [
-        Permutation(draw(st.permutations(list(range(1, n + 1)))))
-        for _ in range(count)
-    ]
-    return PermGroup(gens, degree=n)
 
 
 @given(random_groups())
