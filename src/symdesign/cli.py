@@ -305,7 +305,7 @@ def main(argv=None) -> int:
         return USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, _catalog.CatalogError) as exc:
+    except (ValueError, OSError) as exc:  # JSONDecodeError and CatalogError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 
-from .group import PermGroup
+from .group import PermGroup, _orbit_walk
 from .perm import cycle_string
 
 __all__ = [
@@ -224,26 +224,21 @@ def construct_design(G: PermGroup, base_block) -> Design:
         raise ValueError("base block must be nonempty")
     if start[0] < 1 or start[-1] > G.degree:
         raise ValueError(f"base block not inside 1..{G.degree}")
-    index = {start: 0}
-    queue = [start]
-    maps = [g.table.__getitem__ for g in G.generators]
-    edges = [[] for _ in maps]  # edges[n][i]: queue index of queue[i] under generator n
-    qi = 0
-    while qi < len(queue):
-        blk = queue[qi]
-        qi += 1
-        for image, out in zip(maps, edges):
-            img = tuple(sorted(map(image, blk)))
-            j = index.get(img)
-            if j is None:
-                j = index[img] = len(queue)
-                queue.append(img)
-            out.append(j)
-    order = sorted(range(len(queue)), key=queue.__getitem__)
-    rank = {old: new for new, old in enumerate(order)}
-    design = Design._of_canonical(G.degree, [queue[i] for i in order])
-    design._action = (G.generators, [[rank[out[i]] for i in order] for out in edges])
+    blocks, _label, rows = _orbit_walk(start, _block_maps(G))
+    order = sorted(range(len(blocks)), key=blocks.__getitem__)
+    rank = [0] * (len(blocks) + 1)  # rank[label]: the block's place in sorted order
+    for new, old in enumerate(order):
+        rank[old + 1] = new
+    design = Design._of_canonical(G.degree, [blocks[i] for i in order])
+    design._action = (G.generators, [[rank[row[i]] for i in order] for row in rows])
     return design
+
+
+def _block_maps(G: PermGroup):
+    """For each generator of G, the map taking a block, a sorted tuple of
+    points, to its image."""
+    return [lambda b, image=g.table.__getitem__: tuple(sorted(map(image, b)))
+            for g in G.generators]
 
 
 def _block_action_images(G: PermGroup, design: Design):
@@ -259,12 +254,10 @@ def _block_action_images(G: PermGroup, design: Design):
         return design._action[1]
     index = {b: i for i, b in enumerate(design.blocks)}
     rows = []
-    for g in G.generators:
+    for g, image in zip(G.generators, _block_maps(G)):
         row = []
-        image = g.table.__getitem__
         for b in design.blocks:
-            img = tuple(sorted(map(image, b)))
-            j = index.get(img)
+            j = index.get(image(b))
             if j is None:
                 raise ValueError(
                     f"generator {cycle_string(g)} maps block {b} outside the block set"

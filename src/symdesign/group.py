@@ -13,11 +13,13 @@ A stored chain is always complete: its order is the group's order.  So
 a point stabilizer is read off the chain, and any other stabilizer stops
 cutting out Schreier generators at |G|/|orbit| (orbit-stabilizer).
 
-A coset action of a point stabilizer H = G_x takes its labels from the
-orbit x^G instead of enumerating cosets.  When that orbit is every point,
-the image is G relabelled, and it is handed G's chain relabelled level by
-level; the conjugate of a complete chain is complete, so it counts as a
-stored chain like any other.
+A coset action is one breadth-first orbit walk (``_orbit_walk``, which
+also closes a design's block orbit) that names each coset either by a
+point or by its canonical representative: a point stabilizer H = G_x
+walks the orbit x^G, any other H its canonical coset representatives.
+When x^G is every point, the image is G relabelled, and it is handed G's
+chain conjugated level by level by the walk order; the conjugate of a complete chain is
+complete, so it counts as a stored chain like any other.
 """
 
 from __future__ import annotations
@@ -190,14 +192,14 @@ class StabChain:
                 return j
         return None
 
-    def _relabelled(self, levels, label, relabel) -> "StabChain":
-        """``levels``, a tail of this chain, carried through a bijection of
-        the points: base point y becomes ``label[y]`` and strong generator
-        p becomes ``relabel(p)``.
+    def _conjugated(self, levels, c: Permutation, c_inv: Permutation) -> "StabChain":
+        """``levels``, a tail of this chain, conjugated by c (with inverse
+        c_inv): base point y becomes y^c and strong generator g becomes
+        c^-1 g c.
 
         A tail of a complete chain is complete for the stabilizer of the
         base points above it, and its conjugate for the conjugate group;
-        each level's breadth-first tree walks the relabelled orbit in the
+        each level's breadth-first tree walks the carried orbit in the
         same order.
         """
         ident = Permutation.identity(self.degree)
@@ -208,9 +210,9 @@ class StabChain:
             for g in lv.gens:
                 h = moved.get(id(g))
                 if h is None:
-                    h = moved[id(g)] = relabel(g)
+                    h = moved[id(g)] = c_inv * g * c
                 gens.append(h)
-            chain.levels.append(_SchreierTree.on_points(label[lv.seed], tuple(gens), ident))
+            chain.levels.append(_SchreierTree.on_points(c.table[lv.seed], tuple(gens), ident))
         return chain
 
     def _install(self, h: Permutation, lo: int, hi: int):
@@ -347,8 +349,8 @@ class PermGroup:
         levels = self.chain.levels
         if point not in (levels[0].parent if levels else ()):
             return self.stabilizer_of_action(point, lambda g, x: g.table[x])
-        u, u_inv = levels[0].element(point), levels[0].inverse(point)
-        chain = self.chain._relabelled(levels[1:], u.table, lambda g: u_inv * g * u)
+        chain = self.chain._conjugated(levels[1:], levels[0].element(point),
+                                       levels[0].inverse(point))
         stab = PermGroup(chain.levels[0].gens if chain.levels else (), degree=self.degree)
         stab._chain = chain
         return stab
@@ -529,107 +531,111 @@ class CosetAction:
     """Right-coset action of G on the cosets of H <= G.
 
     The coset of H itself gets label 1; the rest are labeled in the
-    discovery order of a breadth-first expansion over G's generators in
+    discovery order of one breadth-first orbit walk over G's generators in
     input order.  ``group`` is the image permutation group on the labels
     (generator for generator), and ``image_of`` extends the quotient map
     to arbitrary elements of G.
 
+    The walk names a coset by a point or by its canonical representative.
     When H fixes a point x whose G-orbit has length |G:H|, H is the
     stabilizer G_x (orbit-stabilizer), and Hw -> x^w is a G-equivariant
-    bijection onto that orbit.  The labels are then read off a
-    breadth-first walk of x^G, which gives the same labels as the coset
-    expansion, and ``image_of`` relabels a member of G point by point.
-    If x^G is every point, ``group`` is G relabelled, and it gets G's
-    chain relabelled level by level, which is complete.  Any other H
-    enumerates cosets by canonical representatives.
+    bijection onto that orbit, so the walk runs over x^G.  If x^G is every
+    point, ``group`` is G relabelled, and it gets G's chain conjugated
+    level by level by the walk order, which is complete.  Any other H names each coset Hw by
+    the representative that minimizes the base images of H's chain level
+    by level, and the walk runs over those representatives.
     """
 
     def __init__(self, G: PermGroup, H: PermGroup):
         assert_subgroup(G, H, "coset action subgroup")
         self.G = G
         self.H = H
-        self._orbit = _orbit_of_fixed_point(G, H, G.order() // H.chain.order())
-        if self._orbit is None:
-            self.group = PermGroup(self._enumerate_cosets(), degree=self.degree)
-            return
+        index = G.order() // H.chain.order()
+        self._map = _on_points
+        walk = _orbit_of_fixed_point(G, H, index)
+        if walk is None:
+            self._map = self._on_cosets
+            walk = _orbit_walk(self._canonical(G.identity()), [self._map(g) for g in G.generators])
+        self._orbit, self._label, rows = walk
         self.degree = len(self._orbit)
-        self._label = [0] * (G.degree + 1)
-        for j, y in enumerate(self._orbit, 1):
-            self._label[y] = j
-        self.group = PermGroup(map(self._relabel, G.generators), degree=self.degree)
-        if self.degree == G.degree:
-            self.group._chain = G.chain._relabelled(G.chain.levels, self._label, self._relabel)
-
-    def _enumerate_cosets(self) -> list[Permutation]:
-        """Labels cosets by canonical representatives; the generator rows."""
-        G, H = self.G, self.H
-        self._hchain = H.chain
-        reps = [self._canonical(G.identity())]
-        labels = {reps[0].table: 1}
-        rows = [[] for _ in G.generators]  # rows[i][j-1]: label of coset j times generator i
-        qi = 0
-        while qi < len(reps):
-            w = reps[qi]
-            qi += 1
-            for g, row in zip(G.generators, rows):
-                wg = self._canonical(w * g)
-                label = labels.get(wg.table)
-                if label is None:
-                    reps.append(wg)
-                    label = labels[wg.table] = len(reps)
-                row.append(label)
-        self.degree = len(reps)
-        self._reps = reps
-        self._labels = labels
-        if self.degree * H.chain.order() != G.order():
+        if self.degree != index:
             raise RuntimeError("coset enumeration does not match the index")
-        return [Permutation(row) for row in rows]
+        self.group = PermGroup(map(Permutation, rows), degree=self.degree)
+        if self._map is _on_points and self.degree == G.degree:
+            # label j is the point p(j), so g acts on the labels as p g p^-1
+            p = Permutation(self._orbit)
+            self.group._chain = G.chain._conjugated(G.chain.levels, p.inverse(), p)
 
     def _canonical(self, g: Permutation) -> Permutation:
         """Unique coset representative: minimizes base images level by level."""
         w = g
-        for lv in self._hchain.levels:
+        for lv in self.H.chain.levels:
             best = min(lv.orbit, key=w.table.__getitem__)
             if best != lv.seed:
                 w = (lv._u.get(best) or lv.element(best)) * w
         return w
 
-    def _relabel(self, g: Permutation) -> Permutation:
-        """g on the labels of the orbit, for g in G."""
-        t, label = g.table, self._label
-        return Permutation([label[t[y]] for y in self._orbit])
+    def _on_cosets(self, g: Permutation):
+        """The map Hw -> Hwg on canonical representatives."""
+        canonical = self._canonical
+        return lambda w: canonical(w * g)
 
     def image_of(self, g: Permutation) -> Permutation:
         """Image of g in the coset action (g need not be a generator)."""
-        if self._orbit is None:
-            labels = [self._labels.get(self._canonical(w * g).table) for w in self._reps]
-            if None in labels:
-                raise ValueError("element is not in the acted-on group")
-            return Permutation(labels)
         if g.degree != self.G.degree:
             raise ValueError(f"degree mismatch: {self.G.degree} vs {g.degree}")
         if not self.G.contains(g):
             raise ValueError("element is not in the acted-on group")
-        return self._relabel(g)
+        image, label = self._map(g), self._label
+        return Permutation([label[image(x)] for x in self._orbit])
 
 
-def _orbit_of_fixed_point(G: PermGroup, H: PermGroup, index: int) -> list[int] | None:
-    """The G-orbit, in breadth-first order over G's generators, of the first
-    point fixed by H whose orbit has length ``index``; None if there is none.
+def _on_points(g: Permutation):
+    """The map x -> x^g on points."""
+    return g.table.__getitem__
+
+
+def _orbit_of_fixed_point(G: PermGroup, H: PermGroup, index: int):
+    """The walk (see ``_orbit_walk``) of the G-orbit of the first point
+    fixed by H whose orbit has length ``index``; None if there is none.
 
     Points of one orbit have conjugate stabilizers, so each G-orbit is
     walked once, from its first point fixed by H.
     """
     htables = [h.table for h in H.generators]
+    maps = [_on_points(g) for g in G.generators]
     seen: set[int] = set()
     for x in range(1, G.degree + 1):
         if x in seen or any(t[x] != x for t in htables):
             continue
-        orbit = _SchreierTree.on_points(x, G.generators, G.identity()).orbit
-        if len(orbit) == index:
-            return orbit
-        seen.update(orbit)
+        walk = _orbit_walk(x, maps)
+        if len(walk[0]) == index:
+            return walk
+        seen.update(walk[0])
     return None
+
+
+def _orbit_walk(seed, images):
+    """Breadth-first orbit of ``seed`` under one map per generator.
+
+    ``images[i](x)`` is the image of x under generator i; items must be
+    hashable.  Returns ``(orbit, label, rows)``: the orbit in discovery
+    order, generators in input order; ``label[x]``, x's position in it
+    counted from 1; and ``rows[i][j - 1]``, the label of the image of the
+    item labelled j under generator i.
+    """
+    label = {seed: 1}
+    orbit = [seed]
+    rows = [[] for _ in images]
+    for x in orbit:  # the list grows while it is read: breadth first
+        for image, row in zip(images, rows):
+            y = image(x)
+            j = label.get(y)
+            if j is None:
+                orbit.append(y)
+                j = label[y] = len(orbit)
+            row.append(j)
+    return orbit, label, rows
 
 
 def coset_action(G: PermGroup, H: PermGroup) -> CosetAction:

@@ -263,6 +263,14 @@ def test_malformed_group_file(tmp_path):
     assert main(["order", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{"], ids=["text", "bytes"])
+def test_pipeline_rejects_a_file_that_is_not_json(tmp_path, capsys, content):
+    path = tmp_path / "cat.json"
+    path.write_bytes(content)
+    assert main(["pipeline", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 _C4 = {"name": "C4", "order": "4"}
 
 

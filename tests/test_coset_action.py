@@ -1,15 +1,18 @@
-"""Coset actions read off a point orbit, checked against canonical-representative
-enumeration, and the stabilizer chain the image carries over from G."""
+"""Coset actions, walked over a point orbit or over canonical representatives,
+checked against canonical-representative enumeration, and the stabilizer chain
+the image carries over from G."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symdesign.catalog import load, load_catalogs
 from symdesign.group import PermGroup, StabChain, coset_action
 from symdesign.perm import Permutation, cycle_string, parse_cycles
 
-from helpers import FIXTURES, cyclic, grp, paley, reference_coset_action
+from helpers import FIXTURES, cyclic, grp, paley, random_groups, reference_coset_action
 
 
 def random_elements(G, rng, count, length=12):
@@ -32,6 +35,19 @@ def assert_matches_reference(G, H, rng, samples=10):
     for g in random_elements(G, rng, samples):
         assert act.image_of(g) == ref.image_of(g)
     return act
+
+
+def on_points(act):
+    """Whether the walk named the cosets by points, not by representatives."""
+    return isinstance(act._orbit[0], int)
+
+
+def assert_rejects_like_reference(act, ref, bad, message):
+    with pytest.raises(ValueError) as want:
+        ref.image_of(bad)
+    with pytest.raises(ValueError) as got:
+        act.image_of(bad)
+    assert str(got.value) == str(want.value) == message
 
 
 def m12_catalog(seed):
@@ -69,7 +85,7 @@ def test_m12_hints_match_enumeration(seed):
     assert len(cat.hints) == 4
     for hint in cat.hints:
         act = assert_matches_reference(cat.group, hint.group, rng, samples=6)
-        assert act._orbit is not None
+        assert on_points(act)
         assert act.group._chain is not None
 
 
@@ -96,7 +112,7 @@ def test_paley_point_stabilizer_matches_enumeration(q):
 def test_a_proper_orbit_gets_no_carried_chain(case):
     G, H = intransitive_cases()[case]
     act = assert_matches_reference(G, H, random.Random(case))
-    assert act._orbit is not None and act.degree < G.degree
+    assert on_points(act) and act.degree < G.degree
     assert act.group._chain is None
 
 
@@ -106,10 +122,10 @@ def test_subgroups_that_are_no_point_stabilizer_are_enumerated():
     # <(2,3)> fixes 1 and 4 but is a proper subgroup of their stabilizers
     for H in (grp(4, "(2,3)"), grp(4, "(1,2)(3,4)", "(1,3)(2,4)"), S4):
         act = assert_matches_reference(S4, H, rng)
-        assert act._orbit is None and act.group._chain is None
+        assert not on_points(act) and act.group._chain is None
     G = load("m12-144/G")
     act = assert_matches_reference(G, load("m12-144/maximal-l211"), rng, samples=3)
-    assert act._orbit is None and act.group._chain is None
+    assert not on_points(act) and act.group._chain is None
 
 
 # ---- the carried chain -----------------------------------------------------
@@ -155,13 +171,31 @@ def test_image_of_rejects_what_enumeration_rejects():
     A5, _ = FIXTURES["A5"]
     orbit_path = coset_action(A5, A5.point_stabilizer(1))
     enumerated = coset_action(A5, grp(5, "(1,2,3)"))
-    assert orbit_path._orbit is not None and enumerated._orbit is None
+    assert on_points(orbit_path) and not on_points(enumerated)
     for H, act in ((A5.point_stabilizer(1), orbit_path), (grp(5, "(1,2,3)"), enumerated)):
         ref = reference_coset_action(A5, H)
         for bad, message in ((parse_cycles("(1,2)", 5), "element is not in the acted-on group"),
                              (Permutation.identity(6), "degree mismatch: 5 vs 6")):
-            with pytest.raises(ValueError) as want:
-                ref.image_of(bad)
-            with pytest.raises(ValueError) as got:
-                act.image_of(bad)
-            assert str(got.value) == str(want.value) == message
+            assert_rejects_like_reference(act, ref, bad, message)
+
+
+# ---- random groups -----------------------------------------------------------
+
+
+@given(random_groups(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_random_groups_match_enumeration(G, rng):
+    """A point stabilizer, a cyclic subgroup and the trivial group: between
+    them both walks, each against the enumeration, and the same error for a
+    permutation outside G (a missing transposition, unless G is symmetric)."""
+    n = G.degree
+    [member] = random_elements(G, rng, 1)
+    outsider = next((t for t in (parse_cycles(f"({a},{b})", n)
+                                 for a in range(1, n) for b in range(a + 1, n + 1))
+                     if not G.contains(t)), None)
+    for H in (G.point_stabilizer(rng.randint(1, n)), PermGroup([member], degree=n),
+              PermGroup.trivial(n)):
+        act = assert_matches_reference(G, H, rng, samples=4)
+        if outsider is not None:
+            assert_rejects_like_reference(act, reference_coset_action(G, H), outsider,
+                                          "element is not in the acted-on group")
