@@ -136,24 +136,34 @@ def test_stabilizer_matches_the_reference(name, order_known):
         assert group._chain is not None  # |G| bounds the search
 
 
-def test_long_chain_level_forms_no_eager_inverses():
-    """The chain of a 1500-cycle has one level of 1500 points; its tree
-    forms only the elements that sifting needs.  The build sifts the only
+def test_long_schreier_tree_needs_no_recursion():
+    """One 1500-cycle, no chain: the chain built for |G| sifts the only
     non-tree edge, which closes a path of 1499 tree edges that the
-    transversal walk climbs without recursing, and the stabilizer of a
-    point is trivial."""
+    transversal walk climbs without recursing."""
     n = 1500
     assert n > sys.getrecursionlimit()
     G = cyclic(n)
     tracemalloc.start()
     try:
-        assert G.order() == n
         stab = G.stabilizer_of_action(1, point_action)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert stab.order() == 1 and stab.generators == ()
     # about 12 kB per transversal element of degree 1500; no eager inverses
+    assert peak < 30 * 2**20
+
+
+def test_long_chain_level_forms_no_eager_inverses():
+    """The chain of a 1500-cycle has one level of 1500 points; its tree
+    forms only the elements that sifting needs."""
+    G = cyclic(1500)
+    tracemalloc.start()
+    try:
+        assert G.order() == 1500
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 30 * 2**20
 
 
