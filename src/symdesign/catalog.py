@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .arith import is_probable_prime
 from .design import Design, parse_design_file, verify_symmetric
@@ -195,8 +195,7 @@ def load(dataset_id: str):
 # ---- the pipeline catalog format ---------------------------------------------
 
 
-@dataclass
-class MaximalRecord:
+class MaximalRecord(NamedTuple):
     """A maximal subgroup: order, index, and optionally its group (built
     from stated generators) and its order factorization."""
 
@@ -207,8 +206,7 @@ class MaximalRecord:
     order_factorization: dict | None = None
 
 
-@dataclass
-class SubgroupHint:
+class SubgroupHint(NamedTuple):
     """Known subgroup of a maximal class, with explicit generators."""
 
     name: str
@@ -217,8 +215,7 @@ class SubgroupHint:
     group: PermGroup
 
 
-@dataclass
-class GroupCatalog:
+class GroupCatalog(NamedTuple):
     """One group's search data; ``index_tables`` maps a group name to its
     (maximal subgroup name or None, index) rows."""
 

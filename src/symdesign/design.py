@@ -18,8 +18,8 @@ the design against each system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, islice
+from typing import NamedTuple
 
 from .group import PermGroup, _orbit_walk
 from .perm import cycle_string
@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DesignParams:
+class DesignParams(NamedTuple):
     v: int
     k: int
     lam: int
@@ -310,8 +309,7 @@ def is_anti_flag_transitive(design: Design, G: PermGroup, force: bool = False) -
     return is_flag_transitive(complement(design), G, force=force)
 
 
-@dataclass(frozen=True)
-class ImprimitivityProfile:
+class ImprimitivityProfile(NamedTuple):
     c: int  # class size
     d: int  # number of classes
     ell: int  # block-class intersection size
@@ -374,8 +372,7 @@ def imprimitivity_profile(design: Design, system) -> ImprimitivityProfile:
     return ImprimitivityProfile(c, d, ell, s)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """What ``certify`` established about a design under a group."""
 
     params: DesignParams

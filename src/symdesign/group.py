@@ -560,10 +560,10 @@ class CosetAction:
         self.degree = len(self._orbit)
         if self.degree != index:
             raise RuntimeError("coset enumeration does not match the index")
-        self.group = PermGroup(map(Permutation, rows), degree=self.degree)
+        self.group = PermGroup(map(Permutation._trusted, rows), degree=self.degree)
         if self._map is _on_points and self.degree == G.degree:
             # label j is the point p(j), so g acts on the labels as p g p^-1
-            p = Permutation(self._orbit)
+            p = Permutation._trusted(self._orbit)
             self.group._chain = G.chain._conjugated(G.chain.levels, p.inverse(), p)
 
     def _canonical(self, g: Permutation) -> Permutation:
@@ -587,7 +587,7 @@ class CosetAction:
         if not self.G.contains(g):
             raise ValueError("element is not in the acted-on group")
         image, label = self._map(g), self._label
-        return Permutation([label[image(x)] for x in self._orbit])
+        return Permutation._trusted([label[image(x)] for x in self._orbit])
 
 
 def _on_points(g: Permutation):

@@ -10,7 +10,7 @@ parallel use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import divisors, factorize
 
@@ -26,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BasicCheck:
+class BasicCheck(NamedTuple):
     ok: bool
     failures: tuple[str, ...]
 
@@ -58,14 +57,7 @@ def check_basic(v: int, k: int, lam: int) -> BasicCheck:
     return BasicCheck(not failures, tuple(failures))
 
 
-@dataclass(frozen=True)
-class ParamCandidate:
-    """An admissible (v,k,lam) plus its divisor-split witnesses.
-
-    t is gcd(v-1, subgroup order); m satisfies m*k = lam*t; lam1, lam2 are
-    gcd(lam, k-1) and gcd(lam, k); k1, k2 split v-1 = k1*k2.
-    """
-
+class _CandidateFields(NamedTuple):
     v: int
     k: int
     lam: int
@@ -76,20 +68,34 @@ class ParamCandidate:
     lam1: int
     lam2: int
 
-    def __post_init__(self):
-        v, k, lam = self.v, self.k, self.lam
+
+class ParamCandidate(_CandidateFields):
+    """An admissible (v,k,lam) plus its divisor-split witnesses.
+
+    t is gcd(v-1, subgroup order); m satisfies m*k = lam*t; lam1, lam2 are
+    gcd(lam, k-1) and gcd(lam, k); k1, k2 split v-1 = k1*k2.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, v, k, lam, t, m, k1, k2, lam1, lam2):
         checks = (
-            (self.k - 1) % self.m == 0,
-            math.gcd(self.m, k) == 1,
-            lam == self.lam1 * self.lam2,
-            v - 1 == self.k1 * self.k2,
-            self.t % self.k2 == 0,
-            self.m % self.lam1 == 0,
-            self.lam1 < self.k2,
-            math.gcd(self.lam1, self.k2) == 1,
+            (k - 1) % m == 0,
+            math.gcd(m, k) == 1,
+            lam == lam1 * lam2,
+            v - 1 == k1 * k2,
+            t % k2 == 0,
+            m % lam1 == 0,
+            lam1 < k2,
+            math.gcd(lam1, k2) == 1,
         )
         if not all(checks):
             raise ValueError(f"witness identities fail for ({v},{k},{lam})")
+        return super().__new__(cls, v, k, lam, t, m, k1, k2, lam1, lam2)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: keep the checks
+        return cls(*iterable)
 
     @property
     def triple(self) -> tuple:
@@ -165,8 +171,7 @@ def brute_force_params(v: int, m_order: int) -> list[tuple]:
     return out
 
 
-@dataclass(frozen=True)
-class ImprimitivityType:
+class ImprimitivityType(NamedTuple):
     """Headline tag a/b/c/d/none plus every matching clause's witnesses."""
 
     tag: str

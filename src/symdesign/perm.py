@@ -78,6 +78,13 @@ class Permutation:
         return p
 
     @classmethod
+    def _trusted(cls, images) -> "Permutation":
+        """``Permutation(images)`` without its checks, for images that are
+        already known to be a bijection of 1..len(images)."""
+        n = len(images)
+        return cls._raw(_pack((0, *images), n), n)
+
+    @classmethod
     def identity(cls, degree: int) -> "Permutation":
         if degree < 1:
             raise ValueError("degree must be positive")

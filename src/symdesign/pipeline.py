@@ -10,7 +10,7 @@ sequentially in canonical order so reports are byte-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .arith import divisors
 from .catalog import CatalogError, GroupCatalog, MaximalRecord, load_catalogs
@@ -53,27 +53,39 @@ STATUS_NO_BLOCK = "no-block-of-length-k"
 STATUS_NOT_DESIGN = "not-a-design"
 
 
-@dataclass
 class CandidateTuple:
     """One (M, N, (v,k,lam)) row with gate verdicts and a terminal status."""
 
-    group: str
-    nr_M: int
-    nr_N: int
-    M_name: str
-    N_name: str
-    i_H: int
-    i_K: int
-    v: int
-    k: int
-    lam: int
-    cdl: tuple
-    type_tag: str
-    gate_H: str = GATE_UNKNOWN
-    gate_K: str = GATE_UNKNOWN
-    status: str = STATUS_OPEN
-    detail: str = ""
-    invariants: dict | None = None
+    __slots__ = ("group", "nr_M", "nr_N", "M_name", "N_name", "i_H", "i_K", "v", "k",
+                 "lam", "cdl", "type_tag", "gate_H", "gate_K", "status", "detail",
+                 "invariants")
+
+    def __init__(self, group: str, nr_M: int, nr_N: int, M_name: str, N_name: str,
+                 i_H: int, i_K: int, v: int, k: int, lam: int, cdl: tuple,
+                 type_tag: str, gate_H: str = GATE_UNKNOWN, gate_K: str = GATE_UNKNOWN,
+                 status: str = STATUS_OPEN, detail: str = "",
+                 invariants: dict | None = None):
+        self.group = group
+        self.nr_M = nr_M
+        self.nr_N = nr_N
+        self.M_name = M_name
+        self.N_name = N_name
+        self.i_H = i_H
+        self.i_K = i_K
+        self.v = v
+        self.k = k
+        self.lam = lam
+        self.cdl = cdl
+        self.type_tag = type_tag
+        self.gate_H = gate_H
+        self.gate_K = gate_K
+        self.status = status
+        self.detail = detail
+        self.invariants = invariants
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"CandidateTuple({fields})"
 
     @property
     def params(self) -> tuple:
@@ -98,8 +110,8 @@ def candidate_vs(M: MaximalRecord) -> list[int]:
         raise CatalogError(
             f"{M.name}: order exceeds 10^18; supply order_factorization in the catalog"
         )
-    zs = divisors(M.order, M.order_factorization)
-    return [z * M.index for z in zs if z > 1]
+    zs, index = divisors(M.order, M.order_factorization), M.index  # read once per call
+    return [z * index for z in zs if z > 1]
 
 
 def divisibility_gate(params: tuple, N: MaximalRecord) -> bool:
@@ -153,8 +165,7 @@ def first_bad_subdegree(k: int, lam: int, subdegrees) -> int | None:
 # ---- base-block search -----------------------------------------------------
 
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     status: str
     design: object | None = None
     certificate: dict | None = None
@@ -239,8 +250,7 @@ def base_block_search(act: CosetAction, K: PermGroup, params: tuple,
 # ---- the runner ------------------------------------------------------------
 
 
-@dataclass
-class GroupReport:
+class GroupReport(NamedTuple):
     name: str
     tuples: list
 
@@ -250,9 +260,8 @@ class GroupReport:
         return [t for t in self.tuples if t.status in alive]
 
 
-@dataclass
-class PipelineReport:
-    sections: list = field(default_factory=list)
+class PipelineReport(NamedTuple):
+    sections: list
 
     def to_text(self) -> str:
         lines = []
@@ -409,14 +418,15 @@ def run_pipeline(catalog_data) -> PipelineReport:
     the subgroup object, and what ``base_block_search`` keeps.  Nothing
     outlives the call.
     """
-    report = PipelineReport()
+    report = PipelineReport([])
     for cat in load_catalogs(catalog_data):
         large = [M for M in cat.maximals if large_filter(cat.order, M.order)]
         tuples = []
         memo: dict = {}
         for nr_M, M in enumerate(large, 1):
+            m_order = M.order  # a local: a NamedTuple field read is slower
             for v in candidate_vs(M):
-                for cand in enumerate_params(v, M.order):
+                for cand in enumerate_params(v, m_order):
                     for nr_N, N in enumerate(large, 1):
                         if not divisibility_gate(cand.triple, N):
                             continue

@@ -301,6 +301,24 @@ def reference_imprimitivity_profile(design, system):
     return ImprimitivityProfile(c, d, ell, s)
 
 
+def reference_block_action(design, G):
+    """One row per generator of G: ``rows[i][j]`` is the index of the image
+    of block j, found by looking the sorted image up among the blocks, not
+    read from the design's recorded action."""
+    index = {b: i for i, b in enumerate(design.blocks)}
+    rows = []
+    for g in G.generators:
+        t = g.table
+        row = []
+        for b in design.blocks:
+            j = index.get(tuple(sorted(t[pt] for pt in b)))
+            if j is None:
+                raise ValueError(f"generator maps block {b} outside the block set")
+            row.append(j)
+        rows.append(row)
+    return rows
+
+
 def reference_is_flag_transitive(design, G, force=False):
     """Flag transitivity by a breadth-first search over (point, block) flags,
     finding block images by its own lookup, not the design's recorded action."""
@@ -310,16 +328,7 @@ def reference_is_flag_transitive(design, G, force=False):
     if G.degree != design.v:
         raise ValueError("group degree does not match the point count")
     tables = [g.table for g in G.generators]
-    index = {b: i for i, b in enumerate(design.blocks)}
-    rows = []
-    for t in tables:
-        row = []
-        for b in design.blocks:
-            j = index.get(tuple(sorted(t[pt] for pt in b)))
-            if j is None:
-                raise ValueError(f"generator maps block {b} outside the block set")
-            row.append(j)
-        rows.append(row)
+    rows = reference_block_action(design, G)
     total = sum(len(b) for b in design.blocks)
     start = (design.blocks[0][0], 0)
     seen = {start}

@@ -238,6 +238,9 @@ def test_candidate_witness_identities_hold_on_random_instances():
 def test_candidate_rejects_inconsistent_witnesses():
     with pytest.raises(ValueError):
         ParamCandidate(v=144, k=66, lam=30, t=11, m=4, k1=13, k2=11, lam1=5, lam2=6)
+    good = ParamCandidate(v=144, k=66, lam=30, t=11, m=5, k1=13, k2=11, lam1=5, lam2=6)
+    with pytest.raises(ValueError):
+        good._replace(m=4)
 
 
 # ---- type classification -----------------------------------------------------
