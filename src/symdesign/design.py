@@ -22,7 +22,7 @@ from itertools import combinations, islice
 from typing import NamedTuple
 
 from .group import PermGroup, _orbit_walk
-from .perm import cycle_string
+from .perm import _set_key, _set_maps, _set_points, cycle_string
 
 __all__ = [
     "Design",
@@ -212,18 +212,19 @@ def complement(design: Design) -> Design:
 def construct_design(G: PermGroup, base_block) -> Design:
     """Design with block set the G-orbit of the base block.
 
-    Blocks are deduplicated via canonical sorted tuples and reported in
-    ascending lexicographic order; the result has v candidate blocks iff
-    the orbit has length v.  The search finds every block's image under
-    every generator of G; the result records that block action, which the
-    flag checks reuse under the same generators.
+    The orbit is walked on the point-set keys of ``perm``, and its blocks
+    are sorted tuples in ascending lexicographic order; the result has v
+    candidate blocks iff the orbit has length v.  The search finds every
+    block's image under every generator of G; the result records that block
+    action, which the flag checks reuse under the same generators.
     """
     start = tuple(sorted(set(base_block)))
     if not start:
         raise ValueError("base block must be nonempty")
     if start[0] < 1 or start[-1] > G.degree:
         raise ValueError(f"base block not inside 1..{G.degree}")
-    blocks, _label, rows = _orbit_walk(start, _block_maps(G))
+    keys, _, rows = _orbit_walk(_set_key(start, G.degree), _set_maps(G.generators, G.degree))
+    blocks = [_set_points(key, G.degree) for key in keys]
     order = sorted(range(len(blocks)), key=blocks.__getitem__)
     rank = [0] * (len(blocks) + 1)  # rank[label]: the block's place in sorted order
     for new, old in enumerate(order):
@@ -231,13 +232,6 @@ def construct_design(G: PermGroup, base_block) -> Design:
     design = Design._of_canonical(G.degree, [blocks[i] for i in order])
     design._action = (G.generators, [[rank[row[i]] for i in order] for row in rows])
     return design
-
-
-def _block_maps(G: PermGroup):
-    """For each generator of G, the map taking a block, a sorted tuple of
-    points, to its image."""
-    return [lambda b, image=g.table.__getitem__: tuple(sorted(map(image, b)))
-            for g in G.generators]
 
 
 def _block_action_images(G: PermGroup, design: Design):
@@ -251,18 +245,14 @@ def _block_action_images(G: PermGroup, design: Design):
         raise ValueError("group degree does not match the point count")
     if design._action is not None and design._action[0] == G.generators:
         return design._action[1]
-    index = {b: i for i, b in enumerate(design.blocks)}
-    rows = []
-    for g, image in zip(G.generators, _block_maps(G)):
-        row = []
-        for b in design.blocks:
-            j = index.get(image(b))
-            if j is None:
-                raise ValueError(
-                    f"generator {cycle_string(g)} maps block {b} outside the block set"
-                )
-            row.append(j)
-        rows.append(row)
+    keys = [_set_key(b, design.v) for b in design.blocks]
+    index = {key: i for i, key in enumerate(keys)}
+    rows = [list(map(index.get, map(image, keys)))
+            for image in _set_maps(G.generators, design.v)]
+    for g, row in zip(G.generators, rows):
+        if None in row:
+            b = design.blocks[row.index(None)]
+            raise ValueError(f"generator {cycle_string(g)} maps block {b} outside the block set")
     return rows
 
 

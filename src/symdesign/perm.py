@@ -14,7 +14,9 @@ Two private representations, selected by the degree alone:
 Either way ``p.table[i]`` is the image of point i for 1 <= i <= degree,
 so inner loops elsewhere index ``table`` instead of calling the
 bounds-checked ``p(i)``.  Nothing outside this module may depend on which
-of the two types ``table`` is, nor on the slots past the degree.
+of the two types ``table`` is, nor on the slots past the degree.  A private
+point-set kernel follows the same degree split: the key of a set of points
+is a 256-byte 0/1 mask at degree <= 255 and the sorted tuple above.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from functools import cache
+from itertools import compress
 from operator import itemgetter
 
 __all__ = ["MAX_DEGREE", "Permutation", "parse_cycles", "cycle_string"]
@@ -46,6 +49,28 @@ def _pack(img, degree: int):
     if degree <= _BYTES_MAX:
         return bytes(img) + _BYTE_IDENTITY[degree + 1:]
     return tuple(img)
+
+
+def _set_key(points, degree: int):
+    """Key of a set of distinct points in 1..degree."""
+    if degree <= _BYTES_MAX:
+        mask = bytearray(256)
+        for x in points:
+            mask[x] = 1
+        return bytes(mask)
+    return tuple(sorted(points))
+
+
+def _set_points(key, degree: int) -> tuple:
+    """The points of a key, ascending."""
+    return tuple(compress(range(256), key)) if degree <= _BYTES_MAX else key
+
+
+def _set_maps(perms, degree: int) -> list:
+    """For each permutation, the map taking a key to the key of its image."""
+    if degree <= _BYTES_MAX:  # mask[p^-1(x)] is 1 iff x is in the image
+        return [p.inverse().table.translate for p in perms]
+    return [lambda b, image=p.table.__getitem__: tuple(sorted(map(image, b))) for p in perms]
 
 
 class Permutation:

@@ -301,6 +301,23 @@ def reference_imprimitivity_profile(design, system):
     return ImprimitivityProfile(c, d, ell, s)
 
 
+def reference_construct_design(G, base_block):
+    """The blocks of the G-orbit of the base block, as sorted tuples in
+    ascending order, by a breadth-first search over frozensets that images
+    points through ``g.table`` lookups."""
+    tables = [g.table for g in G.generators]
+    start = frozenset(base_block)
+    seen = {start}
+    queue = [start]
+    for block in queue:
+        for t in tables:
+            image = frozenset(t[pt] for pt in block)
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return sorted(tuple(sorted(b)) for b in seen)
+
+
 def reference_block_action(design, G):
     """One row per generator of G: ``rows[i][j]`` is the index of the image
     of block j, found by looking the sorted image up among the blocks, not

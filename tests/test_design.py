@@ -34,6 +34,8 @@ from helpers import (
     grp,
     paley,
     random_groups,
+    reference_block_action,
+    reference_construct_design,
     reference_imprimitivity_profile,
     reference_is_flag_transitive,
     reference_verify_symmetric,
@@ -339,6 +341,35 @@ def test_the_recorded_block_action_is_the_computed_one(name):
         for index in (0, D.num_blocks - 1):
             assert (block_stabilizer(G, D, index).order()
                     == block_stabilizer(G, plain, index).order())
+
+
+def _matches_the_frozenset_walk(G, block):
+    """``construct_design`` gives the reference's blocks, and its recorded
+    action and the recomputed one are the reference's block action."""
+    design = construct_design(G, block)
+    assert list(design.blocks) == reference_construct_design(G, block)
+    rows = reference_block_action(design, G)
+    assert design._action[1] == rows
+    assert _block_action_images(G, Design(design.v, design.blocks)) == rows
+
+
+@pytest.mark.parametrize("name", ["fano-c7", "paley-11", "paley-263", "m12", "m12-relabelled"])
+def test_construct_design_matches_a_frozenset_walk(name):
+    _matches_the_frozenset_walk(*CARRIED[name]())
+
+
+@pytest.mark.parametrize("n", [255, 256])  # one each side of the byte-mask cut-off
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_construct_design_matches_a_frozenset_walk_at_the_cut_off(n, data):
+    members = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    _matches_the_frozenset_walk(cyclic(n), [x for x in range(1, n + 1) if members[x - 1]] or [n])
+
+
+@given(random_groups(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_construct_design_matches_a_frozenset_walk_on_random_groups(G, data):
+    _matches_the_frozenset_walk(G, data.draw(st.sets(st.integers(1, G.degree), min_size=1)))
 
 
 @pytest.mark.parametrize("name", ["fano-c7", "paley-263", "m12-relabelled"])

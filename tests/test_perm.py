@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdesign.perm import MAX_DEGREE, Permutation, parse_cycles, cycle_string
+from symdesign.perm import (
+    MAX_DEGREE,
+    Permutation,
+    _set_key,
+    _set_maps,
+    _set_points,
+    cycle_string,
+    parse_cycles,
+)
 
 
 def test_involution_squares_to_identity():
@@ -209,3 +217,22 @@ def test_constructor_checks_the_bijection_past_the_byte_cut_off():
         Permutation([1] * 300)
     with pytest.raises(ValueError, match="outside"):
         Permutation(list(range(2, 258)))
+
+
+# ---- the point-set kernel: 0/1 masks up to degree 255, sorted tuples above ----
+
+@pytest.mark.parametrize("n", [*range(1, 10), 254, 255, 256, 257, 263])
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_set_kernel_images_match_the_sorted_point_images(n, data):
+    points = data.draw(st.sets(st.integers(min_value=1, max_value=n)))
+    count = data.draw(st.integers(min_value=1, max_value=3))
+    perms = [Permutation(data.draw(st.permutations(range(1, n + 1)))) for _ in range(count)]
+    key = _set_key(points, n)
+    assert _set_points(key, n) == tuple(sorted(points))
+    assert _set_key(sorted(points, reverse=True), n) == key
+    for g, image in zip(perms, _set_maps(perms, n)):
+        got = _set_points(image(key), n)
+        assert got == tuple(sorted(g(x) for x in points))
+        assert all(type(x) is int and 1 <= x <= n for x in got)
+        assert _set_points(image(image(key)), n) == tuple(sorted((g * g)(x) for x in points))
