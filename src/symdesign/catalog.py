@@ -14,11 +14,16 @@ and its generators, order * index against the group order, and that all
 generators lie in the group, so the pipeline's gates can trust what they
 get.  Anything malformed or inconsistent raises CatalogError naming the
 JSON path.
+
+Within one catalog, each distinct cycle string is parsed once, and
+records that repeat a generator list share one parse and one stabilizer
+chain: the repeat is still its own ``PermGroup``, but it takes the first
+one's complete chain and skips the membership sifts already done.  Both
+live only for that catalog's load.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from importlib import resources
 from typing import NamedTuple
@@ -59,6 +64,8 @@ _CHECKSUMS = {
 
 
 def _read(fname: str) -> str:
+    import hashlib  # only checksummed loads pay for OpenSSL
+
     try:
         text = (resources.files("symdesign.data") / fname).read_text()
     except FileNotFoundError as exc:
@@ -322,7 +329,9 @@ def _parse_entries(record: dict, where: str) -> tuple:
     return tuple(entries)
 
 
-def _parse_generators(strings, degree: int | None, where: str):
+def _parse_generators(strings, degree: int | None, where: str, parsed: dict):
+    """The permutations of ``strings``, each distinct string parsed once
+    into ``parsed`` (string -> permutation at ``degree``)."""
     if strings is None:
         return None
     if degree is None:
@@ -331,7 +340,8 @@ def _parse_generators(strings, degree: int | None, where: str):
     if not all(isinstance(s, str) for s in _list(strings, where)):
         raise CatalogError(f"{where}: expected cycle strings")
     try:
-        return tuple(parse_cycles(s, degree) for s in strings)
+        return tuple(parsed.get(s) or parsed.setdefault(s, parse_cycles(s, degree))
+                     for s in strings)
     except ValueError as exc:
         raise CatalogError(f"{where}: {exc}") from None
 
@@ -346,16 +356,27 @@ def _load_one_catalog(data: dict) -> GroupCatalog:
         if not 1 <= degree <= MAX_DEGREE:
             raise CatalogError(f"group.degree: {degree} is outside 1..{MAX_DEGREE}")
     _parse_factorization(grp.get("order_factorization"), order, "group")
-    gens = _parse_generators(grp.get("generators"), degree, "group")
+    parsed: dict = {}  # cycle string -> permutation, for this catalog only
+    gens = _parse_generators(grp.get("generators"), degree, "group", parsed)
     group = None if gens is None else PermGroup(gens, degree=degree)
     if group is not None and group.order() != order:
         raise CatalogError(f"{name}: stated order {order} != computed {group.order()}")
 
+    built: dict[tuple, PermGroup] = {}  # generator tables -> first group
+
     def subgroup(sub_gens, label: str) -> PermGroup:
-        """The group generated by ``sub_gens``, which must lie in ``group``."""
-        if group is not None and not all(map(group.contains, sub_gens)):
+        """The group generated by ``sub_gens``, which must lie in ``group``;
+        a repeated generator list gets a new group on the first one's chain."""
+        key = tuple(g.table for g in sub_gens)
+        first = built.get(key)
+        sub = PermGroup(sub_gens, degree=degree)
+        if first is not None:
+            sub._chain = first.chain
+        elif group is not None and not all(map(group.contains, sub_gens)):
             raise CatalogError(f"{label}: generator outside {name}")
-        return PermGroup(sub_gens, degree=degree)
+        else:
+            built[key] = sub
+        return sub
 
     tables = {
         key: _index_rows(rows, f"index_tables.{key}")
@@ -364,7 +385,7 @@ def _load_one_catalog(data: dict) -> GroupCatalog:
     maximals = []
     for where, rec in _records(data, "maximals"):
         m_name = _str(_field(rec, "name", where), f"{where}.name")
-        m_gens = _parse_generators(rec.get("generators"), degree, where)
+        m_gens = _parse_generators(rec.get("generators"), degree, where, parsed)
         m_order = _positive(_field(rec, "order", where), f"{where}.order")
         m_index = _positive(_field(rec, "index", where), f"{where}.index")
         entries = _parse_entries(rec, where)
@@ -388,7 +409,7 @@ def _load_one_catalog(data: dict) -> GroupCatalog:
         if group is None:
             raise CatalogError(f"hint {h_name}: hints need group generators")
         h_gens = _list(_field(rec, "generators", where), f"{where}.generators")
-        hgroup = subgroup(_parse_generators(h_gens, degree, where), f"hint {h_name}")
+        hgroup = subgroup(_parse_generators(h_gens, degree, where, parsed), f"hint {h_name}")
         index = _int(_field(rec, "index", where), f"{where}.index")
         if index < 1 or owner.order % index or hgroup.order() != owner.order // index:
             raise CatalogError(

@@ -12,6 +12,10 @@ mutate what they get.
 A stored chain is always complete: its order is the group's order.  So
 a point stabilizer is read off the chain, and any other stabilizer stops
 cutting out Schreier generators at |G|/|orbit| (orbit-stabilizer).
+Subdegrees are read off it too: the group is transitive iff its first
+basic orbit is every point, and then the second level's strong
+generators generate G_b for the first base point b, whose orbit lengths
+are the subdegrees at every point.
 
 A coset action is one breadth-first orbit walk (``_orbit_walk``, which
 also closes a design's block orbit) that names each coset either by a
@@ -157,10 +161,16 @@ class StabChain:
         return self.sift(g).is_identity()
 
     def _strip(self, g: Permutation, start: int):
+        """(residue, level where g left the chain, or the depth).  At the
+        last level g * u_y^-1 is the identity iff g == u_y, so that level
+        forms no product and no inverse."""
         levels = self.levels
+        last = len(levels) - 1
         for i in range(start, len(levels)):
             lv = levels[i]
             y = g.table[lv.seed]
+            if i == last and y in lv.parent and g == (lv._u.get(y) or lv.element(y)):
+                return Permutation.identity(self.degree), len(levels)
             u_inv = lv._inv.get(y) or lv.inverse(y)
             if u_inv is None:
                 return g, i
@@ -356,10 +366,20 @@ class PermGroup:
         return stab
 
     def subdegrees(self, point: int) -> list[int]:
-        """Orbit lengths of the point stabilizer, ascending (trivial orbit included)."""
-        if not self.is_transitive():
+        """Orbit lengths of the point stabilizer, ascending (trivial orbit included).
+
+        The group is transitive iff its first basic orbit is every point.
+        Then all point stabilizers are conjugate, so any point's subdegrees
+        are those of G_b for the first base point b, which the chain's
+        second level generates (Seress 2003, sec. 4.1).
+        """
+        levels = self.chain.levels
+        if not (len(levels[0].orbit) == self.degree if levels else self.degree == 1):
             raise ValueError("subdegrees require a transitive group")
-        return sorted(len(o) for o in self.point_stabilizer(point).orbits())
+        if not 1 <= point <= self.degree:
+            raise ValueError(f"point {point} outside 1..{self.degree}")
+        stab = PermGroup(levels[1].gens if len(levels) > 1 else (), degree=self.degree)
+        return sorted(len(o) for o in stab.orbits())
 
     # ---- block systems ---------------------------------------------------
 

@@ -130,6 +130,19 @@ def paley(q):
 # ---- reference implementations that the fast kernels are tested against ------
 
 
+def reference_strip(chain, g, start):
+    """``StabChain._strip`` multiplying at every level, the last included:
+    ``(residue, level where g left the chain, or the depth)``, each level's
+    u_y^-1 inverted afresh from the transversal element."""
+    for i in range(start, len(chain.levels)):
+        lv = chain.levels[i]
+        y = g.table[lv.seed]
+        if y not in lv.parent:
+            return g, i
+        g = g * lv.element(y).inverse()
+    return g, len(chain.levels)
+
+
 def reference_stabilizer_of_action(group, seed, action):
     """``PermGroup.stabilizer_of_action`` without the early stop: the whole
     transversal and its inverses up front, and every Schreier generator of

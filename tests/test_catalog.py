@@ -18,7 +18,7 @@ from symdesign.catalog import (
 )
 from symdesign.cli import main
 from symdesign.design import verify_symmetric
-from symdesign.group import PermGroup
+from symdesign.group import PermGroup, StabChain
 from symdesign.perm import Permutation, cycle_string, parse_cycles
 
 from helpers import element_closure
@@ -151,6 +151,75 @@ def test_catalog_payloads_parse_for_pipeline():
     stub = load("fi22/catalog-stub")
     assert stub["group"]["name"] == "Fi22"
     assert len(stub["maximals"]) == 2
+
+
+# ---- one parse per cycle string and one chain per generator list ---------------
+
+
+def test_m12_load_parses_each_string_once_and_builds_each_chain_once(monkeypatch):
+    """The M12 catalog holds 16 cycle strings, 9 of them distinct, in 6
+    generator lists, 4 of them distinct (the group, the maximal L2(11), and
+    point-L2(11) and block-L2(11), each given under M11a and M11b)."""
+    parses = builds = 0
+    parse, build = catalog.parse_cycles, StabChain._build
+
+    def counting_parse(text, degree):
+        nonlocal parses
+        parses += 1
+        return parse(text, degree)
+
+    def counting_build(self, gens):
+        nonlocal builds
+        builds += 1
+        return build(self, gens)
+
+    monkeypatch.setattr(catalog, "parse_cycles", counting_parse)
+    monkeypatch.setattr(StabChain, "_build", counting_build)
+    [cat] = load_catalogs(load("m12-144/catalog"))
+    assert (parses, builds) == (9, 4)
+    assert [h.group.order() for h in cat.hints] == [660] * 4
+    assert builds == 4
+
+
+def test_repeated_generator_lists_share_one_chain_in_distinct_groups():
+    [cat] = load_catalogs(load("m12-144/catalog"))
+    hints = {(h.name, h.inside): h.group for h in cat.hints}
+    for name in ("point-L2(11)", "block-L2(11)"):
+        a, b = hints[name, "M11a"], hints[name, "M11b"]
+        assert a is not b
+        assert a.generators == b.generators
+        assert a.chain is b.chain
+    assert hints["point-L2(11)", "M11a"].chain is not hints["block-L2(11)", "M11a"].chain
+    assert hints["point-L2(11)", "M11a"].generators[0] is cat.group.generators[0]
+
+
+def _a4_catalog(hints):
+    """A4 with the maximal C3 = <(1,2,3)>, and hints inside it."""
+    return {
+        "group": {"name": "A4", "order": 12, "degree": 4,
+                  "generators": ["(1,2,3)", "(2,3,4)"]},
+        "maximals": [{"name": "C3", "order": 3, "index": 4, "generators": ["(1,2,3)"]}],
+        "subgroup_hints": [{"name": name, "inside": "C3", "index": index, "generators": gens}
+                           for name, index, gens in hints],
+    }
+
+
+def test_repeated_list_shares_the_maximal_chain():
+    [cat] = load_catalogs(_a4_catalog([("h", 1, ["(1,2,3)"])]))
+    assert cat.hints[0].group is not cat.maximals[0].group
+    assert cat.hints[0].group.chain is cat.maximals[0].group.chain
+
+
+def test_repeated_list_outside_the_group_names_the_first_record():
+    data = _a4_catalog([("first", 1, ["(1,2)"]), ("second", 1, ["(1,2)"])])
+    with pytest.raises(CatalogError, match=r"^hint first: generator outside A4$"):
+        load_catalogs(data)
+
+
+def test_repeated_list_under_a_wrong_index_fails_its_own_order_check():
+    data = _a4_catalog([("first", 1, ["(1,2,3)"]), ("second", 3, ["(1,2,3)"])])
+    with pytest.raises(CatalogError, match=r"^hint second: order 3 is not \|C3\|/3$"):
+        load_catalogs(data)
 
 
 # ---- bounded fuzz of the catalog loader ----------------------------------------

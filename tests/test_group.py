@@ -2,11 +2,13 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symdesign.perm import parse_cycles, cycle_string
+from symdesign.perm import Permutation, parse_cycles, cycle_string
 from symdesign.group import (
     BlockSystem,
     PermGroup,
+    StabChain,
     SubgroupError,
     coset_action,
     group_file_text,
@@ -25,6 +27,7 @@ from helpers import (
     random_groups,
     reference_minimal_block_systems,
     reference_stabilizer_of_action,
+    reference_strip,
     sym,
     wreath,
 )
@@ -163,6 +166,50 @@ def test_subdegrees_sum_to_degree():
     for name in ("S4", "A5", "F21", "D10"):
         group, _ = FIXTURES[name]
         assert sum(group.subdegrees(1)) == group.degree
+
+
+def _stabilizer_subdegrees(group, point):
+    return sorted(len(o) for o in group.point_stabilizer(point).orbits())
+
+
+@given(random_groups())
+@settings(max_examples=80, deadline=None)
+def test_subdegrees_match_the_point_stabilizer_at_every_point_of_random_groups(group):
+    for point in range(1, group.degree + 1):
+        if group.is_transitive():
+            assert group.subdegrees(point) == _stabilizer_subdegrees(group, point)
+        else:
+            with pytest.raises(ValueError, match="transitive"):
+                group.subdegrees(point)
+
+
+@pytest.mark.parametrize("name", ["m12-144", "paley-263"])
+def test_subdegrees_match_the_point_stabilizer_at_every_point(name):
+    group = fresh_group(name)
+    want = group.subdegrees(1)
+    for point in range(1, group.degree + 1):
+        assert group.subdegrees(point) == want == _stabilizer_subdegrees(group, point)
+
+
+def test_subdegrees_of_the_degree_one_group():
+    group = PermGroup.trivial(1)
+    assert group.chain.levels == []
+    assert group.subdegrees(1) == [1]
+
+
+def test_subdegrees_of_a_regular_group_at_every_point():
+    klein = grp(4, "(1,2)(3,4)", "(1,3)(2,4)")
+    assert [klein.subdegrees(p) for p in range(1, 5)] == [[1, 1, 1, 1]] * 4
+
+
+def test_subdegrees_check_transitivity_before_the_point():
+    for group in (grp(6, "(1,2)", "(3,4,5)"), PermGroup.trivial(2)):
+        for point in (0, 1, group.degree + 1):
+            with pytest.raises(ValueError, match="^subdegrees require a transitive group$"):
+                group.subdegrees(point)
+    for point in (0, 7):
+        with pytest.raises(ValueError, match=f"^point {point} outside 1..6$"):
+            cyclic(6).subdegrees(point)
 
 
 # ---- block systems ---------------------------------------------------------
@@ -382,6 +429,62 @@ def test_chain_is_deterministic():
         assert [lv.orbit for lv in a.chain.levels] == [lv.orbit for lv in b.chain.levels]
         assert [lv.gens for lv in a.chain.levels] == [lv.gens for lv in b.chain.levels]
         assert a.point_stabilizer(1).generators == b.point_stabilizer(1).generators
+
+
+def _sift_cases(group, rng):
+    """Members (words in the generators) and non-members: random
+    permutations, and members premultiplied by a transposition that fixes
+    every base point, whose strip reaches the last level and leaves it."""
+    n = group.degree
+    words = []
+    for _ in range(12):
+        w = group.identity()
+        for _ in range(rng.randint(0, 20)):
+            w = w * rng.choice(group.generators)
+        words.append(w)
+    others = []
+    for _ in range(6):
+        images = list(range(1, n + 1))
+        rng.shuffle(images)
+        others.append(Permutation(images))
+    free = [x for x in range(1, n + 1) if x not in group.chain.base]
+    if len(free) >= 2:
+        a, b = rng.sample(free, 2)
+        swap = parse_cycles(f"({a},{b})", n)
+        others += [swap * w for w in words[:6]]
+    return words + others
+
+
+def _assert_sift_matches_the_reference(group, cases):
+    chain = group.chain
+    for g in cases:
+        for start in range(len(chain.levels) + 1):
+            assert chain._strip(g, start) == reference_strip(chain, g, start)
+        assert chain.contains(g) == reference_strip(chain, g, 0)[0].is_identity()
+
+
+@pytest.mark.parametrize("name", ["m12-144", "paley-263"])
+def test_sift_matches_a_strip_that_multiplies_at_every_level(name):
+    group = fresh_group(name)
+    cases = _sift_cases(group, random.Random(name))
+    assert any(group.contains(g) for g in cases) and not all(map(group.contains, cases))
+    _assert_sift_matches_the_reference(group, cases)
+
+
+@given(random_groups(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_sift_matches_a_strip_that_multiplies_at_every_level_on_random_groups(group, rng):
+    _assert_sift_matches_the_reference(group, _sift_cases(group, rng))
+
+
+@pytest.mark.parametrize("name", ["A7", "m12-144", "paley-263"])
+def test_chain_is_the_one_a_multiply_every_level_strip_builds(name, monkeypatch):
+    fast = fresh_group(name).chain
+    monkeypatch.setattr(StabChain, "_strip", reference_strip)
+    slow = fresh_group(name).chain
+    assert fast.base == slow.base
+    assert [lv.orbit for lv in fast.levels] == [lv.orbit for lv in slow.levels]
+    assert [lv.gens for lv in fast.levels] == [lv.gens for lv in slow.levels]
 
 
 @pytest.mark.parametrize("name", ["A7", "m12-144", "paley-263"])

@@ -93,3 +93,16 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_leaves_hashlib_unloaded():
+    """Cold start: only a checksummed ``catalog.load`` imports ``hashlib``
+    (and with it OpenSSL), so verbs such as ``order`` never pay for it."""
+    code = ("import sys, symdesign, symdesign.cli; "
+            "from symdesign.catalog import load; "
+            "print('hashlib' in sys.modules, '_hashlib' in sys.modules, end=' '); "
+            "load('m12-144/H'); print('hashlib' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["False", "False", "True"]

@@ -86,6 +86,22 @@ def test_m12_on_144_points_agrees_with_sympy():
     assert len(G.minimal_block_systems()) == 2
 
 
+SUBDEGREE_GROUPS = {
+    **{name: (lambda g=g: g) for name, g in GROUPS.items() if g.is_transitive()},
+    "m12-144": lambda: load("m12-144/G"),
+    "paley-263": lambda: paley(263)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBDEGREE_GROUPS))
+def test_subdegrees_agree_with_sympy(name):
+    group = SUBDEGREE_GROUPS[name]()
+    ref = to_sympy(group)
+    for point in sorted({1, group.degree, (group.degree + 1) // 2}):
+        want = sorted(len(o) for o in ref.stabilizer(point - 1).orbits())
+        assert group.subdegrees(point) == want
+
+
 def _paley_design(q):
     G, block = paley(q)
     return G, construct_design(G, block)
