@@ -10,6 +10,10 @@ under the same generators and recompute it for any other generating set.
 Such a design's blocks form one orbit of those generators, which carry
 block 0 to every block, so ``verify_symmetric`` meets block 0 with the rest
 and ``imprimitivity_profile`` reads block 0 alone on a partition they keep.
+``is_flag_transitive`` grows the orbit of one point of block 0 under the
+Schreier generators of block 0's tree in that action, which generate the
+block's stabilizer (Schreier's lemma), and stops once the orbit fills the
+block or the generators run out; it builds no stabilizer chain.
 ``certify`` bundles the facts that ``symdesign reproduce-d1`` and the
 catalog pipeline both report: the verified parameters, flag transitivity,
 the minimal block systems of the group and the intersection profile of
@@ -256,17 +260,13 @@ def _block_action_images(G: PermGroup, design: Design):
     return rows
 
 
-def _stabilizer_in_block_action(G: PermGroup, rows, block_index: int) -> PermGroup:
-    # stabilizer_of_action applies only G's generators, so every g has a row
-    action_of = dict(zip(G.generators, rows))
-    return G.stabilizer_of_action(block_index, lambda g, idx: action_of[g][idx])
-
-
 def block_stabilizer(G: PermGroup, design: Design, block_index: int) -> PermGroup:
     """Setwise stabilizer of one block, cut out of the action on the block orbit."""
     if not 0 <= block_index < design.num_blocks:
         raise ValueError(f"block index {block_index} outside 0..{design.num_blocks - 1}")
-    return _stabilizer_in_block_action(G, _block_action_images(G, design), block_index)
+    # stabilizer_of_action applies only G's generators, so every g has a row
+    action_of = dict(zip(G.generators, _block_action_images(G, design)))
+    return G.stabilizer_of_action(block_index, lambda g, idx: action_of[g][idx])
 
 
 def is_flag_transitive(design: Design, G: PermGroup, force: bool = False) -> bool:
@@ -279,7 +279,11 @@ def is_flag_transitive(design: Design, G: PermGroup, force: bool = False) -> boo
     ``construct_design`` (and kept by ``complement``) is reused, any other
     generating set recomputes it.  A flag-transitive G has order divisible
     by the v*k flags (orbit-stabilizer); any other order answers no before
-    a block stabilizer is formed.  Trivial designs are refused unless
+    the block action is walked.  Otherwise the orbit of a point of block 0
+    is grown under the Schreier generators of block 0's tree in the block
+    action, which generate its stabilizer (Schreier's lemma): the answer is
+    yes once that orbit has k points, no when the generators run out.  No
+    stabilizer chain is built.  Trivial designs are refused unless
     ``force``.
     """
     params = _verified(design)
@@ -288,10 +292,12 @@ def is_flag_transitive(design: Design, G: PermGroup, force: bool = False) -> boo
     rows = _block_action_images(G, design)
     if G.order() % (params.v * params.k):
         return False
-    stab = _stabilizer_in_block_action(G, rows, 0)
-    first = design.blocks[0]
     # Block's lemma: G has as many block orbits as point orbits, so points stand in for blocks
-    return G.is_transitive() and len(stab.orbit(first[0])) == len(first)
+    if not G.is_transitive():
+        return False
+    first = design.blocks[0]
+    images = [row.__getitem__ for row in rows]
+    return G._stabilizer_orbit_reaches(0, images, first[0], len(first))
 
 
 def is_anti_flag_transitive(design: Design, G: PermGroup, force: bool = False) -> bool:

@@ -11,11 +11,13 @@ mutate what they get.
 
 A stored chain is always complete: its order is the group's order.  So
 a point stabilizer is read off the chain, and any other stabilizer stops
-cutting out Schreier generators at |G|/|orbit| (orbit-stabilizer).
-Subdegrees are read off it too: the group is transitive iff its first
-basic orbit is every point, and then the second level's strong
-generators generate G_b for the first base point b, whose orbit lengths
-are the subdegrees at every point.
+cutting out Schreier generators at |G|/|orbit| (orbit-stabilizer).  When
+only one orbit of a stabilizer matters, that orbit is grown under the
+Schreier generators themselves and no stabilizer is cut out.  Subdegrees
+are read off the chain too: the group is transitive iff its first basic
+orbit is every point, and then the second level's strong generators
+generate G_b for the first base point b, whose orbit lengths are the
+subdegrees at every point.
 
 A coset action is one breadth-first orbit walk (``_orbit_walk``, which
 also closes a design's block orbit) that names each coset either by a
@@ -29,6 +31,7 @@ complete, so it counts as a stored chain like any other.
 from __future__ import annotations
 
 from functools import partial
+from itertools import islice
 from math import prod
 
 from .perm import MAX_DEGREE, Permutation, cycle_string, parse_cycles
@@ -129,6 +132,20 @@ class _SchreierTree:
                     if ux is None:
                         ux = element(x)
                     yield ux * gens[i] * (cached_inv.get(y) or inverse(y))
+
+
+def _close(orbit: list, seen: bytearray, tables, start: int = 0) -> list:
+    """Extend ``orbit`` in place to its closure under the point maps
+    ``tables``, breadth first from ``orbit[start]``; ``seen[x]`` is 1 for
+    every x in ``orbit`` and is set for every point added.  The points
+    before ``start`` must already be closed."""
+    for x in islice(orbit, start, None):  # the list grows while it is read
+        for t in tables:
+            y = t[x]
+            if not seen[y]:
+                seen[y] = 1
+                orbit.append(y)
+    return orbit
 
 
 class StabChain:
@@ -283,30 +300,21 @@ class PermGroup:
             raise ValueError(f"point {point} outside 1..{self.degree}")
         seen = bytearray(self.degree + 1)
         seen[point] = 1
-        queue = [point]
-        tables = [g.table for g in self.generators]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            for t in tables:
-                y = t[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    queue.append(y)
-        return sorted(queue)
+        return sorted(_close([point], seen, [g.table for g in self.generators]))
 
     def orbits(self) -> list[list[int]]:
-        """Orbit partition of {1..degree}, sorted by (length, min element)."""
+        """Orbit partition of {1..degree}, sorted by (length, min element).
+
+        One ``seen`` array serves every orbit, and each orbit is walked
+        once, breadth first from its least point."""
         seen = bytearray(self.degree + 1)
+        tables = [g.table for g in self.generators]
         out = []
         for start in range(1, self.degree + 1):
             if seen[start]:
                 continue
-            orb = self.orbit(start)
-            for x in orb:
-                seen[x] = 1
-            out.append(orb)
+            seen[start] = 1
+            out.append(sorted(_close([start], seen, tables)))
         out.sort(key=lambda o: (len(o), o[0]))
         return out
 
@@ -346,6 +354,40 @@ class PermGroup:
         stab = PermGroup(kept, degree=self.degree)
         stab._chain = chain
         return stab
+
+    def _stabilizer_orbit_reaches(self, seed, images, point: int, size: int) -> bool:
+        """Whether the orbit of ``point`` under the stabilizer of ``seed``
+        has at least ``size`` points; ``images[i](x)`` is the image of an
+        auxiliary point x under generator i.
+
+        The Schreier generators of the breadth-first tree of ``seed`` (the
+        tree ``stabilizer_of_action`` walks) generate the stabilizer
+        (Schreier's lemma; Seress 2003, sec. 4.2).  Each non-identity one is
+        added in turn to an orbit kept closed under all added so far, and
+        the walk stops once the orbit has ``size`` points.  No membership
+        sift is made and no chain is built.
+        """
+        if size <= 1:
+            return True
+        seen = bytearray(self.degree + 1)
+        seen[point] = 1
+        orbit = [point]
+        tables = []
+        tree = _SchreierTree(seed, self.generators, images, self.identity())
+        for sg in tree.schreier_generators():
+            if sg.is_identity():
+                continue
+            new = sg.table
+            tables.append(new)
+            old = len(orbit)
+            for x in orbit[:old]:  # the old orbit is closed under the earlier tables
+                y = new[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+            if len(_close(orbit, seen, tables, old)) >= size:
+                return True
+        return False
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         """Stabilizer of a point.  For p in the first basic orbit, with u the

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import re
 from functools import cache
-from itertools import compress
 from operator import itemgetter
 
 __all__ = ["MAX_DEGREE", "Permutation", "parse_cycles", "cycle_string"]
@@ -35,6 +34,7 @@ MAX_DEGREE = 10**6
 
 _BYTES_MAX = 255
 _BYTE_IDENTITY = bytes(range(256))
+_INT_IDENTITY = int.from_bytes(_BYTE_IDENTITY, "big")
 
 
 @cache
@@ -62,8 +62,13 @@ def _set_key(points, degree: int):
 
 
 def _set_points(key, degree: int) -> tuple:
-    """The points of a key, ascending."""
-    return tuple(compress(range(256), key)) if degree <= _BYTES_MAX else key
+    """The points of a key, ascending.  A mask's 0/1 bytes times 255 are
+    0x00/0xff bytes with no carry, so ``& _INT_IDENTITY`` turns slot x into
+    x or 0, and the zeros (slot 0 is never in a set) are deleted."""
+    if degree > _BYTES_MAX:
+        return key
+    marked = (int.from_bytes(key, "big") * 255 & _INT_IDENTITY).to_bytes(256, "big")
+    return tuple(marked.translate(None, b"\0"))
 
 
 def _set_maps(perms, degree: int) -> list:

@@ -24,7 +24,7 @@ from symdesign.design import (
     parse_design_file,
     verify_symmetric,
 )
-from symdesign.group import BlockSystem, PermGroup
+from symdesign.group import BlockSystem, PermGroup, StabChain
 from symdesign.perm import Permutation, parse_cycles
 
 from helpers import (
@@ -536,14 +536,46 @@ def _m12_cases(rng):
     (_fano_cases, 1), (_paley_cases, 2), (_trivial_cases, 3), (_m12_cases, 4),
 ], ids=["fano", "paley", "trivial", "m12"])
 def test_flag_transitivity_matches_the_flag_bfs(cases, seed):
+    assert _flag_verdicts(cases(random.Random(seed))) == {True, False}
+
+
+def _flag_verdicts(cases, on_design=lambda D: None):
+    """Every verdict on each design and its complement, each checked
+    against the flag BFS; ``on_design(D)`` runs before D's groups."""
     verdicts = set()
-    for design, groups in cases(random.Random(seed)):
+    for design, groups in cases:
         for D in (design, complement(design)):
+            on_design(D)
             for G in groups:
                 got = is_flag_transitive(D, G, force=True)
                 assert got == reference_is_flag_transitive(D, G, force=True)
                 verdicts.add(got)
-    assert verdicts == {True, False}
+    return verdicts
+
+
+@pytest.mark.parametrize("cases, seed", [
+    (_fano_cases, 1), (_paley_cases, 2), (_trivial_cases, 3), (_m12_cases, 4),
+], ids=["fano", "paley", "trivial", "m12"])
+def test_flag_transitivity_walk_matches_the_flag_bfs(cases, seed, monkeypatch):
+    """With |G| reported as |G|*v*k the order never answers, so every
+    transitive G is decided by the walk over the Schreier generators."""
+    cases = list(cases(random.Random(seed)))  # loading M12 checks the true order
+    flags = [1]
+    order, reaches = PermGroup.order, PermGroup._stabilizer_orbit_reaches
+    walks = []
+
+    def recording(*args):
+        walks.append(reaches(*args))
+        return walks[-1]
+
+    monkeypatch.setattr(PermGroup, "order", lambda self: order(self) * flags[0])
+    monkeypatch.setattr(PermGroup, "_stabilizer_orbit_reaches", recording)
+
+    def count_flags(D):
+        flags[0] = D.v * len(D.blocks[0])
+
+    assert _flag_verdicts(cases, count_flags) == {True, False}
+    assert False in walks  # a no from running out of Schreier generators
 
 
 def _fano_under_f21():
@@ -553,6 +585,24 @@ def _fano_under_f21():
 def _m12_design():
     G = load("m12-144/G")
     return construct_design(G, load("m12-144/base-block")), G
+
+
+def _paley_263_design():
+    G, block = paley(263)
+    return construct_design(G, block), G
+
+
+@pytest.mark.parametrize("build", [_m12_design, _paley_263_design], ids=["d1", "paley-263"])
+def test_flag_transitivity_cuts_out_no_stabilizer(build, monkeypatch):
+    design, G = build()
+    G.chain  # built before the check, as certify has it
+
+    def refuse(*_args):
+        raise AssertionError("a stabilizer or a chain was built")
+
+    monkeypatch.setattr(PermGroup, "stabilizer_of_action", refuse)
+    monkeypatch.setattr(StabChain, "__init__", refuse)
+    assert is_flag_transitive(design, G) is True
 
 
 @pytest.mark.parametrize("build, params, profiles", [

@@ -92,6 +92,18 @@ def test_point_stabilizer_matches_the_reference_on_random_groups(group):
             assert g.table[point] == point and group.contains(g)
 
 
+@given(random_groups())
+@settings(max_examples=60, deadline=None)
+def test_stabilizer_orbit_walk_matches_the_reference_on_random_groups(group):
+    images = [g.table.__getitem__ for g in group.generators]
+    for seed in range(1, group.degree + 1):
+        ref = reference_stabilizer_of_action(group, seed, lambda g, x: g.table[x])
+        for point in range(1, group.degree + 1):
+            n = len(ref.orbit(point))
+            assert group._stabilizer_orbit_reaches(seed, images, point, n)
+            assert not group._stabilizer_orbit_reaches(seed, images, point, n + 1)
+
+
 def test_chain_internal_invariants():
     """Each level's Schreier tree forms elements mapping the base point to
     their orbit point; Paley-263 takes the tuple path above degree 255."""
@@ -121,6 +133,33 @@ def test_orbit_of_cycle():
 def test_orbits_partition_sorted():
     group = grp(6, "(1,2)", "(3,4,5)")
     assert group.orbits() == [[6], [1, 2], [3, 4, 5]]
+
+
+def _union_find_orbits(group):
+    """Orbits as the classes of x ~ g(x), closed by union-find."""
+    parent = list(range(group.degree + 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for g in group.generators:
+        for x in range(1, group.degree + 1):
+            rx, ry = find(x), find(g(x))
+            parent[max(rx, ry)] = min(rx, ry)
+    classes = {}
+    for x in range(1, group.degree + 1):
+        classes.setdefault(find(x), []).append(x)
+    return sorted(classes.values(), key=lambda o: (len(o), o[0]))
+
+
+@given(random_groups())
+@settings(max_examples=60, deadline=None)
+def test_orbits_match_a_union_find_partition_on_random_groups(group):
+    orbits = group.orbits()
+    assert orbits == _union_find_orbits(group)
+    assert all(group.orbit(o[0]) == o for o in orbits)
 
 
 def test_point_stabilizer_of_s3():

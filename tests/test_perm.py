@@ -236,3 +236,11 @@ def test_set_kernel_images_match_the_sorted_point_images(n, data):
         assert got == tuple(sorted(g(x) for x in points))
         assert all(type(x) is int and 1 <= x <= n for x in got)
         assert _set_points(image(image(key)), n) == tuple(sorted((g * g)(x) for x in points))
+
+
+@pytest.mark.parametrize("n", [1, 2, 144, 254, 255])
+def test_mask_read_back_at_the_ends_of_the_byte_range(n):
+    for points in ((), (1,), (n,), (1, n), tuple(range(1, n + 1)), tuple(range(2, n + 1, 2))):
+        points = tuple(sorted(set(points)))
+        got = _set_points(_set_key(points, n), n)
+        assert got == points and all(type(x) is int for x in got)
