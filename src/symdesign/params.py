@@ -129,8 +129,10 @@ def enumerate_params(v: int, m_order: int) -> list[ParamCandidate]:
     with k = 0 mod a and k = 1 mod b, so there are at most 2^w candidates
     for the w primes of t.  A k is kept when k > 2 and k | m_order.  That
     is every k in 3..v-2 that brute_force_params keeps, since its last
-    test, lam*v < k^2, reads (k-1)v < k(v-1), i.e. k < v.  A v below 1
-    raises ValueError; v = 1..3 admits no k and gives [].
+    test, lam*v < k^2, reads (k-1)v < k(v-1), i.e. k < v.  When t = 1
+    the one unit is a = 1, which gives k = 1, so [] is returned before
+    anything is factored.  A v below 1 raises ValueError; v = 1..3 admits
+    no k and gives [].
     """
     _require_positive("v", v)
     if m_order < 1:
@@ -139,6 +141,8 @@ def enumerate_params(v: int, m_order: int) -> list[ParamCandidate]:
         return []
     n = v - 1
     t = math.gcd(n, m_order)
+    if t == 1:
+        return []
     units = [1]
     for p, e in factorize(t).items():
         q = p**e

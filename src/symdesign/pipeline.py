@@ -414,8 +414,12 @@ def _evaluate(cat: GroupCatalog, tup: CandidateTuple, M: MaximalRecord,
 def run_pipeline(catalog_data) -> PipelineReport:
     """Execute the whole search over every group in the catalog.
 
-    Each catalog gets one memo for this call: its coset actions, keyed on
-    the subgroup object, and what ``base_block_search`` keeps.  Nothing
+    Each catalog gets one memo for this call.  It holds the (v,k,lam)
+    candidates of each distinct (|M|, index), under ("params", |M|, index),
+    built once from ``candidate_vs`` and ``enumerate_params``; the cdl rows
+    and type tag of each (v,k,lam), under ("derived", (v,k,lam)), made for
+    the first N that passes ``divisibility_gate``; the coset actions, keyed
+    on the subgroup object; and what ``base_block_search`` keeps.  Nothing
     outlives the call.
     """
     report = PipelineReport([])
@@ -424,28 +428,37 @@ def run_pipeline(catalog_data) -> PipelineReport:
         tuples = []
         memo: dict = {}
         for nr_M, M in enumerate(large, 1):
-            m_order = M.order  # a local: a NamedTuple field read is slower
-            for v in candidate_vs(M):
-                for cand in enumerate_params(v, m_order):
-                    for nr_N, N in enumerate(large, 1):
-                        if not divisibility_gate(cand.triple, N):
-                            continue
-                        tup = CandidateTuple(
-                            group=cat.name,
-                            nr_M=nr_M,
-                            nr_N=nr_N,
-                            M_name=M.name,
-                            N_name=N.name,
-                            i_H=v // M.index,
-                            i_K=v // N.index,
-                            v=cand.v,
-                            k=cand.k,
-                            lam=cand.lam,
-                            cdl=tuple(derive_cdl(cand.v, cand.k, cand.lam)),
-                            type_tag=classify_type(cand.v, cand.k, cand.lam).tag,
-                        )
-                        _evaluate(cat, tup, M, N, memo)
-                        tuples.append(tup)
+            pkey = ("params", M.order, M.index)
+            cands = memo.get(pkey)
+            if cands is None:
+                cands = memo[pkey] = [cand for v in candidate_vs(M)
+                                      for cand in enumerate_params(v, M.order)]
+            for cand in cands:
+                params = cand.triple
+                for nr_N, N in enumerate(large, 1):
+                    if not divisibility_gate(params, N):
+                        continue
+                    dkey = ("derived", params)
+                    derived = memo.get(dkey)
+                    if derived is None:
+                        derived = memo[dkey] = (tuple(derive_cdl(*params)),
+                                                classify_type(*params).tag)
+                    tup = CandidateTuple(
+                        group=cat.name,
+                        nr_M=nr_M,
+                        nr_N=nr_N,
+                        M_name=M.name,
+                        N_name=N.name,
+                        i_H=cand.v // M.index,
+                        i_K=cand.v // N.index,
+                        v=cand.v,
+                        k=cand.k,
+                        lam=cand.lam,
+                        cdl=derived[0],
+                        type_tag=derived[1],
+                    )
+                    _evaluate(cat, tup, M, N, memo)
+                    tuples.append(tup)
         tuples.sort(key=lambda t: (t.nr_M, t.nr_N, t.k, t.v))
         report.sections.append(GroupReport(cat.name, tuples))
     return report

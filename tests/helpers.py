@@ -17,7 +17,14 @@ from symdesign.design import (
 )
 from symdesign.perm import Permutation, parse_cycles
 from symdesign.group import BlockSystem, PermGroup, StabChain
-from symdesign.params import _candidate
+from symdesign.catalog import load_catalogs
+from symdesign.params import _candidate, classify_type, derive_cdl, enumerate_params
+from symdesign.pipeline import (
+    candidate_vs,
+    divisibility_gate,
+    large_filter,
+    subgroup_index_gate,
+)
 
 
 def grp(degree, *cycle_strings):
@@ -451,3 +458,32 @@ def reference_enumerate_params(v, m_order, m_factorization=None):
                 continue
             found[k] = lam
     return [_candidate(v, k, found[k], t) for k in sorted(found)]
+
+
+def reference_pipeline_rows(catalog_data):
+    """``run_pipeline``'s tuples without its memo, as ``(group, rows)`` per
+    catalog: for each large M, each v in ``candidate_vs(M)``, each
+    ``enumerate_params`` candidate and each large N that passes
+    ``divisibility_gate``, the row (nr_M, nr_N, M, N, i_H, i_K, v, k, lam,
+    cdl, type, gate_H, gate_K), in the report's order."""
+    out = []
+    for cat in load_catalogs(catalog_data):
+        large = [M for M in cat.maximals if large_filter(cat.order, M.order)]
+        rows = []
+        for nr_M, M in enumerate(large, 1):
+            for v in candidate_vs(M):
+                for cand in enumerate_params(v, M.order):
+                    for nr_N, N in enumerate(large, 1):
+                        if not divisibility_gate(cand.triple, N):
+                            continue
+                        k, lam = cand.k, cand.lam
+                        i_H, i_K = v // M.index, v // N.index
+                        rows.append((
+                            nr_M, nr_N, M.name, N.name, i_H, i_K, v, k, lam,
+                            tuple(derive_cdl(v, k, lam)), classify_type(v, k, lam).tag,
+                            subgroup_index_gate(M.name, i_H, cat.index_tables),
+                            subgroup_index_gate(N.name, i_K, cat.index_tables),
+                        ))
+        rows.sort(key=lambda r: (r[0], r[1], r[7], r[6]))
+        out.append((cat.name, rows))
+    return out

@@ -215,6 +215,35 @@ def test_enumerate_factors_only_a_divisor_of_v_minus_1(monkeypatch, v, m_order):
     assert [c.triple for c in enumerate_params(v, m_order)] == brute_force_params(v, m_order)
 
 
+def _refuse_factorize(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called although gcd(v-1, |M|) = 1")
+
+    monkeypatch.setattr(params, "factorize", refuse)
+
+
+def test_enumerate_skips_factoring_on_the_fi22_inputs_prime_to_the_order(monkeypatch):
+    """1,328 of the 1,598 Fi22 pipeline inputs have gcd(v-1, |M|) = 1; the
+    five smallest distinct v are small enough for the brute-force scan."""
+    coprime = sorted({(v, m) for v, m, _ in _pipeline_inputs("fi22/catalog-stub")
+                      if math.gcd(v - 1, m) == 1})
+    assert len(coprime) == 664 and coprime[0] == (28160, 4585351680)
+    _refuse_factorize(monkeypatch)
+    assert all(enumerate_params(v, m) == [] for v, m in coprime)
+    for v, m in coprime[:5]:
+        assert brute_force_params(v, m) == []
+
+
+@given(st.integers(min_value=1, max_value=5000), st.integers(min_value=1, max_value=10**6))
+@settings(max_examples=150, deadline=None)
+def test_enumerate_skips_factoring_when_v_minus_1_is_prime_to_the_order(v, m_order):
+    while math.gcd(v - 1, m_order) > 1:  # strip every prime of v-1 from |M|
+        m_order //= math.gcd(v - 1, m_order)
+    with pytest.MonkeyPatch.context() as mp:
+        _refuse_factorize(mp)
+        assert enumerate_params(v, m_order) == [] == brute_force_params(v, m_order)
+
+
 def test_candidate_witness_identities_hold_on_random_instances():
     rng = random.Random(99)
     seen = 0

@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 from itertools import combinations
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from symdesign.pipeline import (
     subgroup_index_gate,
 )
 
-from helpers import FIXTURES, cyclic, grp, pairwise_meets
+from helpers import FIXTURES, cyclic, grp, pairwise_meets, reference_pipeline_rows
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -345,6 +347,86 @@ def test_m12_report_bytes_are_pinned(m12_report):
     assert json.dumps(m12_report.to_json_dict(), indent=1, sort_keys=True) + "\n" == (
         GOLDEN / "m12_report.json"
     ).read_text()
+
+
+def _rows(report):
+    return [(sec.name, [(t.nr_M, t.nr_N, t.M_name, t.N_name, t.i_H, t.i_K, t.v, t.k,
+                         t.lam, t.cdl, t.type_tag, t.gate_H, t.gate_K) for t in sec.tuples])
+            for sec in report.sections]
+
+
+def _shuffled_fi22(seed):
+    """The Fi22 stub with its maximals and their index rows shuffled."""
+    rng = random.Random(seed)
+    data = copy.deepcopy(load("fi22/catalog-stub"))
+    rng.shuffle(data["maximals"])
+    for rec in data["maximals"]:
+        rng.shuffle(rec["maximal_indices"])
+    return data
+
+
+def _fi22_with_a_different_o73b():
+    """O7(3)a and O7(3)b keep one order and index, so they share a candidate
+    list, but O7(3)b's index-14 subgroup passes the gate O7(3)a fails."""
+    data = copy.deepcopy(load("fi22/catalog-stub"))
+    (rec,) = [m for m in data["maximals"] if m["name"] == "O7(3)b"]
+    rec["maximal_indices"] = [14, 351, 364, 378]
+    return data
+
+
+# v = 2z for z | 1980 gives (22,15,10) and (36,15,6): two candidates, one k
+ONE_K_TWO_VS = {"group": {"name": "X", "order": 3960},
+                "maximals": [{"name": "M", "order": 1980, "index": 2}]}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: load("m12-144/catalog"),
+    lambda: load("fi22/catalog-stub"),
+    lambda: _shuffled_fi22(1),
+    lambda: _shuffled_fi22(2),
+    _fi22_with_a_different_o73b,
+    lambda: ONE_K_TWO_VS,
+], ids=["m12", "fi22", "fi22-shuffled-1", "fi22-shuffled-2", "fi22-o73b-indices",
+        "one-k-two-vs"])
+def test_run_pipeline_rows_match_a_memo_free_reference(make):
+    data = make()
+    assert _rows(run_pipeline(data)) == reference_pipeline_rows(data)
+
+
+def test_o73b_indices_split_the_gate_statuses():
+    """The differing O7(3)b rows of the test above: with one shared
+    candidate list, three index-14 tuples on the O7(3)b side get through."""
+    sec = run_pipeline(_fi22_with_a_different_o73b()).sections[0]
+    gates = {(t.M_name, t.N_name, t.i_H): (t.gate_H, t.gate_K) for t in sec.tuples}
+    assert gates[("O7(3)a", "O7(3)b", 14)] == (GATE_NSG, GATE_POSSIBLE)
+    assert gates[("O7(3)b", "O7(3)b", 14)] == (GATE_POSSIBLE, GATE_POSSIBLE)
+    assert gates[("O7(3)b", "O7(3)a", 14)] == (GATE_POSSIBLE, GATE_NSG)
+
+
+@pytest.mark.parametrize("dataset, golden, enumerations, derivations", [
+    ("fi22/catalog-stub", "fi22_report.txt", 799, 3),
+    ("m12-144/catalog", "m12_report.txt", 82, 5),
+])
+def test_candidates_are_enumerated_once_per_order_and_index(
+        monkeypatch, dataset, golden, enumerations, derivations):
+    """Fi22's O7(3)a, O7(3)b and M12's M11a, M11b share one (|M|, index)
+    each, and every (v,k,lam) gets its cdl rows and type tag once."""
+    counts = {"enumerate_params": 0, "derive_cdl": 0}
+
+    def counting(name):
+        fn = getattr(pipeline, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(pipeline, name, wrapper)
+
+    for name in counts:
+        counting(name)
+    report = run_pipeline(load(dataset))
+    assert counts == {"enumerate_params": enumerations, "derive_cdl": derivations}
+    assert report.to_text() == (GOLDEN / golden).read_text()
 
 
 def test_run_pipeline_empty_catalog():
