@@ -7,8 +7,10 @@ maximal class by a deterministic breadth-first scan: take the first
 order-11 element reachable from the generators, then pair it with scanned
 elements until the closure has order 660 and the right orbit signature.
 
-The result is frozen in symdesign/data/m12_144_N3.grp; rerunning this
-script reproduces that file.
+Its generators are kept as the ``L2(11)max`` maximal of
+symdesign/data/m12_catalog.json, which also serves the dataset id
+m12-144/maximal-l211; rerunning this script prints them again, one cycle
+string per line after the degree and name lines.
 """
 
 import sys

@@ -1,11 +1,12 @@
 """Embedded, checksum-pinned datasets and the pipeline catalog format.
 
-Each dataset id maps to a payload (group file, point list, design, or
+Each dataset id maps to a payload (group, point list, design, or
 pipeline catalog), a provenance note, and a validator that re-checks the
 defining invariants on every load.  Transcribed permutation data is the
 dominant risk here, so the validators are deliberately strict: group
 orders, fixed points, and orbit signatures all have to match before a
-payload is handed out.
+payload is handed out.  The four M12 groups are built from generator
+strings of ``m12_catalog.json``, so one checksum pins all of them.
 
 ``load_catalogs`` turns the JSON catalog format into the records the
 pipeline searches.  It checks every field's shape and type, that orders
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 from .arith import is_probable_prime
 from .design import Design, parse_design_file, verify_symmetric
-from .group import PermGroup, parse_group_file
+from .group import PermGroup
 from .perm import MAX_DEGREE, parse_cycles
 
 __all__ = [
@@ -54,10 +55,6 @@ class CatalogError(ValueError):
 _CHECKSUMS = {
     "fano.design": "9e15d0d450f9b7fde2be06fc56cef0596b8be5e25473fc150c133afea44f96d7",
     "fi22_stub.json": "2f6ebd5605e0ebd6b7cd246f04c69b1d42f81bcca079950e10498ab2fed1a569",
-    "m12_144_G.grp": "87640ae039b27d695889787e7f031c1e9826c86a2c534eef011109ad19fc54a1",
-    "m12_144_H.grp": "b0646af6d54c2f5bba232e4cdc84e6a58b655bb5cfdd766f44afc1e89f0405a2",
-    "m12_144_K.grp": "3b7787f34d8181c4f376b36aff8968e15ab681fd0f10035714fbd69351042c62",
-    "m12_144_N3.grp": "0f61d90e4519a7a83887fab00f7474ecb529ab50c177963657e4582dda19124b",
     "m12_144_base_block.txt": "8248b4c341d22a1284ac6a41d5eb207f900f9f09074766640efcd6438b09acae",
     "m12_catalog.json": "e842500ed2e9fb874f02fea1082bb40d46144e6383df6f8acb503bcc2a0fc94d",
 }
@@ -77,9 +74,8 @@ def _read(fname: str) -> str:
     return text
 
 
-def _load_group(fname: str) -> PermGroup:
-    group, _name = parse_group_file(_read(fname))
-    return group
+def _load_json(fname: str) -> dict:
+    return json.loads(_read(fname))
 
 
 def _check(cond: bool, dataset: str, what: str):
@@ -87,22 +83,32 @@ def _check(cond: bool, dataset: str, what: str):
         raise CatalogError(f"{dataset}: invariant failed: {what}")
 
 
+def _m12_group(name: str | None = None) -> PermGroup:
+    """The group on generator strings of ``m12_catalog.json``: the catalog
+    group's, or those of its first maximal or hint called ``name``."""
+    data = _load_json("m12_catalog.json")
+    degree = data["group"]["degree"]
+    records = data["maximals"] + data["subgroup_hints"]
+    rec = data["group"] if name is None else next(r for r in records if r["name"] == name)
+    return PermGroup([parse_cycles(s, degree) for s in rec["generators"]], degree=degree)
+
+
 def _load_m12_G() -> PermGroup:
-    G = _load_group("m12_144_G.grp")
+    G = _m12_group()
     _check(G.degree == 144, "m12-144/G", "degree 144")
     _check(G.order() == 95040, "m12-144/G", "order 95040")
     return G
 
 
 def _load_m12_H() -> PermGroup:
-    H = _load_group("m12_144_H.grp")
+    H = _m12_group("point-L2(11)")
     _check(H.order() == 660, "m12-144/H", "order 660")
     _check(all(g(1) == 1 for g in H.generators), "m12-144/H", "fixes point 1")
     return H
 
 
 def _load_m12_K() -> PermGroup:
-    K = _load_group("m12_144_K.grp")
+    K = _m12_group("block-L2(11)")
     _check(K.order() == 660, "m12-144/K", "order 660")
     lengths = sorted(len(o) for o in K.orbits())
     _check(lengths == [1, 11, 11, 55, 66], "m12-144/K", "orbit lengths 1,11,11,55,66")
@@ -110,7 +116,7 @@ def _load_m12_K() -> PermGroup:
 
 
 def _load_m12_N3() -> PermGroup:
-    N = _load_group("m12_144_N3.grp")
+    N = _m12_group("L2(11)max")
     _check(N.order() == 660, "m12-144/maximal-l211", "order 660")
     lengths = sorted(len(o) for o in N.orbits())
     _check(lengths == [12, 132], "m12-144/maximal-l211", "orbit lengths 12,132")
@@ -132,30 +138,30 @@ def _load_fano() -> Design:
     return design
 
 
-def _load_json(fname: str) -> dict:
-    return json.loads(_read(fname))
-
-
 _REGISTRY = {
     "m12-144/G": (
         _load_m12_G,
         "144-point permutation representation of the Mathieu group M12, "
-        "acting on the cosets of a non-maximal L2(11) subgroup",
+        "acting on the cosets of a non-maximal L2(11) subgroup; the group "
+        "generators of m12_catalog.json",
     ),
     "m12-144/H": (
         _load_m12_H,
         "point stabilizer of 1 in the 144-point M12 action; L2(11), the "
-        "intersection of the class stabilizers of the two invariant partitions",
+        "intersection of the class stabilizers of the two invariant partitions; "
+        "the first point-L2(11) hint of m12_catalog.json",
     ),
     "m12-144/K": (
         _load_m12_K,
         "block stabilizer of the base block of the 2-(144,66,30) design "
-        "inside the 144-point M12 action; L2(11) with a single fixed point",
+        "inside the 144-point M12 action; L2(11) with a single fixed point; "
+        "the first block-L2(11) hint of m12_catalog.json",
     ),
     "m12-144/maximal-l211": (
         _load_m12_N3,
         "maximal L2(11) subgroup of the 144-point M12 action, orbit "
-        "lengths 12 and 132; found by scripts/find_maximal_l211.py",
+        "lengths 12 and 132; found by scripts/find_maximal_l211.py and kept "
+        "as the L2(11)max maximal of m12_catalog.json",
     ),
     "m12-144/base-block": (
         _load_base_block,

@@ -20,7 +20,6 @@ __all__ = [
     "ImprimitivityType",
     "check_basic",
     "enumerate_params",
-    "brute_force_params",
     "classify_type",
     "derive_cdl",
 ]
@@ -128,8 +127,8 @@ def enumerate_params(v: int, m_order: int) -> list[ParamCandidate]:
     factored here.  For each such a the CRT gives the one k in [0, v-1)
     with k = 0 mod a and k = 1 mod b, so there are at most 2^w candidates
     for the w primes of t.  A k is kept when k > 2 and k | m_order.  That
-    is every k in 3..v-2 that brute_force_params keeps, since its last
-    test, lam*v < k^2, reads (k-1)v < k(v-1), i.e. k < v.  When t = 1
+    is every k in 3..v-2 that the tests' brute_force_params keeps, since
+    its last test, lam*v < k^2, reads (k-1)v < k(v-1), i.e. k < v.  When t = 1
     the one unit is a = 1, which gives k = 1, so [] is returned before
     anything is factored.  A v below 1 raises ValueError; v = 1..3 admits
     no k and gives [].
@@ -154,25 +153,6 @@ def enumerate_params(v: int, m_order: int) -> list[ParamCandidate]:
         if k > 2 and m_order % k == 0:
             out.append(_candidate(v, k, k * (k - 1) // n, t))
     return sorted(out, key=lambda c: c.k)
-
-
-def brute_force_params(v: int, m_order: int) -> list[tuple]:
-    """Independent oracle: direct scan over every k in 3..v-2.
-
-    Keeps k | m_order with lam = k(k-1)/(v-1) integral and lam*v < k^2.
-    Intended for moderate v; quadratic-free but linear in v.
-    """
-    out = []
-    for k in range(3, v - 1):
-        if m_order % k:
-            continue
-        num = k * (k - 1)
-        if num % (v - 1):
-            continue
-        lam = num // (v - 1)
-        if lam * v < k * k:
-            out.append((v, k, lam))
-    return out
 
 
 class ImprimitivityType(NamedTuple):

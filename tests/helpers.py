@@ -1,7 +1,9 @@
 """Shared fixture groups and brute-force oracles for the test suite."""
 
+import json
 import math
 from collections import Counter
+from importlib import resources
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -52,6 +54,18 @@ FIXTURES = {
     "D10": (grp(5, "(1,2,3,4,5)", "(2,5)(3,4)"), 10),
     "F21": (grp(7, "(1,2,3,4,5,6,7)", "(2,3,5)(4,7,6)"), 21),
 }
+
+
+def m12_group_texts():
+    """Key -> group-file text (``degree: 144`` plus one cycle string per
+    line) of G, H, K and N3, read straight from ``m12_catalog.json``: G is
+    the catalog's group, the others its first record of each name."""
+    data = json.loads((resources.files("symdesign.data") / "m12_catalog.json").read_text())
+    records = data["maximals"] + data["subgroup_hints"]
+    gens = {"G": data["group"]["generators"]}
+    for key, name in (("H", "point-L2(11)"), ("K", "block-L2(11)"), ("N3", "L2(11)max")):
+        gens[key] = next(r["generators"] for r in records if r["name"] == name)
+    return {key: "\n".join(["degree: 144", *strings]) + "\n" for key, strings in gens.items()}
 
 
 def element_closure(group):
@@ -419,6 +433,25 @@ def reference_minimal_block_systems(group):
                    for o in found.values())
     ]
     return sorted(minimal, key=lambda s: (s.class_size, s.classes))
+
+
+def brute_force_params(v: int, m_order: int) -> list[tuple]:
+    """Independent oracle: direct scan over every k in 3..v-2.
+
+    Keeps k | m_order with lam = k(k-1)/(v-1) integral and lam*v < k^2.
+    Intended for moderate v; quadratic-free but linear in v.
+    """
+    out = []
+    for k in range(3, v - 1):
+        if m_order % k:
+            continue
+        num = k * (k - 1)
+        if num % (v - 1):
+            continue
+        lam = num // (v - 1)
+        if lam * v < k * k:
+            out.append((v, k, lam))
+    return out
 
 
 def reference_enumerate_params(v, m_order, m_factorization=None):

@@ -7,7 +7,6 @@ assert their wall-clock budgets directly.
 
 import random
 import time
-from importlib import resources
 
 from symdesign.catalog import load
 from symdesign.design import (
@@ -18,8 +17,10 @@ from symdesign.design import (
     verify_symmetric,
 )
 from symdesign.group import parse_group_file
-from symdesign.params import brute_force_params, derive_cdl, check_basic, classify_type, enumerate_params
+from symdesign.params import derive_cdl, check_basic, classify_type, enumerate_params
 from symdesign.pipeline import first_bad_subdegree, run_pipeline
+
+from helpers import brute_force_params, m12_group_texts
 
 
 def _announce(n, text):
@@ -53,12 +54,8 @@ def test_acceptance_1_end_to_end_reconstruction():
 
 
 def test_acceptance_2_group_arithmetic():
-    data = resources.files("symdesign.data")
-    texts = [
-        (data / "m12_144_G.grp").read_text(),
-        (data / "m12_144_H.grp").read_text(),
-        (data / "m12_144_K.grp").read_text(),
-    ]
+    files = m12_group_texts()
+    texts = [files["G"], files["H"], files["K"]]
     start = time.perf_counter()
     G, _ = parse_group_file(texts[0])
     H, _ = parse_group_file(texts[1])

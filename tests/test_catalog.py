@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -42,9 +45,10 @@ def test_provenance_strings_exist():
 
 
 def test_checksum_mismatch_detected(monkeypatch):
-    monkeypatch.setitem(catalog._CHECKSUMS, "m12_144_G.grp", "0" * 64)
-    with pytest.raises(CatalogError, match="checksum"):
-        load("m12-144/G")
+    monkeypatch.setitem(catalog._CHECKSUMS, "m12_catalog.json", "0" * 64)
+    for dataset_id in ("m12-144/G", "m12-144/catalog"):
+        with pytest.raises(CatalogError, match="checksum"):
+            load(dataset_id)
 
 
 def test_checksums_are_pinned():
@@ -151,6 +155,31 @@ def test_catalog_payloads_parse_for_pipeline():
     stub = load("fi22/catalog-stub")
     assert stub["group"]["name"] == "Fi22"
     assert len(stub["maximals"]) == 2
+
+
+@pytest.mark.parametrize("dataset_id, record", [
+    ("m12-144/G", None),
+    ("m12-144/H", "point-L2(11)"),
+    ("m12-144/K", "block-L2(11)"),
+    ("m12-144/maximal-l211", "L2(11)max"),
+])
+def test_m12_groups_are_served_from_the_catalog(dataset_id, record):
+    """Each M12 group id has the generators, in order, of the catalog's
+    group or of its first maximal or hint called ``record``."""
+    [cat] = load_catalogs(load("m12-144/catalog"))
+    source = cat.group if record is None else next(
+        r.group for r in cat.maximals + cat.hints if r.name == record)
+    assert [g.table for g in load(dataset_id).generators] == [g.table for g in source.generators]
+
+
+def test_find_maximal_l211_script_reproduces_the_catalog_maximal():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "find_maximal_l211.py"
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         check=True).stdout
+    lines = [line for line in out.splitlines() if not line.startswith(("degree:", "name:"))]
+    [l211max] = [m for m in load("m12-144/catalog")["maximals"] if m["name"] == "L2(11)max"]
+    assert out.startswith("degree: 144\n")
+    assert lines == l211max["generators"]
 
 
 # ---- one parse per cycle string and one chain per generator list ---------------

@@ -9,14 +9,24 @@ from symdesign.cli import main
 from symdesign.design import parse_design_file, verify_symmetric
 from symdesign.group import group_file_text, parse_group_file
 
-from helpers import FIXTURES
+from helpers import FIXTURES, m12_group_texts
 
 
 DATA = resources.files("symdesign.data")
-G_FILE = str(DATA / "m12_144_G.grp")
-K_FILE = str(DATA / "m12_144_K.grp")
 FANO_FILE = str(DATA / "fano.design")
 M12_CATALOG = str(DATA / "m12_catalog.json")
+
+
+@pytest.fixture(scope="module")
+def m12_files(tmp_path_factory):
+    """Key -> path of G, H, K or N3 written as a group file."""
+    folder = tmp_path_factory.mktemp("m12")
+    files = {}
+    for key, text in m12_group_texts().items():
+        path = folder / f"m12_144_{key}.grp"
+        path.write_text(text)
+        files[key] = str(path)
+    return files
 
 
 @pytest.fixture()
@@ -26,48 +36,48 @@ def f21_file(tmp_path):
     return str(path)
 
 
-def test_order_verb(capsys):
-    assert main(["order", G_FILE]) == 0
+def test_order_verb(m12_files, capsys):
+    assert main(["order", m12_files["G"]]) == 0
     assert capsys.readouterr().out.strip() == "95040"
 
 
-def test_orbits_verb_whole_group(capsys):
-    assert main(["orbits", G_FILE]) == 0
+def test_orbits_verb_whole_group(m12_files, capsys):
+    assert main(["orbits", m12_files["G"]]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 1 and out[0].startswith("1,2,3")
 
 
-def test_orbits_under_subgroup(capsys):
-    assert main(["orbits", G_FILE, "--under", K_FILE]) == 0
+def test_orbits_under_subgroup(m12_files, capsys):
+    assert main(["orbits", m12_files["G"], "--under", m12_files["K"]]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     lengths = sorted(len(line.split(",")) for line in lines)
     assert lengths == [1, 11, 11, 55, 66]
 
 
-def test_orbits_under_rejects_non_subgroup(tmp_path, capsys):
+def test_orbits_under_rejects_non_subgroup(m12_files, tmp_path, capsys):
     bad = tmp_path / "bad.grp"
     bad.write_text("degree: 144\n(1,2)\n")
-    assert main(["orbits", G_FILE, "--under", str(bad)]) == 2
+    assert main(["orbits", m12_files["G"], "--under", str(bad)]) == 2
 
 
-def test_orbits_under_rejects_a_degree_mismatch(tmp_path, capsys):
+def test_orbits_under_rejects_a_degree_mismatch(m12_files, tmp_path, capsys):
     small = tmp_path / "small.grp"
     small.write_text("degree: 12\n(1,2)\n")
-    assert main(["orbits", G_FILE, "--under", str(small)]) == 2
+    assert main(["orbits", m12_files["G"], "--under", str(small)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --under group: degree 12 != 144\n"
 
 
-def test_subdegrees_verb(capsys):
-    assert main(["subdegrees", G_FILE, "--point", "1"]) == 0
+def test_subdegrees_verb(m12_files, capsys):
+    assert main(["subdegrees", m12_files["G"], "--point", "1"]) == 0
     out = capsys.readouterr().out
     assert "1,11,11,55,66" in out
     assert "rank: 5" in out
 
 
-def test_blocks_verb(capsys):
-    assert main(["blocks", G_FILE]) == 0
+def test_blocks_verb(m12_files, capsys):
+    assert main(["blocks", m12_files["G"]]) == 0
     out = capsys.readouterr().out
     assert out.count("system") == 2
     assert "12 classes of 12" in out
@@ -92,12 +102,12 @@ def test_coset_action_verb(tmp_path, f21_file, capsys):
 
 
 @pytest.mark.parametrize("sub", ["H", "K", "N3"])
-def test_m12_coset_action_files_are_pinned(tmp_path, capsys, sub):
+def test_m12_coset_action_files_are_pinned(m12_files, tmp_path, capsys, sub):
     # H and K are point stabilizers, labelled by their point orbit; the
     # maximal L2(11) in N3 fixes no point and is enumerated by coset
     # representatives.  Both must write the pinned bytes.
     out = tmp_path / "image.grp"
-    assert main(["coset-action", G_FILE, str(DATA / f"m12_144_{sub}.grp"), "--out", str(out)]) == 0
+    assert main(["coset-action", m12_files["G"], m12_files[sub], "--out", str(out)]) == 0
     assert capsys.readouterr().out == f"degree 144 action written to {out}\n"
     golden = Path(__file__).parent / "golden" / f"coset_{sub}.grp"
     assert out.read_bytes() == golden.read_bytes()

@@ -11,14 +11,13 @@ from symdesign.catalog import load, load_catalogs
 from symdesign.pipeline import candidate_vs, large_filter
 from symdesign.params import (
     ParamCandidate,
-    brute_force_params,
     check_basic,
     classify_type,
     derive_cdl,
     enumerate_params,
 )
 
-from helpers import reference_enumerate_params
+from helpers import brute_force_params, reference_enumerate_params
 
 
 # ---- arith helpers ----------------------------------------------------------
