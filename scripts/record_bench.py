@@ -7,8 +7,9 @@ command with ``--workload W --seed 0 --seconds 22 --trace 0`` from the
 repository root, one workload after another, and writes BENCH_N.json
 there.  The file holds the git revision (``dirty`` when ``git diff HEAD``
 is not empty, and then ``diff_sha256``, the sha256 of that diff, so the
-record names the code it timed) and each workload's JSON result line, the
-last line the benchmark prints.
+record names the code it timed), ``src_lines``, the summed line count of
+``src/symdesign/*.py`` (what ``wc -l`` reports), and each workload's JSON
+result line, the last line the benchmark prints.
 """
 
 import hashlib
@@ -34,6 +35,8 @@ def main(argv) -> int:
     record = {"revision": _git("rev-parse", "HEAD").decode().strip(), "dirty": bool(diff)}
     if diff:
         record["diff_sha256"] = hashlib.sha256(diff).hexdigest()
+    record["src_lines"] = sum(f.read_bytes().count(b"\n")
+                              for f in (ROOT / "src" / "symdesign").glob("*.py"))
     record.update(args=ARGS, workloads={})
     for workload in spec["workloads"]:
         name = workload["name"]

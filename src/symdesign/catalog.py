@@ -321,7 +321,8 @@ def _parse_factorization(value, order: int, where: str) -> dict | None:
 def _index_rows(rows, where: str) -> tuple:
     """(name, index) rows of an index table; a null name stays None."""
     return tuple(
-        (None if name is None else str(name), _positive(index, f"{where}[{i}][1]"))
+        (None if name is None else _str(name, f"{where}[{i}][0]"),
+         _positive(index, f"{where}[{i}][1]"))
         for i, (name, index) in enumerate(_pairs(rows, where))
     )
 

@@ -15,7 +15,6 @@ from typing import NamedTuple
 from .arith import divisors
 from .catalog import CatalogError, GroupCatalog, MaximalRecord, load_catalogs
 from .design import (
-    Certificate,
     Design,
     DesignParams,
     NotSymmetric,
@@ -172,17 +171,39 @@ class SearchOutcome(NamedTuple):
     orbit_lengths: tuple = ()
 
 
-class _Trial:
-    """One orbit tried as a base block, with what it gives whatever the
-    parameters sought: the design, then its verification (parameters or
-    refutation) and its certificate once a search first needs them."""
+class _Run:
+    """What one ``run_pipeline`` call makes once for a catalog, one table
+    per kind.  Nothing is module-level, so two runs do the same work.
 
-    __slots__ = ("design", "verdict", "certificate")
+    * ``candidates``: the (v,k,lam) candidates of each (|M|, index).
+    * ``derived``: the cdl rows and type tag of each (v,k,lam).
+    * ``actions``: the coset action of each subgroup, keyed on ``id(H)``;
+      the catalog holds H for the whole run.
+    * ``orbits``: the K-orbits on the cosets, keyed by the generators of G,
+      H and K.
+    * ``designs``, ``verdicts``, ``certificates``: for each orbit tried as a
+      base block, the design, its ``verify_symmetric`` parameters or
+      refutation and its certificate, keyed by the coset image's generators
+      and the orbit.
+    """
 
-    def __init__(self, design: Design):
-        self.design = design
-        self.verdict: DesignParams | NotSymmetric | None = None
-        self.certificate: Certificate | None = None
+    def __init__(self):
+        self.candidates, self.derived, self.actions, self.orbits = {}, {}, {}, {}
+        self.designs, self.verdicts, self.certificates = {}, {}, {}
+
+
+def _once(table: dict, key, make, *args):
+    """``table[key]``, made as ``make(*args)`` the first time it is asked for."""
+    if key not in table:
+        table[key] = make(*args)
+    return table[key]
+
+
+def _verdict(design: Design) -> DesignParams | NotSymmetric:
+    try:
+        return verify_symmetric(design)
+    except NotSymmetric as exc:
+        return exc
 
 
 def _key(group: PermGroup) -> tuple:
@@ -192,49 +213,34 @@ def _key(group: PermGroup) -> tuple:
 
 
 def base_block_search(act: CosetAction, K: PermGroup, params: tuple,
-                      memo: dict | None = None) -> SearchOutcome:
+                      run: _Run | None = None) -> SearchOutcome:
     """Hunt for a base block among the K-orbits on the cosets of the action.
 
     Every K-orbit of length k is tried as a base block for a design under
     the coset image of ``act.G``; the first verified symmetric design with
     the expected parameters is returned with its certificate.
 
-    ``memo`` keeps what does not depend on ``params`` for later searches:
-    the K-orbits, keyed by the generators of G, H and K, and each orbit's
-    ``_Trial``, keyed by the coset image's generators and the orbit.  A
-    shared memo gives the same outcomes as a fresh one.
+    ``run`` keeps what does not depend on ``params`` for later searches
+    (see ``_Run``).  A shared run gives the same outcomes as a fresh one.
     """
-    if memo is None:
-        memo = {}
+    if run is None:
+        run = _Run()
     v, k, lam = params
-    okey = ("orbits", _key(act.G), _key(act.H), _key(K))
-    korbits = memo.get(okey)
-    if korbits is None:
-        korbits = memo[okey] = induced_orbits(act, K)
+    korbits = _once(run.orbits, (_key(act.G), _key(act.H), _key(K)), induced_orbits, act, K)
     lengths = tuple(len(o) for o in korbits)
     hits = [o for o in korbits if len(o) == k]
     if not hits:
         return SearchOutcome(STATUS_NO_BLOCK, orbit_lengths=lengths)
     image = _key(act.group)
     for orbit in hits:
-        tkey = ("trial", image, tuple(orbit))
-        trial = memo.get(tkey)
-        if trial is None:
-            trial = memo[tkey] = _Trial(construct_design(act.group, orbit))
-        design = trial.design
+        tkey = image, tuple(orbit)
+        design = _once(run.designs, tkey, construct_design, act.group, orbit)
         if design.num_blocks != v:
             continue
-        if trial.verdict is None:
-            try:
-                trial.verdict = verify_symmetric(design)
-            except NotSymmetric as exc:
-                trial.verdict = exc
-        got = trial.verdict
+        got = _once(run.verdicts, tkey, _verdict, design)
         if isinstance(got, NotSymmetric) or (got.v, got.k, got.lam) != (v, k, lam):
             continue
-        if trial.certificate is None:
-            trial.certificate = certify(design, act.group)
-        cert = trial.certificate
+        cert = _once(run.certificates, tkey, certify, design, act.group)
         invariants = {
             "params": (v, k, lam),
             "flag_transitive": cert.flag_transitive,
@@ -288,6 +294,7 @@ class PipelineReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
+        """The data that ``json.dumps`` writes as ``pipeline --json``."""
         return {
             "groups": [
                 {
@@ -303,13 +310,13 @@ class PipelineReport(NamedTuple):
                             "v": t.v,
                             "k": t.k,
                             "lam": t.lam,
-                            "cdl": [list(x) for x in t.cdl],
+                            "cdl": t.cdl,
                             "type": t.type_tag,
                             "gate_H": t.gate_H,
                             "gate_K": t.gate_K,
                             "status": t.status,
                             "detail": t.detail,
-                            "invariants": _jsonable(t.invariants),
+                            "invariants": t.invariants,
                         }
                         for t in sec.tuples
                     ],
@@ -317,16 +324,6 @@ class PipelineReport(NamedTuple):
                 for sec in self.sections
             ]
         }
-
-
-def _jsonable(obj):
-    if obj is None or isinstance(obj, (int, str, bool)):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return str(obj)
 
 
 def _resolve_subgroups(cat: GroupCatalog, M: MaximalRecord, index: int) -> list:
@@ -338,7 +335,7 @@ def _resolve_subgroups(cat: GroupCatalog, M: MaximalRecord, index: int) -> list:
 
 
 def _evaluate(cat: GroupCatalog, tup: CandidateTuple, M: MaximalRecord,
-              N: MaximalRecord, memo: dict) -> None:
+              N: MaximalRecord, run: _Run) -> None:
     tables = cat.index_tables
     tup.gate_H = subgroup_index_gate(M.name, tup.i_H, tables)
     tup.gate_K = subgroup_index_gate(N.name, tup.i_K, tables)
@@ -362,10 +359,7 @@ def _evaluate(cat: GroupCatalog, tup: CandidateTuple, M: MaximalRecord,
     surviving = []
     bad_e = None
     for hname, H in hs:
-        akey = ("action", id(H))  # H is held by the catalog for the whole run
-        act = memo.get(akey)
-        if act is None:
-            act = memo[akey] = coset_action(cat.group, H)
+        act = _once(run.actions, id(H), coset_action, cat.group, H)
         if act.degree != tup.v:
             continue
         subdeg = act.group.subdegrees(1)
@@ -393,7 +387,7 @@ def _evaluate(cat: GroupCatalog, tup: CandidateTuple, M: MaximalRecord,
     lengths_seen = None
     for hname, act in surviving:
         for kname, K in ks:
-            outcome = base_block_search(act, K, tup.params, memo)
+            outcome = base_block_search(act, K, tup.params, run)
             if outcome.status == STATUS_DESIGN:
                 tup.status = STATUS_DESIGN
                 tup.detail = f"H={hname}, K={kname}"
@@ -411,38 +405,31 @@ def _evaluate(cat: GroupCatalog, tup: CandidateTuple, M: MaximalRecord,
         tup.detail = f"K-orbit lengths {list(lengths_seen)}"
 
 
+def _candidates(M: MaximalRecord) -> list:
+    return [cand for v in candidate_vs(M) for cand in enumerate_params(v, M.order)]
+
+
+def _derived(params: tuple) -> tuple:
+    return tuple(derive_cdl(*params)), classify_type(*params).tag
+
+
 def run_pipeline(catalog_data) -> PipelineReport:
     """Execute the whole search over every group in the catalog.
 
-    Each catalog gets one memo for this call.  It holds the (v,k,lam)
-    candidates of each distinct (|M|, index), under ("params", |M|, index),
-    built once from ``candidate_vs`` and ``enumerate_params``; the cdl rows
-    and type tag of each (v,k,lam), under ("derived", (v,k,lam)), made for
-    the first N that passes ``divisibility_gate``; the coset actions, keyed
-    on the subgroup object; and what ``base_block_search`` keeps.  Nothing
-    outlives the call.
+    Each catalog gets one ``_Run`` for this call; nothing outlives it.
     """
     report = PipelineReport([])
     for cat in load_catalogs(catalog_data):
         large = [M for M in cat.maximals if large_filter(cat.order, M.order)]
         tuples = []
-        memo: dict = {}
+        run = _Run()
         for nr_M, M in enumerate(large, 1):
-            pkey = ("params", M.order, M.index)
-            cands = memo.get(pkey)
-            if cands is None:
-                cands = memo[pkey] = [cand for v in candidate_vs(M)
-                                      for cand in enumerate_params(v, M.order)]
-            for cand in cands:
+            for cand in _once(run.candidates, (M.order, M.index), _candidates, M):
                 params = cand.triple
                 for nr_N, N in enumerate(large, 1):
                     if not divisibility_gate(params, N):
                         continue
-                    dkey = ("derived", params)
-                    derived = memo.get(dkey)
-                    if derived is None:
-                        derived = memo[dkey] = (tuple(derive_cdl(*params)),
-                                                classify_type(*params).tag)
+                    cdl, type_tag = _once(run.derived, params, _derived, params)
                     tup = CandidateTuple(
                         group=cat.name,
                         nr_M=nr_M,
@@ -454,10 +441,10 @@ def run_pipeline(catalog_data) -> PipelineReport:
                         v=cand.v,
                         k=cand.k,
                         lam=cand.lam,
-                        cdl=derived[0],
-                        type_tag=derived[1],
+                        cdl=cdl,
+                        type_tag=type_tag,
                     )
-                    _evaluate(cat, tup, M, N, memo)
+                    _evaluate(cat, tup, M, N, run)
                     tuples.append(tup)
         tuples.sort(key=lambda t: (t.nr_M, t.nr_N, t.k, t.v))
         report.sections.append(GroupReport(cat.name, tuples))

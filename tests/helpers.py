@@ -494,9 +494,9 @@ def reference_enumerate_params(v, m_order, m_factorization=None):
 
 
 def reference_pipeline_rows(catalog_data):
-    """``run_pipeline``'s tuples without its memo, as ``(group, rows)`` per
-    catalog: for each large M, each v in ``candidate_vs(M)``, each
-    ``enumerate_params`` candidate and each large N that passes
+    """``run_pipeline``'s tuples without its run tables, as ``(group,
+    rows)`` per catalog: for each large M, each v in ``candidate_vs(M)``,
+    each ``enumerate_params`` candidate and each large N that passes
     ``divisibility_gate``, the row (nr_M, nr_N, M, N, i_H, i_K, v, k, lam,
     cdl, type, gate_H, gate_K), in the report's order."""
     out = []

@@ -394,6 +394,13 @@ def _m11a_factorization(fact):
     ("pipeline", "cat.json",
      json.dumps({"group": _C4, "index_tables": {"C2": [["C1", "-2"]]}}),
      "index_tables.C2[0][1]: -2 is below 1"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": _C4, "index_tables": {"C2": [[["a"], 2]]}}),
+     "index_tables.C2[0][0]: expected a string"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": _C4, "maximals": [
+         {"name": "C2", "order": "2", "index": "2", "maximal_subgroups": [[5, 2]]}]}),
+     "maximals[0].maximal_subgroups[0][0]: expected a string"),
     ("order", "bad.grp", "degree: x\n", "line 1: degree 'x' is not an integer"),
     ("verify-design", "bad.design", "v: y\n", "line 1: v 'y' is not an integer"),
     ("verify-design", "bad.design", "v: 3\n1,2\n1,x\n",
@@ -409,7 +416,8 @@ def _m11a_factorization(fact):
         "catalog-degree-huge", "maximal-name-not-a-string", "hint-inside-not-a-string",
         "hint-generators-null", "group-order-zero", "group-order-negative",
         "maximal-order-negative", "maximal-index-negative",
-        "maximal-table-index-zero", "index-table-index-negative", "group-file-degree-not-a-number",
+        "maximal-table-index-zero", "index-table-index-negative", "index-table-name-a-list",
+        "maximal-table-name-a-number", "group-file-degree-not-a-number",
         "design-file-v-not-a-number", "design-file-point-not-a-number"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, verb, name, text, message):
     path = tmp_path / name

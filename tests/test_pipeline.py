@@ -188,8 +188,8 @@ def test_a_shared_memo_gives_what_fresh_searches_give():
     fresh = [_outcome(base_block_search(acts[id(H)], K, params))
              for H, K, params in searches]
     assert all(a != b for a, b in combinations(fresh, 2))
-    memo: dict = {}
-    shared = [_outcome(base_block_search(acts[id(H)], K, params, memo))
+    run = pipeline._Run()
+    shared = [_outcome(base_block_search(acts[id(H)], K, params, run))
               for H, K, params in searches]
     assert shared == fresh
 
@@ -218,6 +218,29 @@ def test_m12_run_does_each_search_step_once(monkeypatch):
         counts.clear()
         run_pipeline(data)
         assert counts == expected
+
+
+def test_each_catalog_of_a_run_gets_its_own_tables(monkeypatch, m12_report):
+    """Two copies of M12 in one call give two sections, each the M12
+    section, and twice each count of the test above: nothing is shared
+    across catalogs or kept at module level."""
+    counts = dict.fromkeys(("construct_design", "verify_symmetric", "induced_orbits",
+                            "coset_action", "base_block_search"), 0)
+    for name in counts:
+        def wrapper(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, wrapper)
+    m12 = load("m12-144/catalog")
+    report = run_pipeline({"groups": [m12, m12]})
+    assert counts == {"construct_design": 2, "verify_symmetric": 2, "induced_orbits": 6,
+                      "coset_action": 8, "base_block_search": 16}
+    assert len(report.sections) == 2
+    for sec in report.sections:
+        one = pipeline.PipelineReport([sec])
+        assert one.to_text() == m12_report.to_text()
+        assert one.to_json_dict() == m12_report.to_json_dict()
 
 
 # ---- catalog loading ----------------------------------------------------------
@@ -386,8 +409,9 @@ ONE_K_TWO_VS = {"group": {"name": "X", "order": 3960},
     lambda: _shuffled_fi22(2),
     _fi22_with_a_different_o73b,
     lambda: ONE_K_TWO_VS,
+    lambda: {"groups": [load("m12-144/catalog"), load("fi22/catalog-stub")]},
 ], ids=["m12", "fi22", "fi22-shuffled-1", "fi22-shuffled-2", "fi22-o73b-indices",
-        "one-k-two-vs"])
+        "one-k-two-vs", "m12-and-fi22"])
 def test_run_pipeline_rows_match_a_memo_free_reference(make):
     data = make()
     assert _rows(run_pipeline(data)) == reference_pipeline_rows(data)
