@@ -1,9 +1,10 @@
 """Permutation groups: stabilizer chains, orbits, blocks, coset actions.
 
 A PermGroup's generators and degree never change.  Its stabilizer chain
-is filled in on first use, and the transversal elements of each Schreier
-tree (every chain level is one) and their inverses when a sift or a
-Schreier generator first needs them.  Each fill is a single dict or
+is filled in on first use, the transversal elements of each Schreier tree
+(every chain level is one) likewise, and their inverses when a point
+stabilizer or a Schreier-generator walk first needs them; a chain's sifts
+form none (see ``StabChain``).  Each fill is a single dict or
 attribute store of a complete value that depends only on the generators,
 so threads that query one group concurrently at worst repeat work; they
 never see a partial value.  Queries return fresh lists, so callers may
@@ -152,10 +153,13 @@ class StabChain:
     """Deterministic Schreier-Sims stabilizer chain.
 
     Each level is a breadth-first Schreier tree of its base point under
-    the level's strong generators; its transversal elements and their
-    inverses are formed on first use.  Base points are chosen as the
-    smallest point moved by the strong generator that forces a new level,
-    so two builds from the same generator list agree exactly.
+    the level's strong generators; its transversal elements are formed on
+    first use.  A strip keeps its residue as a pair (a, b) standing for
+    a * b^-1, a Schreier generator u_x * g * u_y^-1 as (u_x * g, u_y), so
+    no transversal is inverted and a build forms at most one inverse per
+    strong generator it installs.  Base points are chosen as the smallest
+    point moved by the strong generator that forces a new level, so two
+    builds from the same generator list agree exactly.
     """
 
     def __init__(self, generators, degree: int):
@@ -177,22 +181,25 @@ class StabChain:
     def contains(self, g: Permutation) -> bool:
         return self.sift(g).is_identity()
 
-    def _strip(self, g: Permutation, start: int):
-        """(residue, level where g left the chain, or the depth).  At the
-        last level g * u_y^-1 is the identity iff g == u_y, so that level
-        forms no product and no inverse."""
+    def _strip(self, a: Permutation, start: int, b: Permutation | None = None):
+        """Strip a * b^-1 (b None: the identity) from level ``start`` down:
+        (residue, level where it left the chain, or the depth).  At base
+        point s the residue's image b^-1(a(s)) is the index y of a(s) in b's
+        table; b -> u_y * b strips u_y, and only a non-identity a * b^-1 is formed."""
+        if a.degree != self.degree:
+            raise ValueError(f"degree mismatch: {a.degree} vs {self.degree}")
         levels = self.levels
-        last = len(levels) - 1
         for i in range(start, len(levels)):
             lv = levels[i]
-            y = g.table[lv.seed]
-            if i == last and y in lv.parent and g == (lv._u.get(y) or lv.element(y)):
-                return Permutation.identity(self.degree), len(levels)
-            u_inv = lv._inv.get(y) or lv.inverse(y)
-            if u_inv is None:
-                return g, i
-            g = g * u_inv
-        return g, len(levels)
+            x = a.table[lv.seed]
+            y = x if b is None else b.table.index(x)
+            if y not in lv.parent:
+                return (a if b is None else a * b.inverse()), i
+            u = lv._u.get(y) or lv.element(y)
+            b = u if b is None else u * b
+        if a == b:
+            return Permutation.identity(self.degree), len(levels)
+        return (a if b is None else a * b.inverse()), len(levels)
 
     def _build(self, gens):
         for g in gens:
@@ -205,18 +212,26 @@ class StabChain:
             i = stuck if stuck is not None else i - 1
 
     def _check_level(self, i: int):
-        """Sift every Schreier generator of level i through the deeper chain.
+        """Sift every Schreier generator of level i through the deeper chain,
+        in orbit order then generator order: for the non-tree edge x -> y
+        under g, the residue kept as the pair (u_x * g, u_y).
 
         Returns the level where a new strong generator was installed, or
         None when the level verifies cleanly.
         """
-        for sg in self.levels[i].schreier_generators():
-            if sg.is_identity():
-                continue
-            h, j = self._strip(sg, i + 1)
-            if not h.is_identity():
-                self._install(h, i + 1, j)
-                return j
+        lv = self.levels[i]
+        for x in lv.orbit:
+            ux = None
+            for k, g in enumerate(lv.gens):
+                y = g.table[x]
+                if lv.parent[y] != (x, k):
+                    ux = ux or lv.element(x)
+                    a, b = ux * g, lv.element(y)
+                    if a != b:
+                        h, j = self._strip(a, i + 1, b)
+                        if not h.is_identity():
+                            self._install(h, i + 1, j)
+                            return j
         return None
 
     def _conjugated(self, levels, c: Permutation, c_inv: Permutation) -> "StabChain":

@@ -134,14 +134,15 @@ def random_wreath_subgroup(rng):
     return PermGroup(gens, degree=whole.degree)
 
 
-def paley(q):
+def paley(q, r=None):
     """The affine group x -> ax+b, a a nonzero square, on Z_q for a prime
     q = 3 (mod 4), and the Paley base block of the squares; x is point x+1.
 
-    The group has order q(q-1)/2 and is generated by x -> x+1 and x -> r^2 x
-    for the smallest primitive root r."""
-    r = next(r for r in range(2, q)
-             if all(pow(r, (q - 1) // p, q) != 1 for p in factorize(q - 1)))
+    The group has order q(q-1)/2 and is generated by x -> x+1 and x -> r^2 x,
+    r the smallest primitive root unless given (r^2 must generate the
+    squares)."""
+    r = r or next(r for r in range(2, q)
+                  if all(pow(r, (q - 1) // p, q) != 1 for p in factorize(q - 1)))
     shift = Permutation([(x + 1) % q + 1 for x in range(q)])
     scale = Permutation([r * r * x % q + 1 for x in range(q)])
     squares = sorted({x * x % q for x in range(1, q)})
@@ -162,6 +163,62 @@ def reference_strip(chain, g, start):
             return g, i
         g = g * lv.element(y).inverse()
     return g, len(chain.levels)
+
+
+def reference_stab_chain(generators, degree):
+    """``StabChain(generators, degree)`` built the textbook way: each
+    Schreier generator u_x * g * u_y^-1 of level i, in orbit order then
+    generator order, with u_y^-1 inverted afresh, is stripped from level
+    i+1 by ``reference_strip``; the first non-identity residue is
+    installed and the deepest level it reached is checked next."""
+    chain = StabChain((), degree)
+
+    def install(g, start):
+        h, j = reference_strip(chain, g, start)
+        if h.is_identity():
+            return None
+        chain._install(h, start, j)
+        return j
+
+    for g in generators:
+        install(g, 0)
+    i = len(chain.levels) - 1
+    while i >= 0:
+        lv = chain.levels[i]
+        sgs = (lv.element(x) * g * lv.element(g.table[x]).inverse()
+               for x in lv.orbit for g in lv.gens)
+        stuck = next((j for sg in sgs if (j := install(sg, i + 1)) is not None), None)
+        i = i - 1 if stuck is None else stuck
+    return chain
+
+
+def chain_levels(chain):
+    """Each level's base point, orbit list and strong generator tables, in order."""
+    return [(lv.seed, lv.orbit, [g.table for g in lv.gens]) for lv in chain.levels]
+
+
+def sift_cases(group, rng):
+    """Members (words in the generators) and non-members: random
+    permutations, and members premultiplied by a transposition that fixes
+    every base point, whose strip reaches the last level and leaves it."""
+    n = group.degree
+    words = []
+    for _ in range(12):
+        w = group.identity()
+        for _ in range(rng.randint(0, 20)):
+            w = w * rng.choice(group.generators)
+        words.append(w)
+    others = []
+    for _ in range(6):
+        images = list(range(1, n + 1))
+        rng.shuffle(images)
+        others.append(Permutation(images))
+    free = [x for x in range(1, n + 1) if x not in group.chain.base]
+    if len(free) >= 2:
+        a, b = rng.sample(free, 2)
+        swap = parse_cycles(f"({a},{b})", n)
+        others += [swap * w for w in words[:6]]
+    return words + others
 
 
 def reference_stabilizer_of_action(group, seed, action):

@@ -16,18 +16,22 @@ from symdesign.group import (
     parse_group_file,
 )
 
-from symdesign.catalog import load
+from symdesign.catalog import load, load_catalogs
 
 from helpers import (
     FIXTURES,
+    chain_levels,
     cyclic,
     element_closure,
     grp,
     paley,
     random_groups,
+    random_wreath_subgroup,
     reference_minimal_block_systems,
+    reference_stab_chain,
     reference_stabilizer_of_action,
     reference_strip,
+    sift_cases,
     sym,
     wreath,
 )
@@ -470,42 +474,21 @@ def test_chain_is_deterministic():
         assert a.point_stabilizer(1).generators == b.point_stabilizer(1).generators
 
 
-def _sift_cases(group, rng):
-    """Members (words in the generators) and non-members: random
-    permutations, and members premultiplied by a transposition that fixes
-    every base point, whose strip reaches the last level and leaves it."""
-    n = group.degree
-    words = []
-    for _ in range(12):
-        w = group.identity()
-        for _ in range(rng.randint(0, 20)):
-            w = w * rng.choice(group.generators)
-        words.append(w)
-    others = []
-    for _ in range(6):
-        images = list(range(1, n + 1))
-        rng.shuffle(images)
-        others.append(Permutation(images))
-    free = [x for x in range(1, n + 1) if x not in group.chain.base]
-    if len(free) >= 2:
-        a, b = rng.sample(free, 2)
-        swap = parse_cycles(f"({a},{b})", n)
-        others += [swap * w for w in words[:6]]
-    return words + others
-
-
 def _assert_sift_matches_the_reference(group, cases):
+    """Also strips each case g as the pair (g * b, b), b the next case."""
     chain = group.chain
-    for g in cases:
+    for g, b in zip(cases, cases[1:] + cases[:1]):
         for start in range(len(chain.levels) + 1):
-            assert chain._strip(g, start) == reference_strip(chain, g, start)
+            want = reference_strip(chain, g, start)
+            assert chain._strip(g, start) == want
+            assert chain._strip(g * b, start, b) == want
         assert chain.contains(g) == reference_strip(chain, g, 0)[0].is_identity()
 
 
 @pytest.mark.parametrize("name", ["m12-144", "paley-263"])
 def test_sift_matches_a_strip_that_multiplies_at_every_level(name):
     group = fresh_group(name)
-    cases = _sift_cases(group, random.Random(name))
+    cases = sift_cases(group, random.Random(name))
     assert any(group.contains(g) for g in cases) and not all(map(group.contains, cases))
     _assert_sift_matches_the_reference(group, cases)
 
@@ -513,17 +496,47 @@ def test_sift_matches_a_strip_that_multiplies_at_every_level(name):
 @given(random_groups(), st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
 def test_sift_matches_a_strip_that_multiplies_at_every_level_on_random_groups(group, rng):
-    _assert_sift_matches_the_reference(group, _sift_cases(group, rng))
+    _assert_sift_matches_the_reference(group, sift_cases(group, rng))
+
+
+def _assert_chain_is_the_reference_build(group):
+    fast = StabChain(group.generators, group.degree)
+    assert chain_levels(fast) == chain_levels(reference_stab_chain(group.generators, group.degree))
 
 
 @pytest.mark.parametrize("name", ["A7", "m12-144", "paley-263"])
-def test_chain_is_the_one_a_multiply_every_level_strip_builds(name, monkeypatch):
-    fast = fresh_group(name).chain
-    monkeypatch.setattr(StabChain, "_strip", reference_strip)
-    slow = fresh_group(name).chain
-    assert fast.base == slow.base
-    assert [lv.orbit for lv in fast.levels] == [lv.orbit for lv in slow.levels]
-    assert [lv.gens for lv in fast.levels] == [lv.gens for lv in slow.levels]
+def test_chain_is_the_one_a_multiply_every_level_strip_builds(name):
+    _assert_chain_is_the_reference_build(fresh_group(name))
+
+
+def _m12_catalog_groups():
+    [cat] = load_catalogs(load("m12-144/catalog"))
+    return {r.name: r.group for r in cat.maximals + cat.hints if r.group is not None}
+
+
+@pytest.mark.parametrize("name", sorted(_m12_catalog_groups()))
+def test_pair_strip_chain_is_the_reference_build_on_the_m12_catalog(name):
+    """Every catalog group with generators: the hints and ``L2(11)max``."""
+    _assert_chain_is_the_reference_build(_m12_catalog_groups()[name])
+
+
+@pytest.mark.parametrize("r", [5, 7])
+def test_pair_strip_chain_is_the_reference_build_on_paley_263(r):
+    _assert_chain_is_the_reference_build(paley(263, r)[0])
+
+
+@given(random_groups(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_pair_strip_chain_is_the_reference_build_on_random_groups(group, rng):
+    _assert_chain_is_the_reference_build(group)
+    _assert_chain_is_the_reference_build(random_wreath_subgroup(rng))
+
+
+@pytest.mark.parametrize("chain", [StabChain((), 10), cyclic(10).chain], ids=["no-levels", "C10"])
+def test_sift_and_contains_refuse_another_degree(chain):
+    for query in (chain.sift, chain.contains):
+        with pytest.raises(ValueError, match="^degree mismatch: 5 vs 10$"):
+            query(Permutation.identity(5))
 
 
 @pytest.mark.parametrize("name", ["A7", "m12-144", "paley-263"])

@@ -168,9 +168,10 @@ def test_long_chain_level_forms_no_eager_inverses():
 
 
 def test_chain_build_forms_inverses_on_demand(monkeypatch):
-    """Counts inverses instead of timing: the Paley-263 chain has levels of
-    263 and 131 points, and a build forms the inverses its sifts use."""
-    G, _block = paley(263)
+    """Counts inverses instead of timing: a build strips each Schreier
+    generator as a pair and inverts only the residues it installs: one
+    for the Paley-263 chain (levels of 263 and 131 points), seven for
+    M12-144."""
     inverses = 0
     inverse = Permutation.inverse
 
@@ -179,10 +180,13 @@ def test_chain_build_forms_inverses_on_demand(monkeypatch):
         inverses += 1
         return inverse(self)
 
-    monkeypatch.setattr(Permutation, "inverse", counting_inverse)
-    assert G.order() == 263 * 131
-    monkeypatch.undo()
-    assert inverses <= 300
+    for G, order, want in ((paley(263)[0], 263 * 131, 1), (load("m12-144/G"), 95040, 7)):
+        G = PermGroup(G.generators, degree=G.degree)  # a load has built its chain
+        inverses = 0
+        monkeypatch.setattr(Permutation, "inverse", counting_inverse)
+        assert G.order() == order
+        monkeypatch.undo()
+        assert inverses == want
 
 
 def test_block_stabilizer_work_once_the_order_is_known(monkeypatch):

@@ -21,6 +21,7 @@ from helpers import (  # noqa: E402
     paley,
     random_wreath_subgroup,
     reference_block_action,
+    sift_cases,
     sym,
     wreath,
 )
@@ -100,6 +101,27 @@ def test_subdegrees_agree_with_sympy(name):
     for point in sorted({1, group.degree, (group.degree + 1) // 2}):
         want = sorted(len(o) for o in ref.stabilizer(point - 1).orbits())
         assert group.subdegrees(point) == want
+
+
+MEMBERSHIP_GROUPS = {
+    **{name: (lambda g=g: g) for name, g in GROUPS.items()},
+    "m12-144": lambda: load("m12-144/G"),
+    "paley-263": lambda: paley(263)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_GROUPS))
+def test_membership_agrees_with_sympy(name):
+    """Members and non-members; above degree 255 the pair strip finds
+    b^-1(a(s)) by scanning a tuple table."""
+    group = MEMBERSHIP_GROUPS[name]()
+    ref = to_sympy(group)
+    verdicts = []
+    for g in sift_cases(group, random.Random(name)):
+        verdicts.append(group.contains(g))
+        assert verdicts[-1] == ref.contains(sympy_comb.Permutation([x - 1 for x in g.images]))
+    assert any(verdicts)
+    assert group.degree < 100 or not all(verdicts)
 
 
 def _paley_design(q):
