@@ -1,10 +1,11 @@
 """Permutation groups: stabilizer chains, orbits, blocks, coset actions.
 
 A PermGroup's generators and degree never change.  Its stabilizer chain
-is filled in on first use, the transversal elements of each Schreier tree
-(every chain level is one) likewise, and their inverses when a point
-stabilizer or a Schreier-generator walk first needs them; a chain's sifts
-form none (see ``StabChain``).  Each fill is a single dict or
+is filled in on first use, and the transversal elements of each Schreier
+tree (every chain level is one) likewise; no tree caches inverses.  Every
+walk over Schreier generators u_x * g * u_y^-1 takes them as pairs
+(u_x * g, u_y) from ``_SchreierTree.schreier_pairs`` and forms a * b^-1
+only for one it uses (see ``StabChain``).  Each fill is a single dict or
 attribute store of a complete value that depends only on the generators,
 so threads that query one group concurrently at worst repeat work; they
 never see a partial value.  Queries return fresh lists, so callers may
@@ -62,13 +63,13 @@ class _SchreierTree:
     tree follows.  ``orbit`` lists the orbit in discovery order, generators
     in input order, and ``parent[y] = (x, i)`` records the edge that found
     y.  The transversal element u_y, the product of the generators on the
-    path from the seed (so it maps the seed to y), and its inverse are
-    formed on first use by an iterative walk up the links, so a long tree
-    needs no recursion.  Each is cached by one dict store of a complete
-    permutation.
+    path from the seed (so it maps the seed to y), is formed on first use
+    by an iterative walk up the links, so a long tree needs no recursion,
+    and cached by one dict store of a complete permutation.  No inverse is
+    formed or cached.
     """
 
-    __slots__ = ("seed", "gens", "images", "orbit", "parent", "_u", "_inv")
+    __slots__ = ("seed", "gens", "images", "orbit", "parent", "_u")
 
     def __init__(self, seed, gens, images, ident: Permutation):
         parent = {seed: None}
@@ -85,7 +86,6 @@ class _SchreierTree:
         self.orbit = orbit
         self.parent = parent
         self._u = {seed: ident}
-        self._inv = {seed: ident}
 
     @classmethod
     def on_points(cls, seed: int, gens, ident: Permutation) -> "_SchreierTree":
@@ -113,26 +113,20 @@ class _SchreierTree:
             u = trans[z] = u * gens[parent[z][1]]
         return u
 
-    def inverse(self, y) -> Permutation | None:
-        """u_y^-1, or None when y is not in the orbit."""
-        u_inv = self._inv.get(y)
-        if u_inv is None and y in self.parent:
-            u_inv = self._inv[y] = self.element(y).inverse()
-        return u_inv
-
-    def schreier_generators(self):
-        """u_x * g * u_y^-1 for each non-tree edge x -> y, in orbit order
-        then generator order; a tree edge gives the identity."""
-        gens, images, parent = self.gens, self.images, self.parent
-        element, cached_inv, inverse = self.element, self._inv, self.inverse
+    def schreier_pairs(self):
+        """(u_x * g, u_y) for each non-tree edge x -> y under g whose
+        Schreier generator u_x * g * u_y^-1 is not the identity, in orbit
+        order then generator order."""
+        gens, parent, element = self.gens, self.parent, self.element
         for x in self.orbit:
             ux = None
-            for i, image in enumerate(images):
+            for i, image in enumerate(self.images):
                 y = image(x)
                 if parent[y] != (x, i):
-                    if ux is None:
-                        ux = element(x)
-                    yield ux * gens[i] * (cached_inv.get(y) or inverse(y))
+                    ux = ux or element(x)
+                    a, b = ux * gens[i], element(y)
+                    if a != b:
+                        yield a, b
 
 
 def _close(orbit: list, seen: bytearray, tables, start: int = 0) -> list:
@@ -155,9 +149,9 @@ class StabChain:
     Each level is a breadth-first Schreier tree of its base point under
     the level's strong generators; its transversal elements are formed on
     first use.  A strip keeps its residue as a pair (a, b) standing for
-    a * b^-1, a Schreier generator u_x * g * u_y^-1 as (u_x * g, u_y), so
-    no transversal is inverted and a build forms at most one inverse per
-    strong generator it installs.  Base points are chosen as the smallest
+    a * b^-1, a Schreier generator u_x * g * u_y^-1 as the pair
+    (u_x * g, u_y) its tree yields, so no transversal is inverted and a
+    build forms at most one inverse per strong generator it installs.  Base points are chosen as the smallest
     point moved by the strong generator that forces a new level, so two
     builds from the same generator list agree exactly.
     """
@@ -212,26 +206,17 @@ class StabChain:
             i = stuck if stuck is not None else i - 1
 
     def _check_level(self, i: int):
-        """Sift every Schreier generator of level i through the deeper chain,
-        in orbit order then generator order: for the non-tree edge x -> y
-        under g, the residue kept as the pair (u_x * g, u_y).
+        """Strip each Schreier pair of level i from level i+1 and install
+        the first non-identity residue.
 
         Returns the level where a new strong generator was installed, or
         None when the level verifies cleanly.
         """
-        lv = self.levels[i]
-        for x in lv.orbit:
-            ux = None
-            for k, g in enumerate(lv.gens):
-                y = g.table[x]
-                if lv.parent[y] != (x, k):
-                    ux = ux or lv.element(x)
-                    a, b = ux * g, lv.element(y)
-                    if a != b:
-                        h, j = self._strip(a, i + 1, b)
-                        if not h.is_identity():
-                            self._install(h, i + 1, j)
-                            return j
+        for a, b in self.levels[i].schreier_pairs():
+            h, j = self._strip(a, i + 1, b)
+            if not h.is_identity():
+                self._install(h, i + 1, j)
+                return j
         return None
 
     def _conjugated(self, levels, c: Permutation, c_inv: Permutation) -> "StabChain":
@@ -258,13 +243,23 @@ class StabChain:
         return chain
 
     def _install(self, h: Permutation, lo: int, hi: int):
-        """Add strong generator h (fixing base[:hi]) to levels lo..hi."""
+        """Add strong generator h (fixing base[:hi]) to levels lo..hi.
+
+        Raises RuntimeError when h moves a base point of levels[:hi] or
+        level hi's orbit does not grow: each correct install grows an
+        orbit, so a wrong residue fails at once instead of growing the
+        chain without bound."""
+        if any(h.table[lv.seed] != lv.seed for lv in self.levels[:hi]):
+            raise RuntimeError("strong generator moves a base point above its level")
         ident = Permutation.identity(self.degree)
         if hi == len(self.levels):
             self.levels.append(_SchreierTree.on_points(h.min_moved(), (), ident))
+        old = len(self.levels[hi].orbit)
         for m in range(lo, hi + 1):
             lv = self.levels[m]
             self.levels[m] = _SchreierTree.on_points(lv.seed, lv.gens + (h,), ident)
+        if len(self.levels[hi].orbit) == old:
+            raise RuntimeError(f"install at level {hi} did not grow its orbit")
 
 
 class PermGroup:
@@ -297,8 +292,6 @@ class PermGroup:
         return self.chain.order()
 
     def contains(self, p: Permutation) -> bool:
-        if p.degree != self.degree:
-            raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
         return self.chain.contains(p)
 
     def __contains__(self, p: Permutation) -> bool:
@@ -344,8 +337,9 @@ class PermGroup:
         ``action(g, x)`` gives the image of an auxiliary point x under a
         group element g and must be a genuine action (respect products).
         The result is cut out by the Schreier generators of the non-tree
-        edges of a breadth-first Schreier tree, reduced so that each kept
-        generator strictly grows the subgroup; it lives in this group as
+        edges of a breadth-first Schreier tree, each stripped as its pair
+        and formed only when kept, so that each kept generator strictly
+        grows the subgroup; it lives in this group as
         original-degree permutations whatever the auxiliary points are.
 
         The loop stops once the kept generators reach |G|/|orbit|, |G| read
@@ -359,10 +353,10 @@ class PermGroup:
         kept: list[Permutation] = []
         chain = StabChain((), self.degree)
         if target != 1:
-            for sg in tree.schreier_generators():
-                if sg.is_identity() or chain.contains(sg):
+            for a, b in tree.schreier_pairs():
+                if chain._strip(a, 0, b)[0].is_identity():
                     continue
-                kept.append(sg)
+                kept.append(a * b.inverse())
                 chain = StabChain(kept, self.degree)
                 if chain.order() == target:
                     break
@@ -378,7 +372,7 @@ class PermGroup:
         The Schreier generators of the breadth-first tree of ``seed`` (the
         tree ``stabilizer_of_action`` walks) generate the stabilizer
         (Schreier's lemma; Seress 2003, sec. 4.2).  Each non-identity one is
-        added in turn to an orbit kept closed under all added so far, and
+        formed from its pair and added in turn to an orbit kept closed under all added so far, and
         the walk stops once the orbit has ``size`` points.  No membership
         sift is made and no chain is built.
         """
@@ -389,10 +383,8 @@ class PermGroup:
         orbit = [point]
         tables = []
         tree = _SchreierTree(seed, self.generators, images, self.identity())
-        for sg in tree.schreier_generators():
-            if sg.is_identity():
-                continue
-            new = sg.table
+        for a, b in tree.schreier_pairs():
+            new = (a * b.inverse()).table
             tables.append(new)
             old = len(orbit)
             for x in orbit[:old]:  # the old orbit is closed under the earlier tables
@@ -416,8 +408,8 @@ class PermGroup:
         levels = self.chain.levels
         if point not in (levels[0].parent if levels else ()):
             return self.stabilizer_of_action(point, lambda g, x: g.table[x])
-        chain = self.chain._conjugated(levels[1:], levels[0].element(point),
-                                       levels[0].inverse(point))
+        u = levels[0].element(point)
+        chain = self.chain._conjugated(levels[1:], u, u.inverse())
         stab = PermGroup(chain.levels[0].gens if chain.levels else (), degree=self.degree)
         stab._chain = chain
         return stab

@@ -60,7 +60,7 @@ def test_contains_generators_and_identity(name):
 def test_contains_rejects_nonmembers():
     A4, _ = FIXTURES["A4"]
     assert parse_cycles("(1,2)", 4) not in A4
-    with pytest.raises(ValueError, match="degree"):
+    with pytest.raises(ValueError, match="^degree mismatch: 5 vs 4$"):
         A4.contains(parse_cycles("(1,2)", 5))
 
 
@@ -120,7 +120,7 @@ def test_chain_internal_invariants():
             total *= len(level.orbit)
             for x in level.orbit:
                 assert level.element(x)(point) == x
-                assert level.inverse(x)(x) == point
+                assert level.element(x).inverse()(x) == point
         assert total == group.order()
 
 
@@ -537,6 +537,49 @@ def test_sift_and_contains_refuse_another_degree(chain):
     for query in (chain.sift, chain.contains):
         with pytest.raises(ValueError, match="^degree mismatch: 5 vs 10$"):
             query(Permutation.identity(5))
+
+
+def test_install_refuses_a_generator_that_grows_no_orbit():
+    """A member that fixes base[:hi] adds nothing to level hi, and a
+    generator that moves a base point above hi breaks the install's
+    precondition; each raises before the chain can run away."""
+    chain = fresh_group("A7").chain
+    assert len(chain.levels) >= 2
+    member = chain.levels[1].gens[0]
+    with pytest.raises(RuntimeError, match="^install at level 1 did not grow its orbit$"):
+        chain._install(member, 1, 1)
+    chain = fresh_group("A7").chain
+    with pytest.raises(RuntimeError, match="^strong generator moves a base point"):
+        chain._install(chain.levels[0].gens[0], 1, 1)
+
+
+def test_a_wrong_strip_fails_the_build_at_once(monkeypatch):
+    """A strip that multiplies on the wrong side (b * u_z for u_z * b)
+    returns residues that are not Schreier-generator remainders; the
+    install guard stops the M12-144 build instead of letting it grow."""
+    calls = 0
+
+    def wrong_strip(self, a, start, b=None):
+        nonlocal calls
+        calls += 1
+        assert calls < 10_000, "the build ran away"
+        levels = self.levels
+        for i in range(start, len(levels)):
+            lv = levels[i]
+            x = a.table[lv.seed]
+            y = x if b is None else b.table.index(x)
+            if y not in lv.parent:
+                return (a if b is None else a * b.inverse()), i
+            u = lv.element(y)
+            b = u if b is None else b * u
+        if a == b:
+            return Permutation.identity(self.degree), len(levels)
+        return (a if b is None else a * b.inverse()), len(levels)
+
+    G = load("m12-144/G")
+    monkeypatch.setattr(StabChain, "_strip", wrong_strip)
+    with pytest.raises(RuntimeError):
+        StabChain(G.generators, G.degree)
 
 
 @pytest.mark.parametrize("name", ["A7", "m12-144", "paley-263"])

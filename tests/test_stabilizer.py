@@ -15,7 +15,12 @@ import tracemalloc
 import pytest
 
 from symdesign.catalog import load
-from symdesign.design import _block_action_images, block_stabilizer, construct_design
+from symdesign.design import (
+    _block_action_images,
+    block_stabilizer,
+    construct_design,
+    is_flag_transitive,
+)
 from symdesign.group import PermGroup
 from symdesign.perm import Permutation
 
@@ -208,3 +213,48 @@ def test_block_stabilizer_work_once_the_order_is_known(monkeypatch):
     monkeypatch.undo()
     assert stab.order() == 131
     assert products <= 300
+
+
+def _products_and_inverses(monkeypatch, work):
+    """(products, inverses) that ``work()`` forms."""
+    counts = [0, 0]
+    mul, inverse = Permutation.__mul__, Permutation.inverse
+
+    def counting_mul(self, other):
+        counts[0] += 1
+        return mul(self, other)
+
+    def counting_inverse(self):
+        counts[1] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(Permutation, "__mul__", counting_mul)
+    monkeypatch.setattr(Permutation, "inverse", counting_inverse)
+    try:
+        work()
+    finally:
+        monkeypatch.undo()
+    return tuple(counts)
+
+
+def test_flag_walk_forms_a_generator_only_for_the_pairs_it_adds(monkeypatch):
+    """The D1 flag check walks Schreier pairs and forms a * b^-1 only for
+    a non-identity pair, so it inverts no transversal element."""
+    G = load("m12-144/G")
+    design = construct_design(G, load("m12-144/base-block"))
+    assert G.order() == 95040
+    products, inverses = _products_and_inverses(
+        monkeypatch, lambda: is_flag_transitive(design, G))
+    assert products <= 30 and inverses <= 3
+
+
+def test_block_stabilizer_inverts_only_what_it_keeps(monkeypatch):
+    """The M12 block stabilizer strips each Schreier pair for membership
+    and forms the generator only when it keeps it."""
+    G = load("m12-144/G")
+    design = construct_design(G, load("m12-144/base-block"))
+    assert G.order() == 95040
+    orders = []
+    _, inverses = _products_and_inverses(
+        monkeypatch, lambda: orders.append(block_stabilizer(G, design, 0).order()))
+    assert orders == [660] and inverses <= 8
