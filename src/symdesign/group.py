@@ -354,9 +354,10 @@ class PermGroup:
         chain = StabChain((), self.degree)
         if target != 1:
             for a, b in tree.schreier_pairs():
-                if chain._strip(a, 0, b)[0].is_identity():
+                h = chain._strip(a, 0, b)[0]
+                if h.is_identity():
                     continue
-                kept.append(a * b.inverse())
+                kept.append(a * b.inverse() if chain.levels else h)  # no level: h = a*b^-1
                 chain = StabChain(kept, self.degree)
                 if chain.order() == target:
                     break

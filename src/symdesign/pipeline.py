@@ -335,74 +335,51 @@ def _resolve_subgroups(cat: GroupCatalog, M: MaximalRecord, index: int) -> list:
 
 
 def _evaluate(cat: GroupCatalog, tup: CandidateTuple, M: MaximalRecord,
-              N: MaximalRecord, run: _Run) -> None:
-    tables = cat.index_tables
-    tup.gate_H = subgroup_index_gate(M.name, tup.i_H, tables)
-    tup.gate_K = subgroup_index_gate(N.name, tup.i_K, tables)
-    if tup.gate_H == GATE_NSG or tup.gate_K == GATE_NSG:
-        side = f"{M.name} has no subgroup of index {tup.i_H}" \
-            if tup.gate_H == GATE_NSG else f"{N.name} has no subgroup of index {tup.i_K}"
-        tup.status = STATUS_NSG
-        tup.detail = side
-        return
-    if cat.group is None:
-        tup.status = STATUS_OPEN
-        tup.detail = "no generator data"
-        return
+              N: MaximalRecord, run: _Run) -> tuple:
+    """The verdict (status, detail, invariants) of a tuple whose gates are set.
 
+    An "nsg" gate (H side first) refutes it; with no group generators, or
+    no known H of index i_H in M, it stays open.  Each H acts on v cosets
+    (the loaded orders give |G:H| = |G:M| |M:H|); if every H has a bad
+    subdegree it is "nsd" with the first H's.  With no known K of index i_K
+    in N it stays open; else each surviving H and each K go to
+    ``base_block_search`` until a design is found, whose certificate is
+    the only invariants a verdict carries.
+    """
+    if tup.gate_H == GATE_NSG:
+        return STATUS_NSG, f"{M.name} has no subgroup of index {tup.i_H}", None
+    if tup.gate_K == GATE_NSG:
+        return STATUS_NSG, f"{N.name} has no subgroup of index {tup.i_K}", None
+    if cat.group is None:
+        return STATUS_OPEN, "no generator data", None
     hs = _resolve_subgroups(cat, M, tup.i_H)
     if not hs:
-        tup.status = STATUS_OPEN
-        tup.detail = f"no generators known for an index-{tup.i_H} subgroup of {M.name}"
-        return
+        return STATUS_OPEN, f"no generators known for an index-{tup.i_H} subgroup of {M.name}", None
 
-    surviving = []
-    bad_e = None
+    surviving, bad = [], []
     for hname, H in hs:
         act = _once(run.actions, id(H), coset_action, cat.group, H)
-        if act.degree != tup.v:
-            continue
-        subdeg = act.group.subdegrees(1)
-        e = first_bad_subdegree(tup.k, tup.lam, subdeg)
+        e = first_bad_subdegree(tup.k, tup.lam, act.group.subdegrees(1))
         if e is None:
             surviving.append((hname, act))
-        elif bad_e is None:
-            bad_e = e
-    if not surviving:
-        if bad_e is not None:
-            tup.status = STATUS_NSD
-            tup.detail = f"smallest bad subdegree {bad_e}"
         else:
-            tup.status = STATUS_OPEN
-            tup.detail = f"no known subgroup of {M.name} realizes v={tup.v}"
-        return
-
+            bad.append(e)
+    if not surviving:
+        return STATUS_NSD, f"smallest bad subdegree {bad[0]}", None
     ks = _resolve_subgroups(cat, N, tup.i_K)
     if not ks:
-        tup.status = STATUS_OPEN
-        tup.detail = f"no generators known for an index-{tup.i_K} subgroup of {N.name}"
-        return
+        return STATUS_OPEN, f"no generators known for an index-{tup.i_K} subgroup of {N.name}", None
 
-    saw_orbit = False
-    lengths_seen = None
+    outcomes = []
     for hname, act in surviving:
         for kname, K in ks:
             outcome = base_block_search(act, K, tup.params, run)
             if outcome.status == STATUS_DESIGN:
-                tup.status = STATUS_DESIGN
-                tup.detail = f"H={hname}, K={kname}"
-                tup.invariants = outcome.certificate
-                return
-            if outcome.status == STATUS_NOT_DESIGN:
-                saw_orbit = True
-            if lengths_seen is None:
-                lengths_seen = outcome.orbit_lengths
-    if saw_orbit:
-        tup.status = STATUS_NOT_DESIGN
-        tup.detail = "length-k orbits exist but verify no design"
-    else:
-        tup.status = STATUS_NO_BLOCK
-        tup.detail = f"K-orbit lengths {list(lengths_seen)}"
+                return STATUS_DESIGN, f"H={hname}, K={kname}", outcome.certificate
+            outcomes.append(outcome)
+    if any(o.status == STATUS_NOT_DESIGN for o in outcomes):
+        return STATUS_NOT_DESIGN, "length-k orbits exist but verify no design", None
+    return STATUS_NO_BLOCK, f"K-orbit lengths {list(outcomes[0].orbit_lengths)}", None
 
 
 def _candidates(M: MaximalRecord) -> list:
@@ -423,6 +400,7 @@ def run_pipeline(catalog_data) -> PipelineReport:
         large = [M for M in cat.maximals if large_filter(cat.order, M.order)]
         tuples = []
         run = _Run()
+        tables = cat.index_tables
         for nr_M, M in enumerate(large, 1):
             for cand in _once(run.candidates, (M.order, M.index), _candidates, M):
                 params = cand.triple
@@ -430,21 +408,24 @@ def run_pipeline(catalog_data) -> PipelineReport:
                     if not divisibility_gate(params, N):
                         continue
                     cdl, type_tag = _once(run.derived, params, _derived, params)
+                    i_H, i_K = cand.v // M.index, cand.v // N.index
                     tup = CandidateTuple(
                         group=cat.name,
                         nr_M=nr_M,
                         nr_N=nr_N,
                         M_name=M.name,
                         N_name=N.name,
-                        i_H=cand.v // M.index,
-                        i_K=cand.v // N.index,
+                        i_H=i_H,
+                        i_K=i_K,
                         v=cand.v,
                         k=cand.k,
                         lam=cand.lam,
                         cdl=cdl,
                         type_tag=type_tag,
+                        gate_H=subgroup_index_gate(M.name, i_H, tables),
+                        gate_K=subgroup_index_gate(N.name, i_K, tables),
                     )
-                    _evaluate(cat, tup, M, N, run)
+                    tup.status, tup.detail, tup.invariants = _evaluate(cat, tup, M, N, run)
                     tuples.append(tup)
         tuples.sort(key=lambda t: (t.nr_M, t.nr_N, t.k, t.v))
         report.sections.append(GroupReport(cat.name, tuples))

@@ -397,6 +397,29 @@ def _fi22_with_a_different_o73b():
     return data
 
 
+# S7 with two maximals declared at index 3 but no generators for either, and
+# S2xS5 (the stabilizer of {1,2}) inside M at index 7; it fixes no point, so
+# its coset action walks canonical coset representatives
+S7_ONE_HINT = {
+    "group": {"name": "S7", "order": 5040, "degree": 7,
+              "generators": ["(1,2)", "(1,2,3,4,5,6,7)"]},
+    "maximals": [{"name": "M", "order": 1680, "index": 3},
+                 {"name": "P", "order": 1680, "index": 3}],
+    "subgroup_hints": [{"name": "S2xS5", "inside": "M", "index": 7,
+                        "generators": ["(1,2)", "(3,4)", "(3,4,5,6,7)"]}],
+}
+
+# AGL(1,13) = <x -> x+1, x -> 5x> on Z13, point x labelled x+1, and the
+# point stabilizer C4 = <x -> 5x>, whose 4-orbits are no difference set
+X_TIMES_5 = "(2,6,13,9)(3,11,12,4)(5,8,10,7)"
+AGL_1_13 = {
+    "group": {"name": "AGL(1,13)", "order": 52, "degree": 13,
+              "generators": ["(1,2,3,4,5,6,7,8,9,10,11,12,13)", X_TIMES_5]},
+    "maximals": [{"name": "M", "order": 52, "index": 1}],
+    "subgroup_hints": [{"name": "C4", "inside": "M", "index": 13,
+                        "generators": [X_TIMES_5]}],
+}
+
 # v = 2z for z | 1980 gives (22,15,10) and (36,15,6): two candidates, one k
 ONE_K_TWO_VS = {"group": {"name": "X", "order": 3960},
                 "maximals": [{"name": "M", "order": 1980, "index": 2}]}
@@ -410,8 +433,10 @@ ONE_K_TWO_VS = {"group": {"name": "X", "order": 3960},
     _fi22_with_a_different_o73b,
     lambda: ONE_K_TWO_VS,
     lambda: {"groups": [load("m12-144/catalog"), load("fi22/catalog-stub")]},
+    lambda: S7_ONE_HINT,
+    lambda: AGL_1_13,
 ], ids=["m12", "fi22", "fi22-shuffled-1", "fi22-shuffled-2", "fi22-o73b-indices",
-        "one-k-two-vs", "m12-and-fi22"])
+        "one-k-two-vs", "m12-and-fi22", "s7-one-hint", "agl-1-13"])
 def test_run_pipeline_rows_match_a_memo_free_reference(make):
     data = make()
     assert _rows(run_pipeline(data)) == reference_pipeline_rows(data)
@@ -425,6 +450,43 @@ def test_o73b_indices_split_the_gate_statuses():
     assert gates[("O7(3)a", "O7(3)b", 14)] == (GATE_NSG, GATE_POSSIBLE)
     assert gates[("O7(3)b", "O7(3)b", 14)] == (GATE_POSSIBLE, GATE_POSSIBLE)
     assert gates[("O7(3)b", "O7(3)a", 14)] == (GATE_POSSIBLE, GATE_NSG)
+
+
+@pytest.mark.parametrize("catalog, row, status, detail", [
+    (_fi22_with_a_different_o73b(), ("O7(3)b", "O7(3)a", 197120), "nsg",
+     "O7(3)a has no subgroup of index 14"),
+    (_fi22_with_a_different_o73b(), ("O7(3)b", "O7(3)b", 197120), "open",
+     "no generator data"),
+    (S7_ONE_HINT, ("M", "M", 15, 7, 3), "open",
+     "no generators known for an index-5 subgroup of M"),
+    (S7_ONE_HINT, ("M", "P", 21, 5, 1), "open",
+     "no generators known for an index-7 subgroup of P"),
+    (S7_ONE_HINT, ("M", "M", 21, 16, 12), "nsd", "smallest bad subdegree 10"),
+    (S7_ONE_HINT, ("M", "M", 21, 5, 1), "no-block-of-length-k",
+     "K-orbit lengths [1, 10, 10]"),
+    (AGL_1_13, ("M", "M", 13, 4, 1), "not-a-design",
+     "length-k orbits exist but verify no design"),
+], ids=["nsg-K-side", "no-generator-data", "no-H-generators", "no-K-generators", "nsd",
+        "no-block", "not-a-design"])
+def test_each_reachable_verdict_has_its_status_and_detail(catalog, row, status, detail):
+    """The verdicts the M12 and Fi22 goldens do not show: a row is named by
+    (M, N, v, k, lam), or (M, N, v) where v fixes k and lam."""
+    (sec,) = run_pipeline(catalog).sections
+    (tup,) = [t for t in sec.tuples
+              if (t.M_name, t.N_name, *t.params)[:len(row)] == row]
+    assert (tup.status, tup.detail) == (status, detail)
+
+
+@pytest.mark.parametrize("make", [lambda: load("m12-144/catalog"), lambda: S7_ONE_HINT,
+                                  lambda: AGL_1_13], ids=["m12", "s7", "agl-1-13"])
+def test_a_hint_acts_on_as_many_cosets_as_its_index_in_the_group(make):
+    """|G:H| = |G:M| * |M:H| for a hint H inside M, as ``load_catalogs``
+    checks the orders, so the coset action of every hint has degree v."""
+    (cat,) = load_catalogs(make())
+    owners = {M.name: M for M in cat.maximals}
+    for hint in cat.hints:
+        act = coset_action(cat.group, hint.group)
+        assert act.degree == owners[hint.inside].index * hint.index
 
 
 @pytest.mark.parametrize("dataset, golden, enumerations, derivations", [

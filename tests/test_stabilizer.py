@@ -249,12 +249,15 @@ def test_flag_walk_forms_a_generator_only_for_the_pairs_it_adds(monkeypatch):
 
 
 def test_block_stabilizer_inverts_only_what_it_keeps(monkeypatch):
-    """The M12 block stabilizer strips each Schreier pair for membership
-    and forms the generator only when it keeps it."""
-    G = load("m12-144/G")
-    design = construct_design(G, load("m12-144/base-block"))
-    assert G.order() == 95040
-    orders = []
-    _, inverses = _products_and_inverses(
-        monkeypatch, lambda: orders.append(block_stabilizer(G, design, 0).order()))
-    assert orders == [660] and inverses <= 8
+    """The M12 and Paley-263 block stabilizers strip each Schreier pair for
+    membership and form the generator only when they keep it; the first one
+    kept is its pair's residue through the empty chain, not formed again."""
+    cases = [(load("m12-144/G"), load("m12-144/base-block"), 95040, 660, 7),
+             (*paley(263), 263 * 131, 131, 1)]
+    for G, block, group_order, order, most in cases:
+        assert G.order() == group_order  # builds G's chain before the count
+        design = construct_design(G, block)
+        orders = []
+        _, inverses = _products_and_inverses(
+            monkeypatch, lambda: orders.append(block_stabilizer(G, design, 0).order()))
+        assert orders == [order] and inverses <= most
