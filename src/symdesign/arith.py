@@ -95,9 +95,14 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def divisors(n: int, factorization: dict[int, int] | None = None) -> list[int]:
-    """All positive divisors of n, sorted ascending."""
+    """All positive divisors of n, sorted ascending: each of e rounds per
+    prime p multiplies the last round's new divisors by p, then one sort."""
     fact = factorization if factorization is not None else factorize(n)
     divs = [1]
-    for p, e in sorted(fact.items()):
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
+    for p, e in fact.items():
+        grown = divs
+        for _ in range(e):
+            grown = [d * p for d in grown]
+            divs = divs + grown
+    divs.sort()
+    return divs

@@ -60,14 +60,26 @@ _CHECKSUMS = {
 }
 
 
-def _read(fname: str) -> str:
-    import hashlib  # only checksummed loads pay for OpenSSL
+def _sha256(data: bytes) -> str:
+    """Hex SHA-256 from CPython's built-in module (``_sha2`` on 3.12+,
+    ``_sha256`` on 3.10-3.11), so no load maps OpenSSL; ``hashlib`` only
+    when neither is built."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
 
+
+def _read(fname: str) -> str:
     try:
         text = (resources.files("symdesign.data") / fname).read_text()
     except FileNotFoundError as exc:
         raise CatalogError(f"missing data file {fname}") from exc
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    digest = _sha256(text.encode())
     pinned = _CHECKSUMS.get(fname)
     if pinned and digest != pinned:
         raise CatalogError(f"checksum mismatch for {fname}: {digest}")

@@ -10,6 +10,7 @@ sequentially in canonical order so reports are byte-identical across runs.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .arith import divisors
@@ -383,7 +384,11 @@ def _evaluate(cat: GroupCatalog, tup: CandidateTuple, M: MaximalRecord,
 
 
 def _candidates(M: MaximalRecord) -> list:
-    return [cand for v in candidate_vs(M) for cand in enumerate_params(v, M.order)]
+    """``enumerate_params`` over ``candidate_vs(M)``, skipping each v whose
+    v - 1 is prime to |M|, for which it would return [] unfactored."""
+    order = M.order
+    return [cand for v in candidate_vs(M) if math.gcd(v - 1, order) > 1
+            for cand in enumerate_params(v, order)]
 
 
 def _derived(params: tuple) -> tuple:

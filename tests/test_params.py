@@ -54,6 +54,37 @@ def test_divisors_divide(n):
         assert n % d == 0
 
 
+@given(st.integers(min_value=1, max_value=10**4))
+def test_divisors_match_brute_force(n):
+    assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _catalog_factorizations():
+    """(order, factorization) of Fi22, O7(3) and M11, as the catalogs
+    state them."""
+    fi22 = load("fi22/catalog-stub")
+    group = fi22["group"]
+    out = [pytest.param(int(group["order"]), dict(group["order_factorization"]), id="Fi22")]
+    for data, name in ((fi22, "O7(3)a"), (load("m12-144/catalog"), "M11a")):
+        (cat,) = load_catalogs(data)
+        (M,) = [M for M in cat.maximals if M.name == name]
+        out.append(pytest.param(M.order, M.order_factorization, id=name))
+    return out
+
+
+@pytest.mark.parametrize("n, fact", _catalog_factorizations())
+def test_divisors_of_factored_catalog_orders(n, fact):
+    divs = divisors(n, fact)
+    assert all(a < b for a, b in zip(divs, divs[1:]))
+    assert all(n % d == 0 for d in divs)
+    assert len(divs) == math.prod(e + 1 for e in fact.values())
+
+
+def test_divisors_take_an_empty_or_zero_exponent_factorization():
+    assert divisors(1, {}) == [1]
+    assert divisors(12, {2: 2, 5: 0, 3: 1}) == [1, 2, 3, 4, 6, 12]
+
+
 def test_primality():
     assert is_probable_prime(2)
     assert is_probable_prime(95039 // 7) is False or True  # no exception

@@ -1,14 +1,18 @@
 import copy
 import json
+import math
 import random
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symdesign import pipeline
 from symdesign.catalog import CatalogError, MaximalRecord, load, load_catalogs
 from symdesign.group import PermGroup, coset_action
+from symdesign.params import enumerate_params
 from symdesign.pipeline import (
     GATE_NSG,
     GATE_POSSIBLE,
@@ -490,8 +494,8 @@ def test_a_hint_acts_on_as_many_cosets_as_its_index_in_the_group(make):
 
 
 @pytest.mark.parametrize("dataset, golden, enumerations, derivations", [
-    ("fi22/catalog-stub", "fi22_report.txt", 799, 3),
-    ("m12-144/catalog", "m12_report.txt", 82, 5),
+    ("fi22/catalog-stub", "fi22_report.txt", 135, 3),
+    ("m12-144/catalog", "m12_report.txt", 14, 5),
 ])
 def test_candidates_are_enumerated_once_per_order_and_index(
         monkeypatch, dataset, golden, enumerations, derivations):
@@ -513,6 +517,39 @@ def test_candidates_are_enumerated_once_per_order_and_index(
     report = run_pipeline(load(dataset))
     assert counts == {"enumerate_params": enumerations, "derive_cdl": derivations}
     assert report.to_text() == (GOLDEN / golden).read_text()
+
+
+def _unfiltered_candidates(M):
+    return [c for v in candidate_vs(M) for c in enumerate_params(v, M.order)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: load("fi22/catalog-stub"),
+    lambda: load("m12-144/catalog"),
+    lambda: S7_ONE_HINT,
+    lambda: AGL_1_13,
+], ids=["fi22", "m12", "s7-one-hint", "agl-1-13"])
+def test_candidates_skip_only_what_enumerate_params_rejects(make):
+    """The gcd test before ``enumerate_params`` drops no candidate."""
+    (cat,) = load_catalogs(make())
+    large = [M for M in cat.maximals if large_filter(cat.order, M.order)]
+    assert large
+    for M in large:
+        assert pipeline._candidates(M) == _unfiltered_candidates(M)
+
+
+_SMOOTH_CAPS = {2: 6, 3: 4, 5: 2, 7: 2, 11: 1, 13: 1}
+
+
+@given(exponents=st.tuples(*(st.integers(0, e) for e in _SMOOTH_CAPS.values())),
+       index=st.integers(1, 10**4), factored=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_candidates_skip_only_what_enumerate_params_rejects_on_smooth_orders(
+        exponents, index, factored):
+    fact = dict(zip(_SMOOTH_CAPS, exponents))
+    order = math.prod(p**e for p, e in fact.items())
+    M = MaximalRecord("M", order, index, order_factorization=fact if factored else None)
+    assert pipeline._candidates(M) == _unfiltered_candidates(M)
 
 
 def test_run_pipeline_empty_catalog():

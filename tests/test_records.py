@@ -8,6 +8,7 @@ is the one record the pipeline fills in, so its fields stay assignable.
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -96,13 +97,39 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 
 def test_import_leaves_hashlib_unloaded():
-    """Cold start: only a checksummed ``catalog.load`` imports ``hashlib``
-    (and with it OpenSSL), so verbs such as ``order`` never pay for it."""
+    """Cold start: a checksummed ``catalog.load`` takes SHA-256 from
+    CPython's built-in module, so neither ``hashlib`` nor OpenSSL's
+    ``_hashlib`` is loaded before or after it."""
     code = ("import sys, symdesign, symdesign.cli; "
             "from symdesign.catalog import load; "
             "print('hashlib' in sys.modules, '_hashlib' in sys.modules, end=' '); "
-            "load('m12-144/H'); print('hashlib' in sys.modules)")
+            "load('m12-144/H'); "
+            "print('hashlib' in sys.modules, '_hashlib' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.split() == ["False", "False", "True"]
+    assert out.stdout.split() == ["False"] * 4
+
+
+def test_checksums_fall_back_to_hashlib():
+    """With both built-in SHA-256 modules blocked, every pinned file still
+    loads through ``hashlib``, and a wrong pin still raises."""
+    code = textwrap.dedent("""\
+        import sys
+        sys.modules["_sha2"] = sys.modules["_sha256"] = None
+        from symdesign import catalog
+        for dataset_id in catalog.dataset_ids():
+            catalog.load(dataset_id)
+        print("hashlib" in sys.modules)
+        catalog._CHECKSUMS["m12_catalog.json"] = "0" * 64
+        try:
+            catalog.load("m12-144/G")
+        except catalog.CatalogError as exc:
+            print(exc)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    loaded_hashlib, mismatch = out.stdout.splitlines()
+    assert loaded_hashlib == "True"
+    assert mismatch.startswith("checksum mismatch for m12_catalog.json: ")
