@@ -22,7 +22,8 @@ the design against each system.
 
 from __future__ import annotations
 
-from itertools import combinations, islice
+from itertools import combinations, starmap
+from operator import and_, itemgetter
 from typing import NamedTuple
 
 from .group import PermGroup, _orbit_walk
@@ -130,15 +131,17 @@ def verify_symmetric(design: Design) -> DesignParams:
     """Certify the symmetric (v,k,lam) axioms or raise NotSymmetric.
 
     Checks block count, distinct blocks, block size k, point degree k and a
-    constant block-pair meet lam, on int bitsets (one ``&`` and one
-    ``bit_count`` a pair), in ``combinations`` order so the first failing
-    pair is the witness.  Point pairs then need no count (Ryser 1950):
-    distinct k-sets meet in fewer than k points, so k > lam, and for the
-    block-by-point incidence matrix N, N N^T = (k-lam) I + lam J is
+    constant block-pair meet lam, in ``combinations`` order so the first
+    failing pair is the witness.  Point pairs then need no count (Ryser
+    1950): distinct k-sets meet in fewer than k points, so k > lam, and for
+    the block-by-point incidence matrix N, N N^T = (k-lam) I + lam J is
     nonsingular; with N J = J N = k J it gives N^T N = (k-lam) I + lam J.
     A design with a recorded block action is one orbit, and if B_i = B_0 g
     then |B_i ∩ B_j| = |B_0 ∩ B_j g^-1|, so only the pairs (0, j) are met,
-    which come first in ``combinations`` order and give the same witness.
+    which come first in ``combinations`` order and give the same witness:
+    each block's meet is the sum of one ``itemgetter`` gather from a 0/1
+    mask of block 0.  Any other design meets all pairs on int bitsets, one
+    ``&`` and one ``bit_count`` a pair.
     """
     v = design.v
     blocks = design.blocks
@@ -169,22 +172,24 @@ def verify_symmetric(design: Design) -> DesignParams:
             raise NotSymmetric(
                 "point-degree", pt, f"point {pt} lies on {degree[pt]} blocks, expected {k}"
             )
-    bit = [1 << pt for pt in range(v + 1)]
-    rows = [sum(map(bit.__getitem__, b)) for b in blocks]  # points are distinct
-    pairs = combinations(range(v), 2)
-    if design._action is not None:  # row 0 is the first v-1 pairs
-        pairs = islice(pairs, v - 1)
-    lam = None
-    for i, j in pairs:
-        meet = (rows[i] & rows[j]).bit_count()
-        if lam is None:
-            lam = meet
-        elif meet != lam:
-            raise NotSymmetric(
-                "block-pair", (i, j), f"blocks {i},{j} meet in {meet}, expected {lam}"
-            )
-    if v == 1:
-        lam = k
+    if design._action is not None:  # the v-1 pairs (0, j), first in combinations order
+        mask = bytearray(v + 1)
+        for pt in blocks[0]:
+            mask[pt] = 1
+        # slot 0 is never a point, so each gather is a tuple
+        meets = lambda: (sum(itemgetter(0, *b)(mask)) for b in blocks[1:])
+    else:
+        bit = [1 << pt for pt in range(v + 1)]
+        rows = [sum(map(bit.__getitem__, b)) for b in blocks]  # points are distinct
+        meets = lambda: map(int.bit_count, starmap(and_, combinations(rows, 2)))
+    lam = next(meets(), k)  # v == 1: no pair
+    for meet in meets():
+        if meet != lam:  # walk again with the pairs to name the first one
+            for (i, j), meet in zip(combinations(range(v), 2), meets()):
+                if meet != lam:
+                    raise NotSymmetric(
+                        "block-pair", (i, j), f"blocks {i},{j} meet in {meet}, expected {lam}"
+                    )
     params = DesignParams(v, k, lam)
     design.params = params
     return params

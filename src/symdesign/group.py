@@ -1,15 +1,15 @@
 """Permutation groups: stabilizer chains, orbits, blocks, coset actions.
 
-A PermGroup's generators and degree never change.  Its stabilizer chain
-is filled in on first use, and the transversal elements of each Schreier
-tree (every chain level is one) likewise; no tree caches inverses.  Every
-walk over Schreier generators u_x * g * u_y^-1 takes them as pairs
-(u_x * g, u_y) from ``_SchreierTree.schreier_pairs`` and forms a * b^-1
-only for one it uses (see ``StabChain``).  Each fill is a single dict or
-attribute store of a complete value that depends only on the generators,
-so threads that query one group concurrently at worst repeat work; they
-never see a partial value.  Queries return fresh lists, so callers may
-mutate what they get.
+A PermGroup's generators and degree never change.  Its stabilizer chain is
+filled in on first use, and the transversal elements of each Schreier tree
+(every chain level is one) likewise; no tree caches inverses.  Every walk
+over Schreier generators u_x * g * u_y^-1 takes them as pairs of tables
+(u_x * g, u_y) from ``_SchreierTree.schreier_pairs``, strips them on
+tables, and forms the Permutation a * b^-1 only for one it uses (see
+``StabChain``).  Each fill is a single dict or attribute store of a
+complete value that depends only on the generators, so threads that query
+one group concurrently at worst repeat work; they never see a partial
+value.  Queries return fresh lists, so callers may mutate what they get.
 
 A stored chain is always complete: its order is the group's order.  So
 a point stabilizer is read off the chain, and any other stabilizer stops
@@ -36,7 +36,7 @@ from functools import partial
 from itertools import islice
 from math import prod
 
-from .perm import MAX_DEGREE, Permutation, cycle_string, parse_cycles
+from .perm import MAX_DEGREE, Permutation, _compose, _identity_table, cycle_string, parse_cycles
 
 __all__ = [
     "PermGroup",
@@ -114,19 +114,27 @@ class _SchreierTree:
         return u
 
     def schreier_pairs(self):
-        """(u_x * g, u_y) for each non-tree edge x -> y under g whose
-        Schreier generator u_x * g * u_y^-1 is not the identity, in orbit
-        order then generator order."""
-        gens, parent, element = self.gens, self.parent, self.element
+        """The tables of (u_x * g, u_y) for each non-tree edge x -> y under g
+        whose Schreier generator u_x * g * u_y^-1 is not the identity, in
+        orbit order then generator order."""
+        parent, element = self.parent, self.element
+        tables = [g.table for g in self.gens]
+        compose = _compose(self._u[self.seed].degree)  # u_seed is the identity
         for x in self.orbit:
             ux = None
             for i, image in enumerate(self.images):
                 y = image(x)
                 if parent[y] != (x, i):
-                    ux = ux or element(x)
-                    a, b = ux * gens[i], element(y)
+                    ux = ux or element(x).table
+                    a, b = compose(ux, tables[i]), element(y).table
                     if a != b:
                         yield a, b
+
+
+def _quotient(a, b, degree: int) -> Permutation:
+    """The permutation a * b^-1 for tables a and b (b None: the identity)."""
+    p = Permutation._raw(a, degree)
+    return p if b is None else p * Permutation._raw(b, degree).inverse()
 
 
 def _close(orbit: list, seen: bytearray, tables, start: int = 0) -> list:
@@ -148,12 +156,14 @@ class StabChain:
 
     Each level is a breadth-first Schreier tree of its base point under
     the level's strong generators; its transversal elements are formed on
-    first use.  A strip keeps its residue as a pair (a, b) standing for
-    a * b^-1, a Schreier generator u_x * g * u_y^-1 as the pair
-    (u_x * g, u_y) its tree yields, so no transversal is inverted and a
-    build forms at most one inverse per strong generator it installs.  Base points are chosen as the smallest
-    point moved by the strong generator that forces a new level, so two
-    builds from the same generator list agree exactly.
+    first use.  A strip keeps its residue as a pair of tables (a, b)
+    standing for a * b^-1, a Schreier generator u_x * g * u_y^-1 as the
+    tables of (u_x * g, u_y) its tree yields, and composes on tables, so no
+    transversal is inverted and a ``Permutation`` is formed only for a
+    residue that is installed or returned by ``sift``: a build forms one
+    inverse per strong generator it installs.  Base points are chosen as
+    the smallest point moved by the strong generator that forces a new
+    level, so two builds from the same generator list agree exactly.
     """
 
     def __init__(self, generators, degree: int):
@@ -170,36 +180,37 @@ class StabChain:
 
     def sift(self, g: Permutation) -> Permutation:
         """Strip g through the chain; identity result means membership."""
-        return self._strip(g, 0)[0]
+        if g.degree != self.degree:
+            raise ValueError(f"degree mismatch: {g.degree} vs {self.degree}")
+        pair = self._strip(g.table, 0)[0]
+        return Permutation.identity(self.degree) if pair is None else _quotient(*pair, self.degree)
 
     def contains(self, g: Permutation) -> bool:
         return self.sift(g).is_identity()
 
-    def _strip(self, a: Permutation, start: int, b: Permutation | None = None):
-        """Strip a * b^-1 (b None: the identity) from level ``start`` down:
-        (residue, level where it left the chain, or the depth).  At base
-        point s the residue's image b^-1(a(s)) is the index y of a(s) in b's
-        table; b -> u_y * b strips u_y, and only a non-identity a * b^-1 is formed."""
-        if a.degree != self.degree:
-            raise ValueError(f"degree mismatch: {a.degree} vs {self.degree}")
-        levels = self.levels
+    def _strip(self, a, start: int, b=None):
+        """Strip a * b^-1, given by the tables a and b (b None: the
+        identity), from level ``start`` down: (residue, level where it left
+        the chain, or the depth), the residue a pair of tables (a, b), or
+        None for the identity.  At base point s the residue's image
+        b^-1(a(s)) is the index y of a(s) in b; b -> u_y * b strips u_y."""
+        levels, compose = self.levels, _compose(self.degree)
         for i in range(start, len(levels)):
             lv = levels[i]
-            x = a.table[lv.seed]
-            y = x if b is None else b.table.index(x)
+            x = a[lv.seed]
+            y = x if b is None else b.index(x)
             if y not in lv.parent:
-                return (a if b is None else a * b.inverse()), i
-            u = lv._u.get(y) or lv.element(y)
-            b = u if b is None else u * b
-        if a == b:
-            return Permutation.identity(self.degree), len(levels)
-        return (a if b is None else a * b.inverse()), len(levels)
+                return (a, b), i
+            u = (lv._u.get(y) or lv.element(y)).table
+            b = u if b is None else compose(u, b)
+        done = a == (_identity_table(self.degree) if b is None else b)
+        return (None if done else (a, b)), len(levels)
 
     def _build(self, gens):
         for g in gens:
-            h, j = self._strip(g, 0)
-            if not h.is_identity():
-                self._install(h, 0, j)
+            pair, j = self._strip(g.table, 0)
+            if pair is not None:
+                self._install(_quotient(*pair, self.degree), 0, j)
         i = len(self.levels) - 1
         while i >= 0:
             stuck = self._check_level(i)
@@ -213,9 +224,9 @@ class StabChain:
         None when the level verifies cleanly.
         """
         for a, b in self.levels[i].schreier_pairs():
-            h, j = self._strip(a, i + 1, b)
-            if not h.is_identity():
-                self._install(h, i + 1, j)
+            pair, j = self._strip(a, i + 1, b)
+            if pair is not None:
+                self._install(_quotient(*pair, self.degree), i + 1, j)
                 return j
         return None
 
@@ -354,10 +365,9 @@ class PermGroup:
         chain = StabChain((), self.degree)
         if target != 1:
             for a, b in tree.schreier_pairs():
-                h = chain._strip(a, 0, b)[0]
-                if h.is_identity():
+                if chain._strip(a, 0, b)[0] is None:
                     continue
-                kept.append(a * b.inverse() if chain.levels else h)  # no level: h = a*b^-1
+                kept.append(_quotient(a, b, self.degree))
                 chain = StabChain(kept, self.degree)
                 if chain.order() == target:
                     break
@@ -385,7 +395,7 @@ class PermGroup:
         tables = []
         tree = _SchreierTree(seed, self.generators, images, self.identity())
         for a, b in tree.schreier_pairs():
-            new = (a * b.inverse()).table
+            new = _quotient(a, b, self.degree).table
             tables.append(new)
             old = len(orbit)
             for x in orbit[:old]:  # the old orbit is closed under the earlier tables

@@ -8,15 +8,18 @@ Two private representations, selected by the degree alone:
 * degree <= 255: a 256-byte translate table.  Slot 0 holds 0, slots
   1..n hold the images and slots n+1..255 hold themselves, so ``p * q``
   is one ``bytes.translate`` call;
-* degree > 255: a tuple of length n+1 with 0 in slot 0, composed with
-  ``operator.itemgetter``.
+* degree > 255: a tuple of length n+1 with 0 in slot 0, composed by one
+  ``operator.itemgetter`` gather.
 
 Either way ``p.table[i]`` is the image of point i for 1 <= i <= degree,
 so inner loops elsewhere index ``table`` instead of calling the
-bounds-checked ``p(i)``.  Nothing outside this module may depend on which
-of the two types ``table`` is, nor on the slots past the degree.  A private
+bounds-checked ``p(i)``, and ``_compose(degree)`` is the product on tables
+that ``p * q`` uses, for loops that strip on tables and form no
+``Permutation``.  Nothing outside this module may depend on which of the
+two types ``table`` is, nor on the slots past the degree.  A private
 point-set kernel follows the same degree split: the key of a set of points
-is a 256-byte 0/1 mask at degree <= 255 and the sorted tuple above.
+is a 256-byte 0/1 mask at degree <= 255, mapped by one ``translate``, and
+the sorted tuple above, mapped by one ``itemgetter`` gather and a sort.
 """
 
 from __future__ import annotations
@@ -51,6 +54,16 @@ def _pack(img, degree: int):
     return tuple(img)
 
 
+def _gather(a, b):
+    return itemgetter(*a)(b)
+
+
+def _compose(degree: int):
+    """The product on tables at this degree: ``_compose(n)(p.table, q.table)``
+    is ``(p * q).table``."""
+    return bytes.translate if degree <= _BYTES_MAX else _gather
+
+
 def _set_key(points, degree: int):
     """Key of a set of distinct points in 1..degree."""
     if degree <= _BYTES_MAX:
@@ -75,7 +88,8 @@ def _set_maps(perms, degree: int) -> list:
     """For each permutation, the map taking a key to the key of its image."""
     if degree <= _BYTES_MAX:  # mask[p^-1(x)] is 1 iff x is in the image
         return [p.inverse().table.translate for p in perms]
-    return [lambda b, image=p.table.__getitem__: tuple(sorted(map(image, b))) for p in perms]
+    return [lambda b, t=p.table: tuple(  # itemgetter of one index returns a bare image
+        sorted(itemgetter(*b)(t)) if len(b) > 1 else map(t.__getitem__, b)) for p in perms]
 
 
 class Permutation:
@@ -136,9 +150,7 @@ class Permutation:
         n = self.degree
         if other.degree != n:
             raise ValueError(f"degree mismatch: {n} vs {other.degree}")
-        if n <= _BYTES_MAX:
-            return Permutation._raw(self.table.translate(other.table), n)
-        return Permutation._raw(itemgetter(*self.table)(other.table), n)
+        return Permutation._raw(_compose(n)(self.table, other.table), n)
 
     def inverse(self) -> "Permutation":
         n = self.degree

@@ -9,7 +9,7 @@ from symdesign.cli import main
 from symdesign.design import parse_design_file, verify_symmetric
 from symdesign.group import group_file_text, parse_group_file
 
-from helpers import FIXTURES, m12_group_texts
+from helpers import FIXTURES, cyclic, m12_group_texts
 
 
 DATA = resources.files("symdesign.data")
@@ -237,6 +237,20 @@ def test_flag_transitive_verb(tmp_path, f21_file, capsys):
     assert "flag-transitive: yes" in capsys.readouterr().out
     assert main(["flag-transitive", FANO_FILE, f21_file, "--anti"]) == 1
     assert "anti-flag-transitive: no" in capsys.readouterr().out
+
+
+def test_flag_transitive_verb_on_one_point_blocks_past_the_byte_range(tmp_path, capsys):
+    """A design read from a file records no block action, so the check maps
+    every block through the point-set kernel: at degree 300 a one-point
+    block is a one-index gather, and its complement a 299-point one."""
+    design = tmp_path / "points.design"
+    design.write_text("v: 300\n" + "".join(f"{x}\n" for x in range(1, 301)))
+    group = tmp_path / "c300.grp"
+    group.write_text(group_file_text(cyclic(300)))
+    assert main(["flag-transitive", str(design), str(group), "--force"]) == 0
+    assert capsys.readouterr().out == "flag-transitive: yes\n"
+    assert main(["flag-transitive", str(design), str(group), "--anti", "--force"]) == 1
+    assert capsys.readouterr().out == "anti-flag-transitive: no\n"
 
 
 def test_pipeline_verb_text_and_json(capsys):

@@ -34,6 +34,7 @@ from helpers import (
     grp,
     paley,
     random_groups,
+    random_wreath_subgroup,
     reference_block_action,
     reference_construct_design,
     reference_imprimitivity_profile,
@@ -147,6 +148,42 @@ def test_verify_symmetric_matches_the_reference_on_perturbed_designs(make, count
         assert got == _outcome(reference_verify_symmetric, Design(d.v, d.blocks))
         axioms.add(got[0])
     assert axioms >= {"params", "block-pair", "point-degree", "block-size", "duplicate-block"}
+
+
+def _meet_path_cases(rng):
+    """(group, k, base block of size k, or None to draw one at random)."""
+    G, squares = paley(263)
+    yield G, 131, squares
+    yield load("m12-144/G"), 66, load("m12-144/base-block")
+    yield FIXTURES["F21"][0], 3, None
+    for _ in range(4):
+        W = random_wreath_subgroup(rng)
+        yield W, rng.randint(2, W.degree - 2), None
+    for n in (7, 13, rng.randint(5, 30)):
+        yield cyclic(n), rng.randint(2, n - 2), None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_both_meet_paths_give_the_same_verdict_on_orbit_built_designs(seed):
+    """An orbit-built design records its block action, so verify_symmetric
+    meets block 0 with the rest; a copy without the action meets all pairs.
+    Over random base blocks of sizes 1, 2, k and v-1, most of them not
+    designs, both give the same params, or the same axiom, witness and
+    message.  A random k-set under Paley-263 or M12-144 has a regular orbit
+    (34,453 or 95,040 blocks) that fails at block-count before any meet, so
+    there the size-k block is the design's own base block."""
+    rng = random.Random(seed)
+    outcomes = set()
+    for G, k, block in _meet_path_cases(rng):
+        v = G.degree
+        for size in (1, 2, k, v - 1):
+            base = block if size == k and block else rng.sample(range(1, v + 1), size)
+            design = construct_design(G, base)
+            assert design._action is not None
+            got = _outcome(verify_symmetric, design)
+            assert got == _outcome(verify_symmetric, Design(v, design.blocks))
+            outcomes.add(got[0])
+    assert outcomes >= {"params", "block-count", "block-pair"}
 
 
 @st.composite

@@ -474,14 +474,25 @@ def test_chain_is_deterministic():
         assert a.point_stabilizer(1).generators == b.point_stabilizer(1).generators
 
 
+def _formed(chain, stripped):
+    """``StabChain._strip``'s (pair of tables (a, b) or None, level) as
+    (the permutation a * b^-1, level)."""
+    pair, level = stripped
+    n = chain.degree
+    if pair is None:
+        return Permutation.identity(n), level
+    a, b = (Permutation(t[1:n + 1]) if t is not None else Permutation.identity(n) for t in pair)
+    return a * b.inverse(), level
+
+
 def _assert_sift_matches_the_reference(group, cases):
     """Also strips each case g as the pair (g * b, b), b the next case."""
     chain = group.chain
     for g, b in zip(cases, cases[1:] + cases[:1]):
         for start in range(len(chain.levels) + 1):
             want = reference_strip(chain, g, start)
-            assert chain._strip(g, start) == want
-            assert chain._strip(g * b, start, b) == want
+            assert _formed(chain, chain._strip(g.table, start)) == want
+            assert _formed(chain, chain._strip((g * b).table, start, b.table)) == want
         assert chain.contains(g) == reference_strip(chain, g, 0)[0].is_identity()
 
 
@@ -566,15 +577,14 @@ def test_a_wrong_strip_fails_the_build_at_once(monkeypatch):
         levels = self.levels
         for i in range(start, len(levels)):
             lv = levels[i]
-            x = a.table[lv.seed]
-            y = x if b is None else b.table.index(x)
+            x = a[lv.seed]
+            y = x if b is None else b.index(x)
             if y not in lv.parent:
-                return (a if b is None else a * b.inverse()), i
+                return (a, b), i
             u = lv.element(y)
-            b = u if b is None else b * u
-        if a == b:
-            return Permutation.identity(self.degree), len(levels)
-        return (a if b is None else a * b.inverse()), len(levels)
+            b = u.table if b is None else (Permutation._raw(b, self.degree) * u).table
+        done = a == (Permutation.identity(self.degree).table if b is None else b)
+        return (None if done else (a, b)), len(levels)
 
     G = load("m12-144/G")
     monkeypatch.setattr(StabChain, "_strip", wrong_strip)

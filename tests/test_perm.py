@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from symdesign.perm import (
     MAX_DEGREE,
     Permutation,
+    _compose,
     _set_key,
     _set_maps,
     _set_points,
@@ -178,6 +179,7 @@ def test_kernel_matches_a_plain_tuple_reference(pair, e):
     p, q = Permutation(a), Permutation(b)
     assert p.degree == n
     assert p.images == a and (p * q).images == _ref_mul(a, b)
+    assert _compose(n)(p.table, q.table) == (p * q).table
     assert type(p.images) is tuple and all(type(x) is int for x in p.images)
     assert p.inverse().images == _ref_inverse(a)
     power = tuple(range(1, n + 1))
@@ -244,3 +246,18 @@ def test_mask_read_back_at_the_ends_of_the_byte_range(n):
         points = tuple(sorted(set(points)))
         got = _set_points(_set_key(points, n), n)
         assert got == points and all(type(x) is int for x in got)
+
+
+@pytest.mark.parametrize("n", [256, 257, 263, 300])
+def test_gather_images_of_small_and_large_sets_past_the_byte_range(n):
+    """Above degree 255 a set's image is one itemgetter gather, which
+    returns a bare image for one index; every shape of set maps right."""
+    shift = Permutation([i % n + 1 for i in range(1, n + 1)])
+    scale = Permutation([(3 * i) % n + 1 for i in range(n)]) if n % 3 else shift.inverse()
+    perms = [shift, scale, shift * scale]
+    for points in ((), (1,), (n,), (1, n), tuple(range(1, n + 1)), tuple(range(2, n + 1, 2))):
+        key = _set_key(points, n)
+        for g, image in zip(perms, _set_maps(perms, n)):
+            got = _set_points(image(key), n)
+            assert got == tuple(sorted(g(x) for x in points))
+            assert type(got) is tuple and all(type(x) is int for x in got)
