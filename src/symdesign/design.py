@@ -3,13 +3,15 @@
 A design is a point set {1..v} plus a list of blocks.  Designs are
 immutable after construction; ``verify_symmetric`` caches the certified
 parameters on the instance, ``complement`` sets those of its result, and
-the transitivity predicates refuse trivial designs unless forced.
+the transitivity predicates refuse trivial designs unless forced.  A
+complement forms its blocks from its source's when they are first read.
 ``construct_design`` records the action of G's generators on the blocks it
 builds, ``complement`` keeps that action, and the flag checks reuse it
 under the same generators and recompute it for any other generating set.
 Such a design's blocks form one orbit of those generators, which carry
-block 0 to every block, so ``verify_symmetric`` meets block 0 with the rest
-and ``imprimitivity_profile`` reads block 0 alone on a partition they keep.
+block 0 to every block, so ``verify_symmetric`` counts the flags on each
+point orbit O as b |B_0 ∩ O|, meets block 0 with the rest, and
+``imprimitivity_profile`` reads block 0 alone on a partition they keep.
 ``is_flag_transitive`` grows the orbit of one point of block 0 under the
 Schreier generators of block 0's tree in that action, which generate the
 block's stabilizer (Schreier's lemma), and stops once the orbit fills the
@@ -22,11 +24,12 @@ the design against each system.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations, starmap
 from operator import and_, itemgetter
 from typing import NamedTuple
 
-from .group import PermGroup, _orbit_walk
+from .group import PermGroup, _close, _orbit_walk
 from .perm import _set_key, _set_maps, _set_points, cycle_string
 
 __all__ = [
@@ -113,6 +116,13 @@ class Design:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
+    @cached_property
+    def blocks(self) -> tuple[tuple, ...]:
+        """A complement's blocks, formed on first read (any other design
+        stores its blocks when made, which shadows this)."""
+        universe = frozenset(range(1, self.v + 1))
+        return tuple(tuple(sorted(universe.difference(b))) for b in self._complement_of.blocks)
+
     def __eq__(self, other):
         return (
             isinstance(other, Design)
@@ -136,12 +146,17 @@ def verify_symmetric(design: Design) -> DesignParams:
     1950): distinct k-sets meet in fewer than k points, so k > lam, and for
     the block-by-point incidence matrix N, N N^T = (k-lam) I + lam J is
     nonsingular; with N J = J N = k J it gives N^T N = (k-lam) I + lam J.
-    A design with a recorded block action is one orbit, and if B_i = B_0 g
-    then |B_i ∩ B_j| = |B_0 ∩ B_j g^-1|, so only the pairs (0, j) are met,
-    which come first in ``combinations`` order and give the same witness:
-    each block's meet is the sum of one ``itemgetter`` gather from a 0/1
-    mask of block 0.  Any other design meets all pairs on int bitsets, one
-    ``&`` and one ``bit_count`` a pair.
+    A design with a recorded block action is one orbit of b = v blocks
+    B_0 g.  Each g maps the blocks through x onto those through x g, so the
+    points of an orbit O of the generators have one degree, and counting
+    the flags in O both ways gives it as v |B_0 ∩ O| / |O|; orbits go by
+    least point, so the witness is the one a count per incidence names.  If
+    B_i = B_0 g then |B_i ∩ B_j| = |B_0 ∩ B_j g^-1|, so only the pairs
+    (0, j) are met, which come first in ``combinations`` order and give the
+    same witness.  |B_0 ∩ O| and each meet are sums of one ``itemgetter``
+    gather from a 0/1 mask of block 0.  Any other design counts degrees per
+    incidence and meets all pairs on int bitsets, one ``&`` and one
+    ``bit_count`` a pair.
     """
     v = design.v
     blocks = design.blocks
@@ -163,25 +178,31 @@ def verify_symmetric(design: Design) -> DesignParams:
             raise NotSymmetric(
                 "block-size", i, f"block {i} has size {len(b)}, expected {k}"
             )
-    degree = [0] * (v + 1)
-    for b in blocks:
-        for pt in b:
-            degree[pt] += 1
-    for pt in range(1, v + 1):
-        if degree[pt] != k:
-            raise NotSymmetric(
-                "point-degree", pt, f"point {pt} lies on {degree[pt]} blocks, expected {k}"
-            )
-    if design._action is not None:  # the v-1 pairs (0, j), first in combinations order
+    if design._action is not None:
         mask = bytearray(v + 1)
         for pt in blocks[0]:
             mask[pt] = 1
-        # slot 0 is never a point, so each gather is a tuple
+        tables, seen, degrees = [g.table for g in design._action[0]], bytearray(v + 1), []
+        for x in range(1, v + 1):
+            if not seen[x]:  # x is the least point of its orbit
+                seen[x] = 1
+                orbit = _close([x], seen, tables)
+                degrees.append((x, v * sum(itemgetter(0, *orbit)(mask)) // len(orbit)))
+        # the v-1 pairs (0, j), first in combinations order; slot 0 is never
+        # a point, so each gather is a tuple
         meets = lambda: (sum(itemgetter(0, *b)(mask)) for b in blocks[1:])
     else:
+        degree = [0] * (v + 1)
+        for b in blocks:
+            for pt in b:
+                degree[pt] += 1
+        degrees = enumerate(degree[1:], 1)
         bit = [1 << pt for pt in range(v + 1)]
         rows = [sum(map(bit.__getitem__, b)) for b in blocks]  # points are distinct
         meets = lambda: map(int.bit_count, starmap(and_, combinations(rows, 2)))
+    for pt, d in degrees:
+        if d != k:
+            raise NotSymmetric("point-degree", pt, f"point {pt} lies on {d} blocks, expected {k}")
     lam = next(meets(), k)  # v == 1: no pair
     for meet in meets():
         if meet != lam:  # walk again with the pairs to name the first one
@@ -206,15 +227,14 @@ def complement(design: Design) -> Design:
     its v distinct blocks have size v-k, each point lies on v-k of them, and
     two meet in the v-2k+lam points outside both of the input's blocks.
     Block i is the complement of block i, and (Ω∖B)^g = Ω∖B^g, so the
-    result keeps the input's recorded block action."""
+    result keeps the input's recorded block action.  Its blocks are formed
+    when first read: the flag check may answer from |G| mod v(v-k) alone."""
     params = _verified(design)
     if params.k == params.v:
         raise ValueError("empty block")
-    universe = frozenset(range(1, design.v + 1))
-    blocks = (tuple(sorted(universe.difference(b))) for b in design.blocks)
-    comp = Design._of_canonical(design.v, blocks)
+    comp = Design.__new__(Design)
+    comp.v, comp._complement_of, comp._action = design.v, design, design._action
     comp.params = DesignParams(params.v, params.v - params.k, params.v - 2 * params.k + params.lam)
-    comp._action = design._action
     return comp
 
 

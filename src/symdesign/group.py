@@ -489,6 +489,10 @@ class PermGroup:
         G_1 on the other points: an element of G_1 maps the finest system
         joining 1 and b to itself and b to any point of b's G_1-orbit, so the
         other points of that orbit give the same system (Atkinson, 1975).
+        A class through 1 is G_1-invariant: {1} and other G_1-orbits, of a
+        size d dividing the degree n, 1 < d < n.  So an orbit O seeds only if
+        some union of the other orbits has d - 1 - |O| points (a subset sum
+        on an int bitset); from any other, the closure is every point.
         Then keeps the systems whose class through 1 contains no other
         candidate's class through 1.
         """
@@ -496,14 +500,25 @@ class PermGroup:
             raise ValueError("block systems need degree >= 2")
         if not self.is_transitive():
             raise ValueError("block systems require a transitive group")
+        n = self.degree
+        orbits = [o for o in self.point_stabilizer(1).orbits() if o[0] != 1]
+        sizes = [len(o) for o in orbits]
+        classes_less_1 = sum(1 << (d - 1) for d in range(2, n) if n % d == 0)  # bit d - 1
+        fit = set()
+        for size in set(sizes):
+            others = sizes.copy()
+            others.remove(size)
+            reach = 1 << size  # bit t: an orbit of this size and some others have t points
+            for other in others:
+                reach |= reach << other
+            if reach & classes_less_1:
+                fit.add(size)
         found: dict[tuple, BlockSystem] = {}
-        for orbit in self.point_stabilizer(1).orbits():
-            b = orbit[0]
-            if b == 1:
-                continue
-            sys = self._finest_system_joining(1, b)
-            if sys is not None:
-                found.setdefault(sys.classes, sys)
+        for orbit in orbits:
+            if len(orbit) in fit:
+                sys = self._finest_system_joining(1, orbit[0])
+                if sys is not None:
+                    found.setdefault(sys.classes, sys)
         systems = list(found.values())
         minimal = []
         for sys in systems:

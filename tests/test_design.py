@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tracemalloc
 
@@ -424,18 +426,39 @@ def test_a_generator_outside_the_recorded_action_is_refused_on_both_paths(name):
 
 
 def test_complement_streams_its_blocks():
-    """Each complement block is formed from one set at a time, not from v
-    sets built first (about 5 MB on Paley-263)."""
+    """Each complement block is formed from one set at a time when the
+    blocks are read, not from v sets built first (about 5 MB on Paley-263)."""
     G, block = paley(263)
     design = construct_design(G, block)
     verify_symmetric(design)
     tracemalloc.start()
     try:
-        complement(design)
+        assert len(complement(design).blocks) == 263
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("name", ["m12", "paley-263"])
+def test_a_complement_forms_its_blocks_when_they_are_read(name):
+    """v(v-k) does not divide |G| for M12-144 or Paley-263, so the anti-flag
+    check answers no without a complement block; an unread complement still
+    compares, hashes, copies and pickles as the design of its blocks."""
+    G, block = CARRIED[name]()
+    design = construct_design(G, block)
+    verify_symmetric(design)
+    comp = complement(design)
+    assert is_flag_transitive(comp, G) is False
+    assert "blocks" not in vars(comp)
+    points = set(range(1, design.v + 1))
+    plain = Design(design.v, [points.difference(b) for b in design.blocks])
+    assert complement(design).blocks == plain.blocks
+    assert complement(design) == plain and hash(complement(design)) == hash(plain)
+    for copied in (copy.deepcopy(comp), pickle.loads(pickle.dumps(comp))):
+        assert copied.blocks == plain.blocks and copied.params == comp.params
+    assert "blocks" not in vars(comp)
+    assert complement(complement(design)) == design
 
 
 def _agrees_on_both_paths(design):
@@ -477,6 +500,35 @@ def test_a_design_without_a_recorded_action_has_every_pair_met():
     blocks[3], blocks[5] = (2, 3, 6), (3, 4, 5)
     expected = ("block-pair", (3, 4), "blocks 3,4 meet in 2, expected 1")
     assert _agrees_on_both_paths(Design(7, blocks)) == expected
+
+
+def test_point_degrees_by_orbit_name_the_least_point_off_degree():
+    """<(1,2,3)(4,5)> carries {1,4} to 6 blocks of size 2: points 1-3 lie on
+    2 of them, 4 and 5 on 3, and 6 on none."""
+    design = construct_design(PermGroup([parse_cycles("(1,2,3)(4,5)", 6)]), [1, 4])
+    assert design.num_blocks == 6 and design._action is not None
+    bare = copy.copy(design)
+    bare._action = None
+    expected = ("point-degree", 4, "point 4 lies on 3 blocks, expected 2")
+    for check, D in [(verify_symmetric, design), (verify_symmetric, bare),
+                     (reference_verify_symmetric, design)]:
+        assert _outcome(check, D) == expected
+
+
+@pytest.mark.parametrize("p, q, block", [
+    (2, 3, [1, 3]), (2, 5, [1, 3, 10]), (3, 4, [1, 2, 4]), (3, 5, [1, 4, 5, 15]),
+    (4, 5, [1, 2, 5]),
+])
+def test_point_degrees_by_orbit_on_two_cycles(p, q, block):
+    """A p-cycle times a q-cycle, p and q coprime, on pq points carries a
+    block with points in both cycles to pq blocks, past the block-count
+    gate; the pq - p - q fixed points make a third point orbit."""
+    cycles = "(" + ",".join(map(str, range(1, p + 1))) + ")(" \
+        + ",".join(map(str, range(p + 1, p + q + 1))) + ")"
+    G = PermGroup([parse_cycles(cycles, p * q)])
+    design = construct_design(G, block)
+    assert design.num_blocks == p * q and len(G.orbits()) > 2
+    assert _agrees_on_both_paths(design)[0] == "point-degree"
 
 
 def _profile_outcome(check, design, system):

@@ -1,7 +1,8 @@
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symdesign.perm import Permutation, parse_cycles, cycle_string
@@ -27,6 +28,7 @@ from helpers import (
     paley,
     random_groups,
     random_wreath_subgroup,
+    _reference_finest_system_joining,
     reference_minimal_block_systems,
     reference_stab_chain,
     reference_stabilizer_of_action,
@@ -299,21 +301,102 @@ WREATHS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURES) + sorted(WREATHS) + ["M12-144"])
-def test_minimal_block_systems_match_the_all_pairs_reference(name):
+def _product_action(A, B):
+    """A x B on the pairs (x, y), pair (x, y) as point (x - 1) * B.degree + y."""
+    pairs = [(x, y) for x in range(1, A.degree + 1) for y in range(1, B.degree + 1)]
+    point = lambda x, y: (x - 1) * B.degree + y
+    gens = [Permutation([point(g(x), y) for x, y in pairs]) for g in A.generators]
+    gens += [Permutation([point(x, h(y)) for x, y in pairs]) for h in B.generators]
+    return PermGroup(gens, degree=len(pairs))
+
+
+def _petersen():
+    """S5 on the 10 pairs of {1..5}: subdegrees 1, 3, 6."""
+    pairs = list(combinations(range(1, 6), 2))
+    index = {pair: i for i, pair in enumerate(pairs, 1)}
+    return PermGroup([
+        Permutation([index[tuple(sorted(map(g, pair)))] for pair in pairs])
+        for g in FIXTURES["S5"][0].generators
+    ], degree=10)
+
+
+def _group(name):
     if name in FIXTURES:
-        group = FIXTURES[name][0]
-    elif name in WREATHS:
-        group = wreath(*WREATHS[name])
+        return FIXTURES[name][0]
+    if name in WREATHS:
+        return wreath(*WREATHS[name])
+    if name == "M12-144":
+        return load("m12-144/G")
+    if name == "paley-263":
+        return paley(263)[0]
+    if name == "S5xPetersen":  # subdegrees 1, 3, 4, 6, 12, 24 on 50 points
+        return _product_action(FIXTURES["S5"][0], _petersen())
+    return cyclic(int(name[1:]))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES) + sorted(WREATHS)
+                         + ["M12-144", "S5xPetersen"]
+                         + [f"C{n}" for n in range(2, 31) if f"C{n}" not in FIXTURES])
+def test_minimal_block_systems_match_the_all_pairs_reference(name):
+    group = _group(name)
+    if name in WREATHS:
         inner, outer = WREATHS[name]
         assert group.order() == inner.order() ** outer.degree * outer.order()
-    else:
-        group = load("m12-144/G")
     got = group.minimal_block_systems()
     assert [s.classes for s in got] \
         == [s.classes for s in reference_minimal_block_systems(group)]
     if name in WREATHS:
         assert got, "a wreath product of transitive groups is imprimitive"
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_minimal_block_systems_match_the_reference_on_wreath_words(rng):
+    group = random_wreath_subgroup(rng)
+    assume(group.is_transitive())
+    assert [s.classes for s in group.minimal_block_systems()] \
+        == [s.classes for s in reference_minimal_block_systems(group)]
+
+
+def _orbits_that_fit_a_class(group):
+    """The least points of the G_1-orbits O other than {1} for which {1}, O
+    and some of the other orbits make a size d dividing the degree with
+    1 < d < degree, by the set of every sum of the other orbits' sizes."""
+    n = group.degree
+    orbits = [o for o in group.point_stabilizer(1).orbits() if o[0] != 1]
+    fit = []
+    for i, orbit in enumerate(orbits):
+        sums = {0}
+        for other in orbits[:i] + orbits[i + 1:]:
+            sums |= {t + len(other) for t in sums}
+        if any(1 + len(orbit) + t < n and n % (1 + len(orbit) + t) == 0 for t in sums):
+            fit.append(orbit[0])
+    return fit
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("M12-144", 2),  # subdegrees 1, 11, 11, 55, 66; 4 calls before the sizes were read
+    ("paley-263", 0),  # 263 is prime; 2 calls before the sizes were read
+    ("S5xPetersen", 4),  # its orbit of 12 makes a class of 25 only if counted twice
+    *((name, None) for name in ["C12", "C30", "S4", "F21", *sorted(WREATHS)]),
+])
+def test_block_system_seeds_are_the_orbits_that_fit_a_class(name, calls, monkeypatch):
+    """``minimal_block_systems`` joins 1 with a point of each G_1-orbit that
+    some class through 1 could hold, and only those; from every other orbit
+    the closure is the whole point set."""
+    group = _group(name)
+    fit = _orbits_that_fit_a_class(group)
+    for orbit in group.point_stabilizer(1).orbits():
+        if orbit[0] not in (1, *fit):
+            assert _reference_finest_system_joining(group, 1, orbit[0]) is None
+    seeds = []
+    finest = PermGroup._finest_system_joining
+    monkeypatch.setattr(PermGroup, "_finest_system_joining",
+                        lambda self, a, b: seeds.append(b) or finest(self, a, b))
+    group.minimal_block_systems()
+    assert seeds == fit
+    if calls is not None:
+        assert len(seeds) == calls
 
 
 def test_repeated_queries_give_equal_fresh_results():
