@@ -19,7 +19,10 @@ Schreier generators themselves and no stabilizer is cut out.  Subdegrees
 are read off the chain too: the group is transitive iff its first basic
 orbit is every point, and then the second level's strong generators
 generate G_b for the first base point b, whose orbit lengths are the
-subdegrees at every point.
+subdegrees at every point; they are counted once and stored like the chain.
+A block system is grown from its class through the first base point s,
+the orbit of s under G_s and one transversal element, so no partition of
+all points is refined.
 
 A coset action is one breadth-first orbit walk (``_orbit_walk``, which
 also closes a design's block orbit) that names each coset either by a
@@ -288,6 +291,7 @@ class PermGroup:
         self.degree = degree
         self.generators = generators
         self._chain: StabChain | None = None
+        self._subdegrees: tuple | None = None
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
@@ -431,64 +435,65 @@ class PermGroup:
         The group is transitive iff its first basic orbit is every point.
         Then all point stabilizers are conjugate, so any point's subdegrees
         are those of G_b for the first base point b, which the chain's
-        second level generates (Seress 2003, sec. 4.1).
+        second level generates (Seress 2003, sec. 4.1).  They are counted
+        once and stored like the chain; the checks run on every call.
         """
         levels = self.chain.levels
         if not (len(levels[0].orbit) == self.degree if levels else self.degree == 1):
             raise ValueError("subdegrees require a transitive group")
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} outside 1..{self.degree}")
-        stab = PermGroup(levels[1].gens if len(levels) > 1 else (), degree=self.degree)
-        return sorted(len(o) for o in stab.orbits())
+        if self._subdegrees is None:
+            stab = PermGroup(levels[1].gens if len(levels) > 1 else (), degree=self.degree)
+            self._subdegrees = tuple(sorted(len(o) for o in stab.orbits()))
+        return list(self._subdegrees)
 
     # ---- block systems ---------------------------------------------------
 
     def _finest_system_joining(self, a: int, b: int) -> "BlockSystem | None":
-        """Finest invariant partition with a and b in one class.
+        """Finest block system of this transitive group with a and b in one
+        class; None when that class is every point.
 
-        Classical union-find block refinement; returns None when the
-        closure is the full point set.
+        The system is G-invariant, so u_a^-1 maps it to itself: it is the
+        finest one joining the first base point s = a^(u_a^-1) and
+        c = b^(u_a^-1), u_a from the first chain level's transversal.  The
+        blocks through s are the orbits s^H of the subgroups H between G_s
+        and G (Dixon and Mortimer 1996, Thm 1.5A), and a block holding s and
+        c = s^(u_c) is fixed by u_c, so the class through s is its orbit
+        under <G_s, u_c>, G_s generated by the chain's second level: the
+        class a^<G_a, u_a^-1 u_b> moved by u_a^-1, with no strong generator
+        conjugated and no inverse formed.  The orbit is closed over the
+        class's own points, and the other classes are its images under the
+        generators.
         """
-        parent = list(range(self.degree + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        pending: list[int] = []
-
-        def union(x: int, y: int):
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                return
-            if rx > ry:
-                rx, ry = ry, rx
-            parent[ry] = rx
-            pending.append(ry)
-
-        union(a, b)
-        tables = [g.table for g in self.generators]
-        while pending:
-            y = pending.pop()
-            x = find(y)
-            for t in tables:
-                union(t[x], t[y])
-        classes: dict[int, list[int]] = {}
-        for pt in range(1, self.degree + 1):
-            classes.setdefault(find(pt), []).append(pt)
-        if len(classes) <= 1:
+        first, *rest = self.chain.levels
+        tables = [g.table for g in (rest[0].gens if rest else ())]
+        c = first.element(a).table.index(b)  # the point u_a maps to b
+        tables.append(first.element(c).table)
+        n = self.degree
+        seen = bytearray(n + 1)
+        seen[first.seed] = 1
+        block = _close([first.seed], seen, tables)
+        if len(block) == n:
             return None
-        return BlockSystem(self.degree, list(classes.values()))
+        classes = [block]
+        for cls in classes:  # the list grows while it is read
+            for g in self.generators:
+                t = g.table
+                if not seen[t[cls[0]]]:
+                    image = [t[x] for x in cls]
+                    for x in image:
+                        seen[x] = 1
+                    classes.append(image)
+        return BlockSystem(n, classes)
 
     def minimal_block_systems(self) -> list["BlockSystem"]:
         """All minimal nontrivial block systems; empty iff primitive.
 
-        Seeds the refinement with one pair {1, b} per orbit of the stabilizer
-        G_1 on the other points: an element of G_1 maps the finest system
-        joining 1 and b to itself and b to any point of b's G_1-orbit, so the
-        other points of that orbit give the same system (Atkinson, 1975).
+        Joins 1 with one point b per orbit of the stabilizer G_1 on the other
+        points (``_finest_system_joining``): an element of G_1 maps the
+        finest system joining 1 and b to itself and b to any point of b's
+        G_1-orbit, so the other points of that orbit give the same system.
         A class through 1 is G_1-invariant: {1} and other G_1-orbits, of a
         size d dividing the degree n, 1 < d < n.  So an orbit O seeds only if
         some union of the other orbits has d - 1 - |O| points (a subset sum

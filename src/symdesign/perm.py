@@ -224,6 +224,7 @@ class Permutation:
 
 
 _CYCLE_RE = re.compile(r"\(([0-9,]*)\)")
+_CYCLES_RE = re.compile(r"(?:\([0-9,]*\))*")
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:
@@ -232,11 +233,43 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     Whitespace is ignored everywhere; an empty string (or ``()``) is the
     identity.  Raises ValueError naming the offending token for repeated
     points, out-of-range points, or malformed parentheses.
+
+    One regex match checks the form, and one ``int`` map reads every
+    point; range and repeats are checked on the whole list.  Only a text
+    that fails a check is walked cycle by cycle, to name its first error.
     """
     if not 1 <= degree <= MAX_DEGREE:
         raise ValueError(f"degree {degree} is outside 1..{MAX_DEGREE}")
-    stripped = re.sub(r"\s+", "", text)
+    stripped = "".join(text.split())
+    if _CYCLES_RE.fullmatch(stripped) is None:
+        _raise_first_error(stripped, degree)
+    cycles = [c for c in stripped[1:-1].split(")(") if c]
+    try:
+        points = list(map(int, ",".join(cycles).split(","))) if cycles else []
+    except ValueError:  # an empty entry, or more digits than int() reads
+        points = None
+    if points is None or points and (min(points) < 1 or max(points) > degree
+                                     or len(set(points)) < len(points)):
+        _raise_first_error(stripped, degree)
+    # each point goes to the next one, and the last of each cycle to its first
+    succ = points[1:] + points[:1]
+    stop = 0
+    for cyc in cycles:
+        first = stop
+        stop += cyc.count(",") + 1
+        succ[stop - 1] = points[first]
+    if degree <= _BYTES_MAX:
+        return Permutation._raw(bytes.maketrans(bytes(points), bytes(succ)), degree)
     images = list(range(degree + 1))
+    for a, b in zip(points, succ):
+        images[a] = b
+    return Permutation._raw(tuple(images), degree)
+
+
+def _raise_first_error(stripped: str, degree: int):
+    """Walk the whitespace-free cycle text one cycle at a time and raise the
+    ValueError for its first malformed cycle, empty entry, out-of-range or
+    repeated point."""
     seen = bytearray(degree + 1)
     pos = 0
     while pos < len(stripped):
@@ -250,17 +283,13 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         parts = body.split(",")
         if any(not part for part in parts):
             raise ValueError(f"empty entry in cycle ({body})")
-        points = [int(part) for part in parts]
-        for pt in points:
+        for pt in [int(part) for part in parts]:
             if not 1 <= pt <= degree:
                 raise ValueError(f"point {pt} outside 1..{degree}")
             if seen[pt]:
                 raise ValueError(f"point {pt} repeated across cycles")
             seen[pt] = 1
-        for a, b in zip(points, points[1:]):
-            images[a] = b
-        images[points[-1]] = points[0]
-    return Permutation._raw(_pack(images, degree), degree)
+    raise RuntimeError("cycle text failed a check but has no first error")
 
 
 def cycle_string(p: Permutation) -> str:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from collections import Counter
 from importlib import resources
 from itertools import combinations
@@ -17,7 +18,7 @@ from symdesign.design import (
     ProfileViolation,
     _verified,
 )
-from symdesign.perm import Permutation, parse_cycles
+from symdesign.perm import MAX_DEGREE, Permutation, _pack, parse_cycles
 from symdesign.group import BlockSystem, PermGroup, StabChain
 from symdesign.catalog import load_catalogs
 from symdesign.params import _candidate, classify_type, derive_cdl, enumerate_params
@@ -27,6 +28,42 @@ from symdesign.pipeline import (
     large_filter,
     subgroup_index_gate,
 )
+
+
+_REFERENCE_CYCLE_RE = re.compile(r"\(([0-9,]*)\)")
+
+
+def reference_parse_cycles(text: str, degree: int) -> Permutation:
+    """``perm.parse_cycles`` as a regex match per cycle and a check per point,
+    the form that names each error where it is met."""
+    if not 1 <= degree <= MAX_DEGREE:
+        raise ValueError(f"degree {degree} is outside 1..{MAX_DEGREE}")
+    stripped = re.sub(r"\s+", "", text)
+    images = list(range(degree + 1))
+    seen = bytearray(degree + 1)
+    pos = 0
+    while pos < len(stripped):
+        m = _REFERENCE_CYCLE_RE.match(stripped, pos)
+        if m is None:
+            raise ValueError(f"malformed cycle text at {stripped[pos:pos + 12]!r}")
+        body = m.group(1)
+        pos = m.end()
+        if not body:
+            continue
+        parts = body.split(",")
+        if any(not part for part in parts):
+            raise ValueError(f"empty entry in cycle ({body})")
+        points = [int(part) for part in parts]
+        for pt in points:
+            if not 1 <= pt <= degree:
+                raise ValueError(f"point {pt} outside 1..{degree}")
+            if seen[pt]:
+                raise ValueError(f"point {pt} repeated across cycles")
+            seen[pt] = 1
+        for a, b in zip(points, points[1:]):
+            images[a] = b
+        images[points[-1]] = points[0]
+    return Permutation._raw(_pack(images, degree), degree)
 
 
 def grp(degree, *cycle_strings):
@@ -490,6 +527,14 @@ def reference_minimal_block_systems(group):
                    for o in found.values())
     ]
     return sorted(minimal, key=lambda s: (s.class_size, s.classes))
+
+
+def simple_index_bound_refutes(order: int, index: int) -> bool:
+    """Whether a nonabelian simple group of this order provably has no
+    subgroup of this index.  A simple M with a subgroup of index i > 1 acts
+    faithfully on its i cosets, with image in A_i (else the image meets A_i
+    in a normal subgroup of index 2), so |M| divides i!/2."""
+    return index > 1 and (math.factorial(index) // 2) % order != 0
 
 
 def brute_force_params(v: int, m_order: int) -> list[tuple]:

@@ -257,6 +257,26 @@ def test_subdegrees_check_transitivity_before_the_point():
             cyclic(6).subdegrees(point)
 
 
+def test_subdegrees_are_counted_once_and_checked_on_every_call(monkeypatch):
+    group = wreath(cyclic(3), sym(3))
+    orbits, calls = PermGroup.orbits, []
+    monkeypatch.setattr(PermGroup, "orbits", lambda self: calls.append(self) or orbits(self))
+    first = group.subdegrees(1)
+    first.append(99)
+    first.sort(reverse=True)
+    assert group.subdegrees(1) == group.subdegrees(9) == [1, 1, 1, 6]
+    assert len(calls) == 1
+    for point in (0, 10, 0):
+        with pytest.raises(ValueError, match=f"^point {point} outside 1..9$"):
+            group.subdegrees(point)
+    assert group.subdegrees(5) == [1, 1, 1, 6] and len(calls) == 1
+    for group in (grp(6, "(1,2)", "(3,4,5)"), PermGroup.trivial(2)):
+        for point in (0, 1, group.degree + 1) * 2:
+            with pytest.raises(ValueError, match="^subdegrees require a transitive group$"):
+                group.subdegrees(point)
+    assert len(calls) == 1
+
+
 # ---- block systems ---------------------------------------------------------
 
 
@@ -356,6 +376,27 @@ def test_minimal_block_systems_match_the_reference_on_wreath_words(rng):
     assume(group.is_transitive())
     assert [s.classes for s in group.minimal_block_systems()] \
         == [s.classes for s in reference_minimal_block_systems(group)]
+
+
+def _assert_joins_match_the_reference(group):
+    for b in range(2, group.degree + 1):
+        got = group._finest_system_joining(1, b)
+        want = _reference_finest_system_joining(group, 1, b)
+        assert (got and got.classes) == (want and want.classes), b
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES) + sorted(WREATHS) + ["M12-144", "S5xPetersen"])
+def test_finest_system_joining_matches_the_union_find_reference(name):
+    """Every b, not only the seeds that fit a class."""
+    _assert_joins_match_the_reference(_group(name))
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_finest_system_joining_matches_the_reference_on_wreath_words(rng):
+    group = random_wreath_subgroup(rng)
+    assume(group.is_transitive())
+    _assert_joins_match_the_reference(group)
 
 
 def _orbits_that_fit_a_class(group):

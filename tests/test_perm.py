@@ -15,6 +15,8 @@ from symdesign.perm import (
     parse_cycles,
 )
 
+from helpers import reference_parse_cycles
+
 
 def test_involution_squares_to_identity():
     p = parse_cycles("(1,2)", 3)
@@ -70,6 +72,59 @@ def test_parse_errors_name_the_problem():
         parse_cycles("(1,2", 4)
     with pytest.raises(ValueError, match="empty entry"):
         parse_cycles("(1,,2)", 4)
+
+
+_ENTRY = st.one_of(st.integers(0, 14), st.sampled_from(["", "007", "-1", "x"]))
+_GAP = st.sampled_from(["", "", "", " ", "\t", "\n ", "\u00a0"])
+_JUNK = st.sampled_from([""] * 10 + [")", "(", "(1", "1", ",", "(1,2", "[1]", "()", "(,)"])
+
+
+@st.composite
+def cycle_texts(draw):
+    """(text, degree): disjoint cycles of points, or cycles of
+    entries in and out of range with empty entries and repeats, set among
+    whitespace, ``()`` and junk, at degree 1-12, the same shifted past 255,
+    or a degree out of bounds."""
+    shift = draw(st.sampled_from([0, 0, 0, 288]))
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):  # at times with n + 1, just out of range, or a repeat
+        top = n + draw(st.sampled_from([0, 0, 1]))
+        points = draw(st.permutations(range(1, top + 1)))[:draw(st.integers(0, top))]
+        points += points[:draw(st.sampled_from([0, 0, 1]))]
+        cuts = sorted(draw(st.lists(st.integers(0, len(points)), max_size=4)))
+        cycles = [points[i:j] for i, j in zip([0, *cuts], [*cuts, len(points)])]
+    else:
+        cycles = draw(st.lists(st.lists(_ENTRY, max_size=5), max_size=5))
+    pieces = [draw(_GAP)]
+    for entries in cycles:
+        texts = [str(e + shift) if isinstance(e, int) and e else str(e) for e in entries]
+        pieces += ["(", ",".join(texts), ")", draw(_GAP), draw(_JUNK) if draw(st.booleans()) else ""]
+    pieces.append(draw(_JUNK))
+    return "".join(pieces), draw(st.sampled_from([n + shift] * 9 + [0, MAX_DEGREE + 1]))
+
+
+def _parse_outcome(parse, text, degree):
+    """(degree, table type, table) or the ValueError message; no repr of a
+    parsed permutation is formed, so a wrong table cannot hang a report."""
+    try:
+        p = parse(text, degree)
+    except ValueError as exc:
+        return str(exc)
+    return p.degree, type(p.table), p.table
+
+
+@given(cycle_texts())
+@settings(max_examples=600, deadline=None)
+def test_parse_matches_the_cycle_by_cycle_reference(case):
+    """The table, or the ValueError message naming the first error."""
+    text, degree = case
+    assert _parse_outcome(parse_cycles, text, degree) \
+        == _parse_outcome(reference_parse_cycles, text, degree)
+
+
+def test_parse_reads_a_long_number_as_the_reference_does():
+    for text in ("(1," + "9" * 5000 + ")", "(0," + "9" * 5000 + ")", "(1,2)(" + "0" * 5000 + "1)"):
+        assert _parse_outcome(parse_cycles, text, 5) == _parse_outcome(reference_parse_cycles, text, 5)
 
 
 def test_parse_rejects_a_degree_outside_the_bound_before_allocating():

@@ -26,7 +26,14 @@ from symdesign.pipeline import (
     subgroup_index_gate,
 )
 
-from helpers import FIXTURES, cyclic, grp, pairwise_meets, reference_pipeline_rows
+from helpers import (
+    FIXTURES,
+    cyclic,
+    grp,
+    pairwise_meets,
+    reference_pipeline_rows,
+    simple_index_bound_refutes,
+)
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -348,6 +355,34 @@ def test_m12_report_is_deterministic(m12_report):
     assert json.dumps(again.to_json_dict(), sort_keys=True) == json.dumps(
         m12_report.to_json_dict(), sort_keys=True
     )
+
+
+# The maximals that are simple groups: a claim of this test, not of the catalogs.
+SIMPLE_MAXIMALS = {"M11a": "M11", "M11b": "M11", "O7(3)a": "O7(3)", "O7(3)b": "O7(3)"}
+
+
+def test_simple_index_bound():
+    assert not simple_index_bound_refutes(60, 5)  # A5 on 5 points
+    assert not simple_index_bound_refutes(7920, 11) and not simple_index_bound_refutes(7920, 12)
+    assert simple_index_bound_refutes(60, 4) and simple_index_bound_refutes(168, 6)
+    assert not simple_index_bound_refutes(60, 1) and simple_index_bound_refutes(60, 2)
+
+
+@pytest.mark.parametrize("key, refuted, indices", [
+    ("m12-144/catalog", 8, {3, 8}),
+    ("fi22/catalog-stub", 4, {14}),
+])
+def test_rows_the_simple_group_index_bound_refutes_are_nsg(key, refuted, indices):
+    """The index tables aside, |M| dividing i!/2 for a simple M with a
+    subgroup of index i > 1 refutes these rows on the side of M or N."""
+    data = load(key)
+    orders = {M.name: M.order for M in load_catalogs(data)[0].maximals}
+    rows = [t for t in run_pipeline(data).sections[0].tuples
+            if any(name in SIMPLE_MAXIMALS and simple_index_bound_refutes(orders[name], i)
+                   for name, i in ((t.M_name, t.i_H), (t.N_name, t.i_K)))]
+    assert len(rows) == refuted
+    assert {t.i_H for t in rows} == indices
+    assert all(t.status == "nsg" for t in rows)
 
 
 def test_fi22_stub_all_nsg():
