@@ -8,10 +8,12 @@ complement forms its blocks from its source's when they are first read.
 ``construct_design`` records the action of G's generators on the blocks it
 builds, ``complement`` keeps that action, and the flag checks reuse it
 under the same generators and recompute it for any other generating set.
-Such a design's blocks form one orbit of those generators, which carry
-block 0 to every block, so ``verify_symmetric`` counts the flags on each
-point orbit O as b |B_0 ∩ O|, meets block 0 with the rest, and
-``imprimitivity_profile`` reads block 0 alone on a partition they keep.
+When the orbit walk keys blocks by masks, it also leaves one int incidence
+row per block, which ``verify_symmetric`` takes.  Such a design's blocks
+form one orbit of those generators, which carry block 0 to every block, so
+``verify_symmetric`` counts the flags on each point orbit O as b |B_0 ∩ O|,
+meets block 0 with the rest, and ``imprimitivity_profile`` reads block 0
+alone on a partition they keep.
 ``is_flag_transitive`` grows the orbit of one point of block 0 under the
 Schreier generators of block 0's tree in that action, which generate the
 block's stabilizer (Schreier's lemma), and stops once the orbit fills the
@@ -30,7 +32,7 @@ from operator import and_, itemgetter
 from typing import NamedTuple
 
 from .group import PermGroup, _close, _orbit_walk
-from .perm import _set_key, _set_maps, _set_points, cycle_string
+from .perm import _set_key, _set_maps, _set_points, _set_row, cycle_string
 
 __all__ = [
     "Design",
@@ -86,6 +88,8 @@ class ProfileViolation(ValueError):
 
 class Design:
     """Points 1..v and a sequence of blocks (canonical sorted tuples)."""
+
+    _rows = None  # construct_design's incidence rows, until verify_symmetric takes them
 
     def __init__(self, v: int, blocks):
         if v < 1:
@@ -153,10 +157,14 @@ def verify_symmetric(design: Design) -> DesignParams:
     least point, so the witness is the one a count per incidence names.  If
     B_i = B_0 g then |B_i ∩ B_j| = |B_0 ∩ B_j g^-1|, so only the pairs
     (0, j) are met, which come first in ``combinations`` order and give the
-    same witness.  |B_0 ∩ O| and each meet are sums of one ``itemgetter``
-    gather from a 0/1 mask of block 0.  Any other design counts degrees per
-    incidence and meets all pairs on int bitsets, one ``&`` and one
-    ``bit_count`` a pair.
+    same witness.  |B_0 ∩ O| is a sum of one ``itemgetter`` gather from a
+    0/1 mask of block 0, and so is each meet unless the orbit walk left the
+    design its incidence rows.  Any other design counts degrees per
+    incidence and meets all pairs.  Rows meet in one ``&`` and one
+    ``bit_count``: those of the walk, else int bitsets formed from the
+    blocks for the all-pairs meets.  Distinct blocks are distinct rows, so
+    the duplicate test reads the walk's rows when there are any.  The check
+    takes the rows off the design, which then holds no more than its blocks.
     """
     v = design.v
     blocks = design.blocks
@@ -164,9 +172,11 @@ def verify_symmetric(design: Design) -> DesignParams:
         raise NotSymmetric(
             "block-count", len(blocks), f"{len(blocks)} blocks for {v} points"
         )
-    if len(set(blocks)) != len(blocks):
+    rows = vars(design).pop("_rows", None)  # nothing else reads them
+    sets = blocks if rows is None else rows
+    if len(set(sets)) != len(sets):
         seen = {}
-        for i, b in enumerate(blocks):
+        for i, b in enumerate(sets):
             if b in seen:
                 raise NotSymmetric(
                     "duplicate-block", (seen[b], i), f"blocks {seen[b]} and {i} coincide"
@@ -190,15 +200,19 @@ def verify_symmetric(design: Design) -> DesignParams:
                 degrees.append((x, v * sum(itemgetter(0, *orbit)(mask)) // len(orbit)))
         # the v-1 pairs (0, j), first in combinations order; slot 0 is never
         # a point, so each gather is a tuple
-        meets = lambda: (sum(itemgetter(0, *b)(mask)) for b in blocks[1:])
+        if rows is None:
+            meets = lambda: (sum(itemgetter(0, *b)(mask)) for b in blocks[1:])
+        else:
+            meets = lambda: map(int.bit_count, map(rows[0].__and__, rows[1:]))
     else:
         degree = [0] * (v + 1)
         for b in blocks:
             for pt in b:
                 degree[pt] += 1
         degrees = enumerate(degree[1:], 1)
-        bit = [1 << pt for pt in range(v + 1)]
-        rows = [sum(map(bit.__getitem__, b)) for b in blocks]  # points are distinct
+        if rows is None:
+            bit = [1 << pt for pt in range(v + 1)]
+            rows = [sum(map(bit.__getitem__, b)) for b in blocks]  # points are distinct
         meets = lambda: map(int.bit_count, starmap(and_, combinations(rows, 2)))
     for pt, d in degrees:
         if d != k:
@@ -245,21 +259,27 @@ def construct_design(G: PermGroup, base_block) -> Design:
     are sorted tuples in ascending lexicographic order; the result has v
     candidate blocks iff the orbit has length v.  The search finds every
     block's image under every generator of G; the result records that block
-    action, which the flag checks reuse under the same generators.
+    action, which the flag checks reuse under the same generators.  When
+    the keys are masks, their ints are kept as the design's incidence rows
+    for ``verify_symmetric``.
     """
     start = tuple(sorted(set(base_block)))
     if not start:
         raise ValueError("base block must be nonempty")
     if start[0] < 1 or start[-1] > G.degree:
         raise ValueError(f"base block not inside 1..{G.degree}")
-    keys, _, rows = _orbit_walk(_set_key(start, G.degree), _set_maps(G.generators, G.degree))
-    blocks = [_set_points(key, G.degree) for key in keys]
+    key = _set_key(start, G.degree)
+    keys, _, action = _orbit_walk(key, _set_maps(G.generators, G.degree, [key]))
+    masks = type(key) is not tuple
+    blocks = [_set_points(k, G.degree) for k in keys] if masks else keys
     order = sorted(range(len(blocks)), key=blocks.__getitem__)
     rank = [0] * (len(blocks) + 1)  # rank[label]: the block's place in sorted order
     for new, old in enumerate(order):
         rank[old + 1] = new
     design = Design._of_canonical(G.degree, [blocks[i] for i in order])
-    design._action = (G.generators, [[rank[row[i]] for i in order] for row in rows])
+    design._action = (G.generators, [[rank[row[i]] for i in order] for row in action])
+    if masks:
+        design._rows = [_set_row(keys[i]) for i in order]
     return design
 
 
@@ -277,7 +297,7 @@ def _block_action_images(G: PermGroup, design: Design):
     keys = [_set_key(b, design.v) for b in design.blocks]
     index = {key: i for i, key in enumerate(keys)}
     rows = [list(map(index.get, map(image, keys)))
-            for image in _set_maps(G.generators, design.v)]
+            for image in _set_maps(G.generators, design.v, keys)]
     for g, row in zip(G.generators, rows):
         if None in row:
             b = design.blocks[row.index(None)]

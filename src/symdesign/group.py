@@ -499,14 +499,22 @@ class PermGroup:
         some union of the other orbits has d - 1 - |O| points (a subset sum
         on an int bitset); from any other, the closure is every point.
         Then keeps the systems whose class through 1 contains no other
-        candidate's class through 1.
+        candidate's class through 1.  G_1 is u_1^-1 G_s u_1 for the first
+        base point s and the transversal element u_1 taking s to 1, so its
+        orbits are the u_1-images of the orbits of G_s, which the chain's
+        second level generates; no strong generator is conjugated.
         """
         if self.degree < 2:
             raise ValueError("block systems need degree >= 2")
         if not self.is_transitive():
             raise ValueError("block systems require a transitive group")
         n = self.degree
-        orbits = [o for o in self.point_stabilizer(1).orbits() if o[0] != 1]
+        first, *rest = self.chain.levels
+        u = first.element(1).table
+        stab = PermGroup(rest[0].gens if rest else (), degree=n)
+        orbits = sorted((sorted([u[x] for x in o]) for o in stab.orbits()),
+                        key=lambda o: (len(o), o[0]))  # the order of ``orbits()``
+        orbits = [o for o in orbits if o[0] != 1]
         sizes = [len(o) for o in orbits]
         classes_less_1 = sum(1 << (d - 1) for d in range(2, n) if n % d == 0)  # bit d - 1
         fit = set()

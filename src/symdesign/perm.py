@@ -16,10 +16,21 @@ so inner loops elsewhere index ``table`` instead of calling the
 bounds-checked ``p(i)``, and ``_compose(degree)`` is the product on tables
 that ``p * q`` uses, for loops that strip on tables and form no
 ``Permutation``.  Nothing outside this module may depend on which of the
-two types ``table`` is, nor on the slots past the degree.  A private
-point-set kernel follows the same degree split: the key of a set of points
-is a 256-byte 0/1 mask at degree <= 255, mapped by one ``translate``, and
-the sorted tuple above, mapped by one ``itemgetter`` gather and a sort.
+two types ``table`` is, nor on the slots past the degree.
+
+A private point-set kernel keys a set by its 0/1 byte mask, mapped without
+a sort.  At degree <= 255 the mask is 256 bytes, mapped by one
+``translate``.  Above, point x is slot x & 255 of the 256-point plane
+x >> 8, and a set of at least (degree - 1) / 2 points, up to degree 1023,
+is keyed by its mask of slots 0..degree read as one little-endian int.
+Its image is one ``translate`` per plane of the inverse table's low bytes,
+each ANDed with an int that selects the slots whose preimage lies in that
+plane, all ORed together.  A sparser set, or any set past degree 1023, is
+keyed by its sorted tuple and mapped by one ``itemgetter`` gather and a
+sort: a mask's image costs about planes * degree bytes of work, and a
+sparse set's mask is larger than its tuple.  A mask's int is an incidence
+row too, and two masks of one degree meet in ``(a & b).bit_count()``
+points.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from __future__ import annotations
 import math
 import re
 from functools import cache
+from itertools import compress
 from operator import itemgetter
 
 __all__ = ["MAX_DEGREE", "Permutation", "parse_cycles", "cycle_string"]
@@ -36,6 +48,9 @@ __all__ = ["MAX_DEGREE", "Permutation", "parse_cycles", "cycle_string"]
 MAX_DEGREE = 10**6
 
 _BYTES_MAX = 255
+# Largest degree whose dense sets are keyed by masks: a mask's image costs
+# about planes * degree bytes of work, a sorted tuple's about k log k.
+_PLANES_MAX_DEGREE = 1023
 _BYTE_IDENTITY = bytes(range(256))
 _INT_IDENTITY = int.from_bytes(_BYTE_IDENTITY, "big")
 
@@ -65,31 +80,94 @@ def _compose(degree: int):
 
 
 def _set_key(points, degree: int):
-    """Key of a set of distinct points in 1..degree."""
+    """Key of a set of distinct points in 1..degree: the 256-byte 0/1 mask
+    at degree <= 255; above, up to degree ``_PLANES_MAX_DEGREE``, for a set
+    of at least (degree - 1) / 2 points, the 0/1 byte mask of slots
+    0..degree read as one little-endian int; for any other set the sorted
+    tuple."""
     if degree <= _BYTES_MAX:
         mask = bytearray(256)
-        for x in points:
-            mask[x] = 1
-        return bytes(mask)
-    return tuple(sorted(points))
+    elif 2 * len(points) + 1 < degree or degree > _PLANES_MAX_DEGREE:
+        return tuple(sorted(points))
+    else:
+        mask = bytearray(degree + 1)
+    for x in points:
+        mask[x] = 1
+    return bytes(mask) if degree <= _BYTES_MAX else int.from_bytes(mask, "little")
 
 
 def _set_points(key, degree: int) -> tuple:
     """The points of a key, ascending.  A mask's 0/1 bytes times 255 are
-    0x00/0xff bytes with no carry, so ``& _INT_IDENTITY`` turns slot x into
-    x or 0, and the zeros (slot 0 is never in a set) are deleted."""
-    if degree > _BYTES_MAX:
+    0x00/0xff bytes with no carry, so ``& _INT_IDENTITY`` turns slot x of
+    the first 256 into x or 0, and the zeros (slot 0 is never in a set)
+    are deleted.  Points past 255 are picked out of a tuple of them by the
+    rest of the mask."""
+    if degree <= _BYTES_MAX:
+        marked = (int.from_bytes(key, "big") * 255 & _INT_IDENTITY).to_bytes(256, "big")
+        return tuple(marked.translate(None, b"\0"))
+    if type(key) is tuple:
         return key
-    marked = (int.from_bytes(key, "big") * 255 & _INT_IDENTITY).to_bytes(256, "big")
-    return tuple(marked.translate(None, b"\0"))
+    mask = key.to_bytes(degree + 1, "little")
+    marked = (int.from_bytes(mask[:256], "big") * 255 & _INT_IDENTITY).to_bytes(256, "big")
+    return (*marked.translate(None, b"\0"), *compress(_points_past_255(degree), mask[256:]))
 
 
-def _set_maps(perms, degree: int) -> list:
-    """For each permutation, the map taking a key to the key of its image."""
+@cache
+def _points_past_255(degree: int) -> tuple:
+    return tuple(range(256, degree + 1))
+
+
+def _set_row(key) -> int:
+    """A mask key as an int with one bit per point of the set, so two
+    masks of one degree meet in ``(a & b).bit_count()`` points."""
+    return key if type(key) is int else int.from_bytes(key, "big")
+
+
+def _set_maps(perms, degree: int, keys=None) -> list:
+    """For each permutation, the map taking a key to the key of its image.
+    Above degree 255 a map reads either kind of key, unless the given
+    ``keys`` are all sorted tuples: then it is their gather alone."""
     if degree <= _BYTES_MAX:  # mask[p^-1(x)] is 1 iff x is in the image
         return [p.inverse().table.translate for p in perms]
-    return [lambda b, t=p.table: tuple(  # itemgetter of one index returns a bare image
-        sorted(itemgetter(*b)(t)) if len(b) > 1 else map(t.__getitem__, b)) for p in perms]
+    if keys is not None and all(type(key) is tuple for key in keys):
+        return [_gather_map(p.table) for p in perms]
+    return [_plane_map(p) for p in perms]
+
+
+def _gather_map(t):
+    """The key map of a sorted tuple under the table t: one gather, one sort."""
+    # itemgetter of one index returns a bare image
+    return lambda b, t=t: tuple(sorted(itemgetter(*b)(t)) if len(b) > 1 else map(t.__getitem__, b))
+
+
+def _plane_map(p: "Permutation"):
+    """The key map of p above degree 255.  Slot x of a mask's image is slot
+    p^-1(x) of the mask.  Point x is slot x & 255 of the 256-point plane
+    x >> 8, so one ``translate`` of the low bytes of p^-1 through plane h
+    reads slot x of the image for every x with p^-1(x) in plane h, and an
+    int selecting those x keeps them.  A sorted tuple goes to
+    ``_gather_map``."""
+    gather = _gather_map(p.table)
+    inverse = p.inverse().table
+    translate = bytes(x & 255 for x in inverse).translate
+    high = bytes(x >> 8 for x in inverse)
+    planes = []
+    for h in range((p.degree >> 8) + 1):
+        select = bytearray(256)
+        select[h] = 255
+        planes.append((slice(h << 8, (h + 1) << 8), int.from_bytes(high.translate(select), "little")))
+    size = len(planes) << 8  # little-endian: the last plane is padded with zeros
+
+    def image(key):
+        if type(key) is tuple:
+            return gather(key)
+        mask = key.to_bytes(size, "little")
+        out = 0
+        for plane, select in planes:
+            out |= int.from_bytes(translate(mask[plane]), "little") & select
+        return out
+
+    return image
 
 
 class Permutation:
@@ -200,19 +278,26 @@ class Permutation:
         return None
 
     def cycles(self) -> list[tuple]:
-        """Nontrivial cycles, each rotated to start at its minimum, sorted."""
+        """Nontrivial cycles, each rotated to start at its minimum, sorted.
+
+        Raises ValueError when a walk does not close where it began: the
+        table is then not a bijection, which only the private constructors
+        can make."""
         t = self.table
         seen = bytearray(self.degree + 1)
         out = []
         for i in range(1, self.degree + 1):
             if seen[i] or t[i] == i:
                 continue
+            seen[i] = 1
             cyc = [i]
             j = t[i]
-            while j != i:
+            while not seen[j]:
                 seen[j] = 1
                 cyc.append(j)
                 j = t[j]
+            if j != i:
+                raise ValueError(f"table is not a bijection: the walk from {i} meets {j} again")
             out.append(tuple(cyc))
         return out
 

@@ -446,6 +446,30 @@ def reference_construct_design(G, base_block):
     return sorted(tuple(sorted(b)) for b in seen)
 
 
+def reference_tuple_walk(G, base_block):
+    """``construct_design`` with sorted-tuple block keys at every degree: a
+    breadth-first walk that maps a block by looking up and sorting its
+    points' images.  Returns the blocks in ascending order and, for each
+    generator, the row of the indices of the blocks' images."""
+    tables = [g.table for g in G.generators]
+    start = tuple(sorted(set(base_block)))
+    label = {start: 0}
+    orbit = [start]
+    walked = [[] for _ in tables]
+    for block in orbit:  # the list grows while it is read
+        for t, row in zip(tables, walked):
+            image = tuple(sorted([t[pt] for pt in block]))
+            if image not in label:
+                label[image] = len(orbit)
+                orbit.append(image)
+            row.append(label[image])
+    order = sorted(range(len(orbit)), key=orbit.__getitem__)
+    rank = [0] * len(orbit)
+    for new, old in enumerate(order):
+        rank[old] = new
+    return [orbit[i] for i in order], [[rank[row[i]] for i in order] for row in walked]
+
+
 def reference_block_action(design, G):
     """One row per generator of G: ``rows[i][j]`` is the index of the image
     of block j, found by looking the sorted image up among the blocks, not

@@ -41,6 +41,7 @@ from helpers import (
     reference_construct_design,
     reference_imprimitivity_profile,
     reference_is_flag_transitive,
+    reference_tuple_walk,
     reference_verify_symmetric,
     sym,
 )
@@ -337,14 +338,20 @@ def test_flag_transitivity_answers_no_from_a_known_order(monkeypatch):
         is_flag_transitive(comp, swap)
 
 
+def _relabelled(G, block, seed):
+    """G and its block under a seeded relabelling x -> pi(x); seed 0 keeps them."""
+    if not seed:
+        return G, block
+    points = list(range(1, G.degree + 1))
+    random.Random(seed).shuffle(points)
+    pi = Permutation(points)
+    return (PermGroup([pi.inverse() * g * pi for g in G.generators], degree=G.degree),
+            [pi(x) for x in block])
+
+
 def _m12_relabelled():
     """M12 on 144 points and its base block, both relabelled by x -> pi(x)."""
-    G = load("m12-144/G")
-    points = list(range(1, 145))
-    random.Random(13).shuffle(points)
-    pi = Permutation(points)
-    gens = [pi.inverse() * g * pi for g in G.generators]
-    return PermGroup(gens, degree=144), [pi(x) for x in load("m12-144/base-block")]
+    return _relabelled(load("m12-144/G"), load("m12-144/base-block"), 13)
 
 
 CARRIED = {
@@ -740,3 +747,104 @@ def test_design_constructor_validation():
 def test_params_identity_on_verified_designs(fano):
     params = verify_symmetric(fano)
     assert params.k * (params.k - 1) == params.lam * (params.v - 1)
+
+
+# ---- the orbit walk on plane masks, and the incidence rows it leaves --------
+
+
+@pytest.mark.parametrize("q, r, seed", [
+    (263, None, 0), (263, 3, 0), (263, 5, 7), (263, 11, 31),
+    (503, None, 0), (503, 10, 11), (503, 2, 29), (1019, None, 3),
+])
+def test_construct_design_matches_the_sorted_tuple_walk_on_paley(q, r, seed):
+    """Paley blocks hold (q - 1) / 2 points, so the walk runs on masks over
+    2 or 4 planes: the blocks and the recorded action are the sorted-tuple
+    walk's, and the walk's incidence rows meet as the blocks do until the
+    check takes them; a second check meets by gathers."""
+    G, block = _relabelled(*paley(q, r), seed)
+    design = construct_design(G, block)
+    blocks, rows = reference_tuple_walk(G, block)
+    assert list(design.blocks) == blocks and design._action[1] == rows
+    first = set(blocks[0])
+    assert [(design._rows[0] & row).bit_count() for row in design._rows] \
+        == [len(first.intersection(b)) for b in blocks]
+    params = DesignParams(q, (q - 1) // 2, (q - 3) // 4)
+    assert verify_symmetric(design) == params and design._rows is None
+    assert verify_symmetric(design) == params
+
+
+def _sparse_cyclic_block():
+    return cyclic(1019), random.Random(1019).sample(range(1, 1020), 12)
+
+
+def test_construct_design_matches_the_sorted_tuple_walk_on_a_sparse_block():
+    G, block = _sparse_cyclic_block()
+    design = construct_design(G, block)
+    blocks, rows = reference_tuple_walk(G, block)
+    assert list(design.blocks) == blocks and design._action[1] == rows
+    assert design._rows is None
+    bare = copy.copy(design)
+    bare._action = None
+    assert _outcome(verify_symmetric, design) == _outcome(verify_symmetric, bare)
+
+
+def test_a_sparse_walk_past_the_byte_range_is_no_larger():
+    """A block of 12 of 1019 points keeps its sorted-tuple keys: the walk's
+    peak allocation stays within 10% of the sorted-tuple walk's."""
+    G, block = _sparse_cyclic_block()
+    peaks = []
+    for walk in (construct_design, reference_tuple_walk):
+        walk(G, block)  # cached tables are made outside the measurement
+        tracemalloc.start()
+        try:
+            walk(G, block)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.1 * peaks[1]
+
+
+def _mask_rows(blocks, v):
+    """The incidence rows an orbit walk leaves for these blocks: the 0/1 byte
+    mask of each, 256 bytes read as a big-endian int at v <= 255 and v + 1
+    bytes read as a little-endian int above."""
+    rows = []
+    for b in blocks:
+        mask = bytearray(max(256, v + 1))
+        for pt in b:
+            mask[pt] = 1
+        rows.append(int.from_bytes(mask, "big" if v <= 255 else "little"))
+    return rows
+
+
+@pytest.mark.parametrize("name", ["m12", "m12-relabelled", "paley-263"])
+def test_tampered_orbit_built_designs_keep_their_witnesses(name):
+    """An orbit-built design whose blocks and walk rows are changed together:
+    a duplicate block, a short block and a changed meet with block 0 give
+    the same axiom, witness and message as the meets gathered from block
+    0's mask with no rows."""
+    G, block = CARRIED[name]()
+    design = construct_design(G, block)
+    assert design._rows == _mask_rows(design.blocks, design.v)
+    params = verify_symmetric(design)
+    k, lam = params.k, params.lam
+    b0, b4 = set(design.blocks[0]), set(design.blocks[4])
+    out = min(set(range(1, design.v + 1)) - b0 - b4)
+    moved = [*design.blocks]
+    moved[4] = sorted(b4 - {min(b0 & b4)} | {out})
+    cases = [
+        ([*design.blocks[:7], design.blocks[3], *design.blocks[8:]],
+         ("duplicate-block", (3, 7), "blocks 3 and 7 coincide")),
+        ([*design.blocks[:5], design.blocks[5][1:], *design.blocks[6:]],
+         ("block-size", 5, f"block 5 has size {k - 1}, expected {k}")),
+        (moved, ("block-pair", (0, 4), f"blocks 0,4 meet in {lam - 1}, expected {lam}")),
+    ]
+    for blocks, expected in cases:
+        tampered = copy.copy(design)
+        tampered.blocks, tampered.params = tuple(map(tuple, blocks)), None
+        tampered._rows = _mask_rows(blocks, design.v)
+        gathered = copy.copy(tampered)
+        gathered._rows = None
+        assert _outcome(verify_symmetric, tampered) == expected
+        assert _outcome(verify_symmetric, gathered) == expected
+

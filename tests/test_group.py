@@ -440,6 +440,25 @@ def test_block_system_seeds_are_the_orbits_that_fit_a_class(name, calls, monkeyp
         assert len(seeds) == calls
 
 
+@pytest.mark.parametrize("name", ["M12-144", "S5xPetersen", "C12", "F21", *sorted(WREATHS)])
+def test_block_systems_read_the_point_stabilizer_orbits_off_the_chain(name, monkeypatch):
+    """The G_1-orbits are the u_1-images of the orbits of G_s, s the first
+    base point, so no point stabilizer is formed; the seeds still come in
+    the order of ``point_stabilizer(1).orbits()``."""
+    group = _group(name)
+    want = [s.classes for s in reference_minimal_block_systems(group)]
+    fit = _orbits_that_fit_a_class(group)
+    if name == "M12-144":
+        assert group.chain.levels[0].seed != 1
+    seeds = []
+    finest = PermGroup._finest_system_joining
+    monkeypatch.setattr(PermGroup, "_finest_system_joining",
+                        lambda self, a, b: seeds.append(b) or finest(self, a, b))
+    monkeypatch.setattr(PermGroup, "point_stabilizer", None)
+    assert [s.classes for s in group.minimal_block_systems()] == want
+    assert seeds == fit
+
+
 def test_repeated_queries_give_equal_fresh_results():
     group = wreath(cyclic(3), sym(3))
     first_sub, first_sys = group.subdegrees(1), group.minimal_block_systems()

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,11 @@ from symdesign.perm import (
     MAX_DEGREE,
     Permutation,
     _compose,
+    _pack,
     _set_key,
     _set_maps,
     _set_points,
+    _set_row,
     cycle_string,
     parse_cycles,
 )
@@ -143,6 +146,23 @@ def test_order_and_cycles():
 
 def test_cycle_string_of_identity():
     assert cycle_string(Permutation.identity(3)) == "()"
+
+
+@pytest.mark.parametrize("images", [
+    (2, 3, 2, 4),  # 1 -> 2 -> 3 -> 2: the walk from 1 meets 2 again
+    (1, 1, 3),  # 2 -> 1, a fixed point
+    (2, 1, 4, 4),  # a 2-cycle, then 3 -> 4, a fixed point
+    (*range(2, 300), 2),  # past the byte cut-off: 299 -> 2
+])
+def test_cycles_of_a_table_that_is_not_a_bijection_raise(images):
+    """Only the private constructors can make such a table; printing it
+    fails at once instead of walking forever."""
+    n = len(images)
+    p = Permutation._raw(_pack((0, *images), n), n)
+    with pytest.raises(ValueError, match="not a bijection"):
+        repr(p)
+    with pytest.raises(ValueError, match="not a bijection"):
+        p.cycles()
 
 
 @st.composite
@@ -316,3 +336,70 @@ def test_gather_images_of_small_and_large_sets_past_the_byte_range(n):
             got = _set_points(image(key), n)
             assert got == tuple(sorted(g(x) for x in points))
             assert type(got) is tuple and all(type(x) is int for x in got)
+
+
+# ---- masks over 256-point planes above degree 255 -----------------------------
+
+PLANE_DEGREES = [256, 257, 263, 511, 512, 513, 600]
+
+
+@st.composite
+def plane_sets(draw, n):
+    """A dense set (at least (n - 1) / 2 points, keyed by a mask) or a
+    sparse one (a sorted tuple), holding some of the points 256, 512 and n
+    that open a plane or end the degree."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    least = n // 2  # the fewest points of a dense set: 2 * least + 1 >= n
+    ends = {x for x in (256, 512, n) if x <= n}
+    chosen = {x for x in sorted(ends) if draw(st.booleans())}
+    if draw(st.booleans()):
+        points = set(rng.sample(range(1, n + 1), rng.randint(least, n)))
+    else:  # at most least - 1 points once the ends are added
+        points = set(rng.sample(range(1, n + 1), rng.randint(0, least - 4))) - ends
+    return points | chosen
+
+
+@pytest.mark.parametrize("n", PLANE_DEGREES)
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_plane_masks_match_the_sorted_point_images(n, data):
+    """A dense set's key is an int mask and a sparse set's the sorted tuple;
+    every image key reads back as the sorted point images and equals the
+    key made from them, so one set has one key whichever way it was
+    reached, and two masks meet in as many points as their sets."""
+    points = data.draw(plane_sets(n))
+    other = data.draw(plane_sets(n))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    perms = [Permutation(rng.sample(range(1, n + 1), n)) for _ in range(2)]
+    perms.append(perms[0] * perms[1])
+    key = _set_key(points, n)
+    assert type(key) is (int if 2 * len(points) + 1 >= n else tuple)
+    assert _set_points(key, n) == tuple(sorted(points))
+    for maps in (_set_maps(perms, n), _set_maps(perms, n, [key])):
+        for g, image in zip(perms, maps):
+            got = _set_points(image(key), n)
+            assert got == tuple(sorted(g(x) for x in points))
+            assert all(type(x) is int for x in got)
+            assert image(key) == _set_key(got, n)
+    other_key = _set_key(other, n)
+    if type(key) is int and type(other_key) is int:
+        assert (_set_row(key) & _set_row(other_key)).bit_count() == len(points & other)
+
+
+@pytest.mark.parametrize("n", PLANE_DEGREES)
+def test_a_mask_keys_a_set_of_at_least_half_the_points_less_one(n):
+    least = n // 2  # 2 * least + 1 >= n > 2 * (least - 1) + 1
+    assert type(_set_key(range(1, least + 1), n)) is int
+    assert type(_set_key(range(2, least + 1), n)) is tuple
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 1500])
+def test_masks_stop_at_four_planes(n):
+    """A mask's image costs about planes * degree bytes of work, so past
+    degree 1023 even a set of every point is a sorted tuple."""
+    points = range(1, n + 1)
+    key = _set_key(points, n)
+    assert type(key) is (int if n <= 1023 else tuple)
+    shift = Permutation([i % n + 1 for i in range(1, n + 1)])
+    (image,) = _set_maps([shift], n)
+    assert _set_points(image(key), n) == tuple(points)
