@@ -26,7 +26,7 @@ live only for that catalog's load.
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 from typing import NamedTuple
 
 from .arith import is_probable_prime
@@ -76,7 +76,8 @@ def _sha256(data: bytes) -> str:
 
 def _read(fname: str) -> str:
     try:
-        text = (resources.files("symdesign.data") / fname).read_text()
+        with open(os.path.join(os.path.dirname(__file__), "data", fname)) as fh:
+            text = fh.read()
     except FileNotFoundError as exc:
         raise CatalogError(f"missing data file {fname}") from exc
     digest = _sha256(text.encode())

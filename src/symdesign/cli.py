@@ -146,12 +146,7 @@ def _cmd_construct_design(args) -> int:
 
 
 def _cmd_verify_design(args) -> int:
-    design = _read_design(args.designfile)
-    try:
-        params = verify_symmetric(design)
-    except NotSymmetric as exc:
-        print(f"not symmetric: {exc} [axiom {exc.axiom}]")
-        return REFUTED
+    params = verify_symmetric(_read_design(args.designfile))
     kind = "nontrivial" if params.nontrivial else "trivial"
     print(f"symmetric {params}, {kind}")
     return OK
@@ -305,6 +300,9 @@ def main(argv=None) -> int:
         return USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except NotSymmetric as exc:  # a ValueError, but a refuted design under any verb
+        print(f"not symmetric: {exc} [axiom {exc.axiom}]")
+        return REFUTED
     except (ValueError, OSError) as exc:  # JSONDecodeError and CatalogError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

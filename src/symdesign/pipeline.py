@@ -16,8 +16,8 @@ from typing import NamedTuple
 from .arith import divisors
 from .catalog import CatalogError, GroupCatalog, MaximalRecord, load_catalogs
 from .design import (
+    Certificate,
     Design,
-    DesignParams,
     NotSymmetric,
     certify,
     construct_design,
@@ -182,15 +182,13 @@ class _Run:
       the catalog holds H for the whole run.
     * ``orbits``: the K-orbits on the cosets, keyed by the generators of G,
       H and K.
-    * ``designs``, ``verdicts``, ``certificates``: for each orbit tried as a
-      base block, the design, its ``verify_symmetric`` parameters or
-      refutation and its certificate, keyed by the coset image's generators
-      and the orbit.
+    * ``trials``: for each orbit tried as a base block, the design and its
+      certificate, or None when it is no symmetric design (see ``_trial``),
+      keyed by the coset image's generators and the orbit.
     """
 
     def __init__(self):
-        self.candidates, self.derived, self.actions, self.orbits = {}, {}, {}, {}
-        self.designs, self.verdicts, self.certificates = {}, {}, {}
+        self.candidates, self.derived, self.actions, self.orbits, self.trials = {}, {}, {}, {}, {}
 
 
 def _once(table: dict, key, make, *args):
@@ -200,11 +198,15 @@ def _once(table: dict, key, make, *args):
     return table[key]
 
 
-def _verdict(design: Design) -> DesignParams | NotSymmetric:
+def _trial(group: PermGroup, orbit) -> tuple[Design, Certificate | None]:
+    """The design of ``orbit`` under ``group`` and its certificate, or None
+    when ``verify_symmetric`` refutes it."""
+    design = construct_design(group, orbit)
     try:
-        return verify_symmetric(design)
-    except NotSymmetric as exc:
-        return exc
+        verify_symmetric(design)
+    except NotSymmetric:
+        return design, None
+    return design, certify(design, group)
 
 
 def _key(group: PermGroup) -> tuple:
@@ -234,14 +236,9 @@ def base_block_search(act: CosetAction, K: PermGroup, params: tuple,
         return SearchOutcome(STATUS_NO_BLOCK, orbit_lengths=lengths)
     image = _key(act.group)
     for orbit in hits:
-        tkey = image, tuple(orbit)
-        design = _once(run.designs, tkey, construct_design, act.group, orbit)
-        if design.num_blocks != v:
+        design, cert = _once(run.trials, (image, tuple(orbit)), _trial, act.group, orbit)
+        if cert is None or cert.params != (v, k, lam):
             continue
-        got = _once(run.verdicts, tkey, _verdict, design)
-        if isinstance(got, NotSymmetric) or (got.v, got.k, got.lam) != (v, k, lam):
-            continue
-        cert = _once(run.certificates, tkey, certify, design, act.group)
         invariants = {
             "params": (v, k, lam),
             "flag_transitive": cert.flag_transitive,

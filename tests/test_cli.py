@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from symdesign import catalog
 from symdesign.cli import main
 from symdesign.design import parse_design_file, verify_symmetric
 from symdesign.group import group_file_text, parse_group_file
@@ -237,6 +238,28 @@ def test_flag_transitive_verb(tmp_path, f21_file, capsys):
     assert "flag-transitive: yes" in capsys.readouterr().out
     assert main(["flag-transitive", FANO_FILE, f21_file, "--anti"]) == 1
     assert "anti-flag-transitive: no" in capsys.readouterr().out
+
+
+def test_flag_transitive_verb_exits_1_on_a_refuted_design(tmp_path, f21_file, capsys):
+    """A design that fails an axiom is a negative verdict under every verb:
+    ``flag-transitive``, with or without ``--anti``, prints the line
+    ``verify-design`` prints and exits 1."""
+    uneven = tmp_path / "uneven.design"
+    uneven.write_text("v: 7\n1,2,3\n1,2,4\n1,2,5\n1,2,6\n1,2,7\n3,4,5\n3,6,7\n")
+    line = "not symmetric: point 1 lies on 5 blocks, expected 3 [axiom point-degree]\n"
+    assert main(["verify-design", str(uneven)]) == 1
+    assert capsys.readouterr() == (line, "")
+    for anti in ([], ["--anti"]):
+        assert main(["flag-transitive", str(uneven), f21_file, *anti]) == 1
+        assert capsys.readouterr() == (line, "")
+
+
+def test_missing_data_file_exits_2(monkeypatch, tmp_path, capsys):
+    """Data files are opened beside the catalog module; one that is not
+    there is an error naming it, with exit code 2."""
+    monkeypatch.setattr(catalog, "__file__", str(tmp_path / "catalog.py"))
+    assert main(["reproduce-d1"]) == 2
+    assert capsys.readouterr() == ("", "error: missing data file m12_catalog.json\n")
 
 
 def test_flag_transitive_verb_on_one_point_blocks_past_the_byte_range(tmp_path, capsys):

@@ -325,8 +325,10 @@ def test_mask_read_back_at_the_ends_of_the_byte_range(n):
 
 @pytest.mark.parametrize("n", [256, 257, 263, 300])
 def test_gather_images_of_small_and_large_sets_past_the_byte_range(n):
-    """Above degree 255 a set's image is one itemgetter gather, which
-    returns a bare image for one index; every shape of set maps right."""
+    """Above degree 255 a sparse set's image is one itemgetter gather,
+    which returns a bare image for one index, and a set of at least
+    (n - 1) / 2 points maps as a mask over 256-point planes; every shape of
+    set maps right."""
     shift = Permutation([i % n + 1 for i in range(1, n + 1)])
     scale = Permutation([(3 * i) % n + 1 for i in range(n)]) if n % 3 else shift.inverse()
     perms = [shift, scale, shift * scale]

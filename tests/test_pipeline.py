@@ -205,6 +205,21 @@ def test_a_shared_memo_gives_what_fresh_searches_give():
     assert shared == fresh
 
 
+def test_a_v_the_action_does_not_have_is_no_design():
+    """The Fano plane's (7,3,1) trial under F21 verifies, but its
+    certificate's parameters are not (8,3,1): not a design, fresh or
+    through a run that already holds the trial."""
+    F21 = FIXTURES["F21"][0]
+    P1 = F21.point_stabilizer(1)
+    act = coset_action(F21, P1)
+    fresh = base_block_search(act, P1, (8, 3, 1))
+    assert fresh.status == "not-a-design"
+    run = pipeline._Run()
+    assert base_block_search(act, P1, (7, 3, 1), run).status == "design-found"
+    assert len(run.trials) == 1
+    assert base_block_search(act, P1, (8, 3, 1), run) == fresh
+
+
 def test_m12_run_does_each_search_step_once(monkeypatch):
     """The four design-found tuples share one design: one construction, one
     verification, and K-orbits for the 3 distinct (H, K) contents."""

@@ -111,6 +111,19 @@ def test_import_leaves_hashlib_unloaded():
     assert out.stdout.split() == ["False"] * 4
 
 
+def test_import_leaves_importlib_resources_unloaded():
+    """Cold start: the data files are opened beside the package, so neither
+    the pipeline nor the CLI imports ``importlib.resources`` (and through
+    it ``pathlib``, ``tempfile`` and ``shutil``).  Run under ``-S``: a
+    ``site`` may preload it through an installed ``.pth`` file."""
+    code = ("import sys, symdesign.pipeline, symdesign.cli; "
+            "print('importlib.resources' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_checksums_fall_back_to_hashlib():
     """With both built-in SHA-256 modules blocked, every pinned file still
     loads through ``hashlib``, and a wrong pin still raises."""
