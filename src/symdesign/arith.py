@@ -8,16 +8,19 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["is_probable_prime", "factorize", "divisors"]
+__all__ = ["MR_PROOF_BOUND", "is_probable_prime", "factorize", "divisors"]
 
-# Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10**24.
+# Deterministic Miller-Rabin witness set: every composite below
+# MR_PROOF_BOUND fails some base.  The bound itself is a composite,
+# 1287836182261 * 2575672364521, that passes every base.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MR_PROOF_BOUND = 3_317_044_064_679_887_385_961_981
 
 _TRIAL_LIMIT = 10**7
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed base set (deterministic below 3.3e24)."""
+    """Miller-Rabin with a fixed base set, a proof below ``MR_PROOF_BOUND``."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -62,7 +65,9 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization as {prime: exponent}.
 
     Trial division up to min(sqrt(n), 1e7), then Miller-Rabin plus Pollard
-    rho for any remaining cofactor.
+    rho for any remaining cofactor.  Raises ValueError for a cofactor that
+    passes Miller-Rabin at or above ``MR_PROOF_BOUND``, where passing
+    proves nothing.
     """
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
@@ -86,6 +91,8 @@ def factorize(n: int) -> dict[int, int]:
         while stack:
             m = stack.pop()
             if is_probable_prime(m):
+                if m >= MR_PROOF_BOUND:
+                    raise ValueError(f"cannot factorize {n}: {m} is not proven prime")
                 out[m] = out.get(m, 0) + 1
                 continue
             d = _pollard_rho(m)

@@ -29,7 +29,7 @@ import json
 import os
 from typing import NamedTuple
 
-from .arith import is_probable_prime
+from .arith import MR_PROOF_BOUND, is_probable_prime
 from .design import Design, parse_design_file, verify_symmetric
 from .group import PermGroup
 from .perm import MAX_DEGREE, parse_cycles
@@ -321,6 +321,8 @@ def _parse_factorization(value, order: int, where: str) -> dict | None:
         p, e = _int(p, f"{where}[{i}][0]"), _int(e, f"{where}[{i}][1]")
         if not is_probable_prime(p):
             raise CatalogError(f"{where}[{i}][0]: {p} is not a prime")
+        if p >= MR_PROOF_BOUND:
+            raise CatalogError(f"{where}[{i}][0]: {p} is not proven prime")
         if not 1 <= e <= order.bit_length():  # checked before p**e is computed
             raise CatalogError(
                 f"{where}[{i}][1]: exponent {e} is below 1 or above {order.bit_length()}")

@@ -3,25 +3,14 @@
 A design is a point set {1..v} plus a list of blocks.  Designs are
 immutable after construction; ``verify_symmetric`` caches the certified
 parameters on the instance, ``complement`` sets those of its result, and
-the transitivity predicates refuse trivial designs unless forced.  A
-complement forms its blocks from its source's when they are first read.
+the transitivity predicates refuse trivial designs unless forced.
 ``construct_design`` records the action of G's generators on the blocks it
 builds, ``complement`` keeps that action, and the flag checks reuse it
 under the same generators and recompute it for any other generating set.
-When the orbit walk keys blocks by masks, it also leaves one int incidence
-row per block, which ``verify_symmetric`` takes.  Such a design's blocks
-form one orbit of those generators, which carry block 0 to every block, so
-``verify_symmetric`` counts the flags on each point orbit O as b |B_0 ∩ O|,
-meets block 0 with the rest, and ``imprimitivity_profile`` reads block 0
-alone on a partition they keep.
-``is_flag_transitive`` grows the orbit of one point of block 0 under the
-Schreier generators of block 0's tree in that action, which generate the
-block's stabilizer (Schreier's lemma), and stops once the orbit fills the
-block or the generators run out; it builds no stabilizer chain.
-``certify`` bundles the facts that ``symdesign reproduce-d1`` and the
-catalog pipeline both report: the verified parameters, flag transitivity,
-the minimal block systems of the group and the intersection profile of
-the design against each system.
+Such a design's blocks form one orbit of those generators, which carry
+block 0 to every block, so ``verify_symmetric`` and
+``imprimitivity_profile`` read block 0 where they can.  ``certify`` is the
+one certification routine of ``symdesign reproduce-d1`` and the pipeline.
 """
 
 from __future__ import annotations

@@ -1,36 +1,24 @@
 """Permutation groups: stabilizer chains, orbits, blocks, coset actions.
 
-A PermGroup's generators and degree never change.  Its stabilizer chain is
-filled in on first use, and the transversal elements of each Schreier tree
-(every chain level is one) likewise; no tree caches inverses.  Every walk
-over Schreier generators u_x * g * u_y^-1 takes them as pairs of tables
-(u_x * g, u_y) from ``_SchreierTree.schreier_pairs``, strips them on
-tables, and forms the Permutation a * b^-1 only for one it uses (see
-``StabChain``).  Each fill is a single dict or attribute store of a
-complete value that depends only on the generators, so threads that query
-one group concurrently at worst repeat work; they never see a partial
-value.  Queries return fresh lists, so callers may mutate what they get.
+A PermGroup's generators and degree never change.  Its stabilizer chain,
+the transversal elements of each Schreier tree (every chain level is one)
+and the orbits of G_s are filled in on first use; no tree caches inverses.
+Each fill is a single dict or attribute store of a complete value that
+depends only on the generators, so threads that query one group
+concurrently at worst repeat work; they never see a partial value.
+Public queries return fresh lists, so callers may mutate what they get.
 
 A stored chain is always complete: its order is the group's order.  So
 a point stabilizer is read off the chain, and any other stabilizer stops
-cutting out Schreier generators at |G|/|orbit| (orbit-stabilizer).  When
-only one orbit of a stabilizer matters, that orbit is grown under the
-Schreier generators themselves and no stabilizer is cut out.  Subdegrees
-are read off the chain too: the group is transitive iff its first basic
-orbit is every point, and then the second level's strong generators
-generate G_b for the first base point b, whose orbit lengths are the
-subdegrees at every point; they are counted once and stored like the chain.
-A block system is grown from its class through the first base point s,
-the orbit of s under G_s and one transversal element, so no partition of
-all points is refined.
+cutting out Schreier generators at |G|/|orbit| (orbit-stabilizer).
 
-A coset action is one breadth-first orbit walk (``_orbit_walk``, which
-also closes a design's block orbit) that names each coset either by a
-point or by its canonical representative: a point stabilizer H = G_x
-walks the orbit x^G, any other H its canonical coset representatives.
-When x^G is every point, the image is G relabelled, and it is handed G's
-chain conjugated level by level by the walk order; the conjugate of a complete chain is
-complete, so it counts as a stored chain like any other.
+Transitivity and the point stabilizer's orbits come from the chain alone.
+The group is transitive iff its first basic orbit is every point.  The
+second level's strong generators generate G_s for the first base point s
+(Seress 2003, sec. 4.1), and ``_base_stabilizer_orbits`` walks its orbits
+once and stores them.  Their lengths are the subdegrees at every point of
+a transitive group, and their images under the transversal element u_1
+taking s to 1 are the orbits of G_1 that seed ``minimal_block_systems``.
 """
 
 from __future__ import annotations
@@ -291,7 +279,7 @@ class PermGroup:
         self.degree = degree
         self.generators = generators
         self._chain: StabChain | None = None
-        self._subdegrees: tuple | None = None
+        self._stabilizer_orbits: list | None = None
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
@@ -342,7 +330,8 @@ class PermGroup:
         return out
 
     def is_transitive(self) -> bool:
-        return self.degree >= 1 and len(self.orbit(1)) == self.degree
+        levels = self.chain.levels
+        return len(levels[0].orbit) == self.degree if levels else self.degree == 1
 
     # ---- stabilizers -----------------------------------------------------
 
@@ -429,24 +418,28 @@ class PermGroup:
         stab._chain = chain
         return stab
 
+    def _base_stabilizer_orbits(self) -> list[list[int]]:
+        """``orbits()`` of G_s, s the first base point, which the chain's
+        second level generates; walked once and stored like the chain.
+        Callers must not mutate it."""
+        if self._stabilizer_orbits is None:
+            levels = self.chain.levels
+            stab = PermGroup(levels[1].gens if len(levels) > 1 else (), degree=self.degree)
+            self._stabilizer_orbits = stab.orbits()
+        return self._stabilizer_orbits
+
     def subdegrees(self, point: int) -> list[int]:
         """Orbit lengths of the point stabilizer, ascending (trivial orbit included).
 
-        The group is transitive iff its first basic orbit is every point.
-        Then all point stabilizers are conjugate, so any point's subdegrees
-        are those of G_b for the first base point b, which the chain's
-        second level generates (Seress 2003, sec. 4.1).  They are counted
-        once and stored like the chain; the checks run on every call.
+        All point stabilizers of a transitive group are conjugate, so these
+        are the lengths of the stored orbits of G_s (module docstring); the
+        checks run on every call.
         """
-        levels = self.chain.levels
-        if not (len(levels[0].orbit) == self.degree if levels else self.degree == 1):
+        if not self.is_transitive():
             raise ValueError("subdegrees require a transitive group")
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} outside 1..{self.degree}")
-        if self._subdegrees is None:
-            stab = PermGroup(levels[1].gens if len(levels) > 1 else (), degree=self.degree)
-            self._subdegrees = tuple(sorted(len(o) for o in stab.orbits()))
-        return list(self._subdegrees)
+        return [len(o) for o in self._base_stabilizer_orbits()]  # orbits() sorts by length
 
     # ---- block systems ---------------------------------------------------
 
@@ -499,20 +492,17 @@ class PermGroup:
         some union of the other orbits has d - 1 - |O| points (a subset sum
         on an int bitset); from any other, the closure is every point.
         Then keeps the systems whose class through 1 contains no other
-        candidate's class through 1.  G_1 is u_1^-1 G_s u_1 for the first
-        base point s and the transversal element u_1 taking s to 1, so its
-        orbits are the u_1-images of the orbits of G_s, which the chain's
-        second level generates; no strong generator is conjugated.
+        candidate's class through 1.  G_1 is u_1^-1 G_s u_1, so its orbits
+        are the u_1-images of the stored orbits of G_s (module docstring);
+        no strong generator is conjugated.
         """
         if self.degree < 2:
             raise ValueError("block systems need degree >= 2")
         if not self.is_transitive():
             raise ValueError("block systems require a transitive group")
         n = self.degree
-        first, *rest = self.chain.levels
-        u = first.element(1).table
-        stab = PermGroup(rest[0].gens if rest else (), degree=n)
-        orbits = sorted((sorted([u[x] for x in o]) for o in stab.orbits()),
+        u = self.chain.levels[0].element(1).table
+        orbits = sorted((sorted([u[x] for x in o]) for o in self._base_stabilizer_orbits()),
                         key=lambda o: (len(o), o[0]))  # the order of ``orbits()``
         orbits = [o for o in orbits if o[0] != 1]
         sizes = [len(o) for o in orbits]

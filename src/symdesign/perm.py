@@ -18,19 +18,10 @@ that ``p * q`` uses, for loops that strip on tables and form no
 ``Permutation``.  Nothing outside this module may depend on which of the
 two types ``table`` is, nor on the slots past the degree.
 
-A private point-set kernel keys a set by its 0/1 byte mask, mapped without
-a sort.  At degree <= 255 the mask is 256 bytes, mapped by one
-``translate``.  Above, point x is slot x & 255 of the 256-point plane
-x >> 8, and a set of at least (degree - 1) / 2 points, up to degree 1023,
-is keyed by its mask of slots 0..degree read as one little-endian int.
-Its image is one ``translate`` per plane of the inverse table's low bytes,
-each ANDed with an int that selects the slots whose preimage lies in that
-plane, all ORed together.  A sparser set, or any set past degree 1023, is
-keyed by its sorted tuple and mapped by one ``itemgetter`` gather and a
-sort: a mask's image costs about planes * degree bytes of work, and a
-sparse set's mask is larger than its tuple.  A mask's int is an incidence
-row too, and two masks of one degree meet in ``(a & b).bit_count()``
-points.
+A private point-set kernel keys a set of points by its 0/1 byte mask, or
+by its sorted tuple when it is sparse or past degree 1023 (``_set_key``),
+and maps keys under permutations (``_set_maps``); a mask's int is an
+incidence row (``_set_row``).
 """
 
 from __future__ import annotations

@@ -15,14 +15,7 @@ from typing import NamedTuple
 
 from .arith import divisors
 from .catalog import CatalogError, GroupCatalog, MaximalRecord, load_catalogs
-from .design import (
-    Certificate,
-    Design,
-    NotSymmetric,
-    certify,
-    construct_design,
-    verify_symmetric,
-)
+from .design import Certificate, Design, NotSymmetric, certify, construct_design
 from .group import CosetAction, PermGroup, coset_action, induced_orbits
 from .params import classify_type, derive_cdl, enumerate_params
 
@@ -200,13 +193,12 @@ def _once(table: dict, key, make, *args):
 
 def _trial(group: PermGroup, orbit) -> tuple[Design, Certificate | None]:
     """The design of ``orbit`` under ``group`` and its certificate, or None
-    when ``verify_symmetric`` refutes it."""
+    when ``certify`` refutes it as no symmetric design."""
     design = construct_design(group, orbit)
     try:
-        verify_symmetric(design)
+        return design, certify(design, group)
     except NotSymmetric:
         return design, None
-    return design, certify(design, group)
 
 
 def _key(group: PermGroup) -> tuple:

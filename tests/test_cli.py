@@ -143,6 +143,14 @@ def test_derive_cdl_rejects_a_nonpositive_v_or_k(capsys, v, k, message):
     assert captured.err == f"error: {message}\n"
 
 
+def test_derive_cdl_refuses_a_v_miller_rabin_cannot_prove_prime(capsys):
+    n = 1287836182261 * 2575672364521  # passes every Miller-Rabin base in use
+    assert main(["derive-cdl", "--v", str(n), "--k", "3", "--lambda", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot factorize {n}: {n} is not proven prime\n"
+
+
 @pytest.mark.parametrize("v", ["0", "-5"])
 def test_search_params_rejects_a_nonpositive_v(capsys, v):
     assert main(["search-params", "--v", v, "--m-order", "7"]) == 2
@@ -319,6 +327,7 @@ def test_pipeline_rejects_a_file_that_is_not_json(tmp_path, capsys, content):
 
 
 _C4 = {"name": "C4", "order": "4"}
+_MR_PSEUDOPRIME = 1287836182261 * 2575672364521  # passes every Miller-Rabin base in use
 
 
 def _m11a_factorization(fact):
@@ -442,6 +451,11 @@ def _m11a_factorization(fact):
     ("verify-design", "bad.design", "v: y\n", "line 1: v 'y' is not an integer"),
     ("verify-design", "bad.design", "v: 3\n1,2\n1,x\n",
      "line 3: block '1,x' has a non-integer point"),
+    ("pipeline", "cat.json",
+     json.dumps({"group": {"name": "G", "order": str(2 * _MR_PSEUDOPRIME)}, "maximals": [
+         {"name": "M", "order": str(_MR_PSEUDOPRIME), "index": "2",
+          "order_factorization": [[_MR_PSEUDOPRIME, 1]]}]}),
+     f"maximals[0].order_factorization[0][0]: {_MR_PSEUDOPRIME} is not proven prime"),
 ], ids=["maximal-without-name", "top-level-list", "row-of-wrong-arity", "degree-zero",
         "indices-not-a-list", "generators-not-a-list", "hint-index-zero",
         "order-not-a-number", "table-index-not-a-number", "order-not-an-integer",
@@ -455,7 +469,8 @@ def _m11a_factorization(fact):
         "maximal-order-negative", "maximal-index-negative",
         "maximal-table-index-zero", "index-table-index-negative", "index-table-name-a-list",
         "maximal-table-name-a-number", "group-file-degree-not-a-number",
-        "design-file-v-not-a-number", "design-file-point-not-a-number"])
+        "design-file-v-not-a-number", "design-file-point-not-a-number",
+        "factorization-base-not-proven-prime"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, verb, name, text, message):
     path = tmp_path / name
     path.write_text(text)

@@ -848,3 +848,17 @@ def test_tampered_orbit_built_designs_keep_their_witnesses(name):
         assert _outcome(verify_symmetric, tampered) == expected
         assert _outcome(verify_symmetric, gathered) == expected
 
+
+def test_d1_flag_checks_and_block_systems_walk_no_point_orbit(monkeypatch):
+    """Transitivity is read off the chain: certifying D1 and its anti-flag
+    check call no ``PermGroup.orbit``."""
+    G = load("m12-144/G")
+    G = PermGroup(G.generators, degree=G.degree)
+    design = construct_design(G, load("m12-144/base-block"))
+    calls = []
+    orbit = PermGroup.orbit
+    monkeypatch.setattr(PermGroup, "orbit", lambda self, p: calls.append(p) or orbit(self, p))
+    cert = certify(design, G)
+    assert cert.flag_transitive and len(cert.systems) == 2
+    assert not is_anti_flag_transitive(design, G)
+    assert calls == []

@@ -191,6 +191,39 @@ def test_orbit_stabilizer_identity(name):
         assert all(group.contains(p) for p in stab.generators)
 
 
+@given(random_groups())
+@settings(max_examples=120, deadline=None)
+def test_is_transitive_reads_the_orbit_of_1_off_the_chain(group):
+    assert group.is_transitive() == (len(group.orbit(1)) == group.degree)
+
+
+@pytest.mark.parametrize("group, transitive, first_base_point", [
+    (grp(4, "(2,3,4)", "(1,2)"), True, [2]),
+    (grp(5, "(2,3)", "(4,5)"), False, [2]),
+    (grp(6, "(1,2)", "(3,4,5,6)"), False, [1]),
+    (PermGroup.trivial(1), True, []), (PermGroup.trivial(2), False, []),
+    (PermGroup.trivial(7), False, []),
+], ids=["base-point-2", "fixes-1", "two-orbits", "trivial-1", "trivial-2", "trivial-7"])
+def test_is_transitive_on_base_points_past_1_and_trivial_groups(group, transitive,
+                                                                first_base_point):
+    assert group.is_transitive() == (len(group.orbit(1)) == group.degree) == transitive
+    assert group.chain.base[:1] == first_base_point
+
+
+@pytest.mark.parametrize("steps", [("subdegrees", "blocks"), ("blocks", "subdegrees")])
+def test_subdegrees_and_block_systems_walk_the_orbits_of_g_s_once(monkeypatch, steps):
+    orbits, calls = PermGroup.orbits, []
+    monkeypatch.setattr(PermGroup, "orbits", lambda self: calls.append(self) or orbits(self))
+    group = wreath(cyclic(3), sym(3))
+    for step in steps * 2:
+        if step == "subdegrees":
+            assert group.subdegrees(2) == [1, 1, 1, 6]
+        else:
+            assert [s.classes for s in group.minimal_block_systems()] == [
+                ((1, 2, 3), (4, 5, 6), (7, 8, 9))]
+    assert len(calls) == 1 and calls[0].generators == group.chain.levels[1].gens
+
+
 def test_subdegrees_of_regular_group():
     assert cyclic(6).subdegrees(1) == [1] * 6
 
@@ -583,6 +616,17 @@ def test_induced_orbits_of_whole_group():
     H = F21.point_stabilizer(1)
     orbits = induced_orbits(coset_action(F21, H), F21)
     assert [len(o) for o in orbits] == [7]
+
+
+def test_induced_orbits_refuse_a_k_outside_the_acted_on_group():
+    F21, _ = FIXTURES["F21"]
+    act = coset_action(F21, F21.point_stabilizer(1))
+    outside = PermGroup([F21.generators[0], parse_cycles("(1,2)", 7)])
+    with pytest.raises(SubgroupError, match=r"^induced orbit subgroup: generator \(1,2\) "
+                                            r"is not in the group$"):
+        induced_orbits(act, outside)
+    with pytest.raises(SubgroupError, match=r"^induced orbit subgroup: degree 8 != 7$"):
+        induced_orbits(act, PermGroup.trivial(8))
 
 
 def test_induced_orbit_lengths_sum_to_index():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdesign import pipeline
+from symdesign import design, pipeline
 from symdesign.catalog import CatalogError, MaximalRecord, load, load_catalogs
 from symdesign.group import PermGroup, coset_action
 from symdesign.params import enumerate_params
@@ -220,19 +220,29 @@ def test_a_v_the_action_does_not_have_is_no_design():
     assert base_block_search(act, P1, (8, 3, 1), run) == fresh
 
 
+def test_a_trial_certifies_its_design_or_returns_none():
+    F21 = FIXTURES["F21"][0]
+    refuted, cert = pipeline._trial(F21, [1, 2])  # 21 blocks on 7 points
+    assert cert is None and refuted.num_blocks == 21 and refuted.params is None
+    fano, cert = pipeline._trial(F21, [1, 2, 4])
+    assert fano.num_blocks == 7 and cert.params == (7, 3, 1) and cert.flag_transitive
+
+
 def test_m12_run_does_each_search_step_once(monkeypatch):
     """The four design-found tuples share one design: one construction, one
-    verification, and K-orbits for the 3 distinct (H, K) contents."""
+    verification (inside ``certify``), and K-orbits for the 3 distinct
+    (H, K) contents."""
     counts: dict = {}
 
     def counting(name):
-        fn = getattr(pipeline, name)
+        module = design if name == "verify_symmetric" else pipeline
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] = counts.get(name, 0) + 1
             return fn(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
     for name in ("construct_design", "verify_symmetric", "induced_orbits",
                  "coset_action", "base_block_search"):
@@ -253,11 +263,13 @@ def test_each_catalog_of_a_run_gets_its_own_tables(monkeypatch, m12_report):
     counts = dict.fromkeys(("construct_design", "verify_symmetric", "induced_orbits",
                             "coset_action", "base_block_search"), 0)
     for name in counts:
-        def wrapper(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
+        module = design if name == "verify_symmetric" else pipeline
+
+        def wrapper(*args, _name=name, _fn=getattr(module, name), **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
     m12 = load("m12-144/catalog")
     report = run_pipeline({"groups": [m12, m12]})
     assert counts == {"construct_design": 2, "verify_symmetric": 2, "induced_orbits": 6,
@@ -320,6 +332,20 @@ def test_load_catalogs_validates_factorization():
     }
     with pytest.raises(CatalogError, match="factorization"):
         load_catalogs(bad)
+
+
+def test_load_catalogs_refuses_a_stated_prime_miller_rabin_cannot_prove():
+    p, q = 1287836182261, 2575672364521  # p * q passes every Miller-Rabin base in use
+    n = p * q
+    cat = {"group": {"name": "G", "order": str(2 * n)},
+           "maximals": [{"name": "M", "order": str(n), "index": "2",
+                         "order_factorization": [[n, 1]]}]}
+    with pytest.raises(CatalogError, match=rf"^maximals\[0\]\.order_factorization\[0\]\[0\]: "
+                                           rf"{n} is not proven prime$"):
+        load_catalogs(cat)
+    cat["maximals"][0]["order_factorization"] = [[p, 1], [q, 1]]
+    M = load_catalogs(cat)[0].maximals[0]
+    assert candidate_vs(M) == [2 * p, 2 * q, 2 * n]
 
 
 # ---- full runs -----------------------------------------------------------------
