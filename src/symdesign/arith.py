@@ -8,19 +8,20 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["MR_PROOF_BOUND", "is_probable_prime", "factorize", "divisors"]
+__all__ = ["is_probable_prime", "factorize", "divisors"]
 
-# Deterministic Miller-Rabin witness set: every composite below
-# MR_PROOF_BOUND fails some base.  The bound itself is a composite,
-# 1287836182261 * 2575672364521, that passes every base.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-MR_PROOF_BOUND = 3_317_044_064_679_887_385_961_981
+# Deterministic Miller-Rabin witness set, the first 13 primes: every
+# composite below _MR_PROOF_BOUND fails some base (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", 2015).  The bound itself is
+# a composite, 1287836182261 * 2575672364521, that passes every base.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROOF_BOUND = 3_317_044_064_679_887_385_961_981
 
 _TRIAL_LIMIT = 10**7
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed base set, a proof below ``MR_PROOF_BOUND``."""
+    """Miller-Rabin with a fixed base set, a proof below ``_MR_PROOF_BOUND``."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -42,6 +43,15 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _proven_prime(n: int) -> bool:
+    """``is_probable_prime(n)`` where its answer is a proof; raises
+    ValueError for an n that passes at or above ``_MR_PROOF_BOUND``."""
+    prime = is_probable_prime(n)
+    if prime and n >= _MR_PROOF_BOUND:
+        raise ValueError(f"{n} is not proven prime")
+    return prime
 
 
 def _pollard_rho(n: int) -> int:
@@ -66,8 +76,7 @@ def factorize(n: int) -> dict[int, int]:
 
     Trial division up to min(sqrt(n), 1e7), then Miller-Rabin plus Pollard
     rho for any remaining cofactor.  Raises ValueError for a cofactor that
-    passes Miller-Rabin at or above ``MR_PROOF_BOUND``, where passing
-    proves nothing.
+    ``_proven_prime`` cannot decide.
     """
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
@@ -90,9 +99,11 @@ def factorize(n: int) -> dict[int, int]:
         stack = [n]
         while stack:
             m = stack.pop()
-            if is_probable_prime(m):
-                if m >= MR_PROOF_BOUND:
-                    raise ValueError(f"cannot factorize {n}: {m} is not proven prime")
+            try:
+                prime = _proven_prime(m)
+            except ValueError as exc:
+                raise ValueError(f"cannot factorize {n}: {exc}") from None
+            if prime:
                 out[m] = out.get(m, 0) + 1
                 continue
             d = _pollard_rho(m)

@@ -29,7 +29,7 @@ import json
 import os
 from typing import NamedTuple
 
-from .arith import MR_PROOF_BOUND, is_probable_prime
+from .arith import _proven_prime
 from .design import Design, parse_design_file, verify_symmetric
 from .group import PermGroup
 from .perm import MAX_DEGREE, parse_cycles
@@ -319,10 +319,11 @@ def _parse_factorization(value, order: int, where: str) -> dict | None:
     product = 1
     for i, (p, e) in enumerate(_pairs(value, where)):
         p, e = _int(p, f"{where}[{i}][0]"), _int(e, f"{where}[{i}][1]")
-        if not is_probable_prime(p):
-            raise CatalogError(f"{where}[{i}][0]: {p} is not a prime")
-        if p >= MR_PROOF_BOUND:
-            raise CatalogError(f"{where}[{i}][0]: {p} is not proven prime")
+        try:
+            if not _proven_prime(p):
+                raise ValueError(f"{p} is not a prime")
+        except ValueError as exc:
+            raise CatalogError(f"{where}[{i}][0]: {exc}") from None
         if not 1 <= e <= order.bit_length():  # checked before p**e is computed
             raise CatalogError(
                 f"{where}[{i}][1]: exponent {e} is below 1 or above {order.bit_length()}")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdesign import params
-from symdesign.arith import MR_PROOF_BOUND, divisors, factorize, is_probable_prime
+from symdesign.arith import divisors, factorize, is_probable_prime
 from symdesign.catalog import load, load_catalogs
 from symdesign.pipeline import candidate_vs, large_filter
 from symdesign.params import (
@@ -46,12 +46,20 @@ def test_factorize_splits_big_semiprime():
 def test_factorize_refuses_a_cofactor_that_miller_rabin_cannot_prove_prime():
     p, q = 1287836182261, 2575672364521  # p * q passes every Miller-Rabin base in use
     n = p * q
-    assert n == MR_PROOF_BOUND and is_probable_prime(n)
+    assert n == 3_317_044_064_679_887_385_961_981 and is_probable_prime(n)
     with pytest.raises(ValueError, match=f"^cannot factorize {n}: {n} is not proven prime$"):
         factorize(n)
     with pytest.raises(ValueError, match="is not proven prime$"):
         factorize(6 * n)
     assert factorize(p * 1000003) == {1000003: 1, p: 1}  # below the bound, as before
+
+
+def test_base_41_refutes_the_strong_pseudoprime_to_the_first_twelve_primes():
+    """399165290221 * 798330580441 passes bases 2..37 and lies below the
+    proof bound; base 41 refutes it, so it factorizes."""
+    p, q = 399165290221, 798330580441
+    assert not is_probable_prime(p * q)
+    assert factorize(p * q) == {p: 1, q: 1}
 
 
 def test_divisor_count():

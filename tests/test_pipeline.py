@@ -348,6 +348,16 @@ def test_load_catalogs_refuses_a_stated_prime_miller_rabin_cannot_prove():
     assert candidate_vs(M) == [2 * p, 2 * q, 2 * n]
 
 
+def test_load_catalogs_refuses_the_strong_pseudoprime_to_the_first_twelve_primes():
+    n = 399165290221 * 798330580441  # passes bases 2..37, not 41
+    cat = {"group": {"name": "G", "order": str(2 * n)},
+           "maximals": [{"name": "M", "order": str(n), "index": "2",
+                         "order_factorization": [[n, 1]]}]}
+    with pytest.raises(CatalogError, match=rf"^maximals\[0\]\.order_factorization\[0\]\[0\]: "
+                                           rf"{n} is not a prime$"):
+        load_catalogs(cat)
+
+
 # ---- full runs -----------------------------------------------------------------
 
 

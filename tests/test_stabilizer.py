@@ -160,10 +160,15 @@ def test_long_schreier_tree_needs_no_recursion(long_cycle):
     without recursing."""
     G, peak = long_cycle
     assert G.degree > sys.getrecursionlimit()
-    stab = G.stabilizer_of_action(1, point_action)
+    tracemalloc.start()
+    try:
+        stab = G.stabilizer_of_action(1, point_action)
+        stab_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert stab.order() == 1 and stab.generators == ()
     # about 12 kB per transversal element of degree 1500; no eager inverses
-    assert peak < 30 * 2**20
+    assert peak < 30 * 2**20 and stab_peak < 30 * 2**20
 
 
 def test_long_chain_level_forms_no_eager_inverses(long_cycle):
