@@ -21,7 +21,7 @@ from operator import and_, itemgetter
 from typing import NamedTuple
 
 from .group import PermGroup, _close, _orbit_walk
-from .perm import _set_key, _set_maps, _set_points, _set_row, cycle_string
+from .perm import _set_key, _set_maps, _set_order, _set_points, _set_row, cycle_string
 
 __all__ = [
     "Design",
@@ -76,9 +76,12 @@ class ProfileViolation(ValueError):
 
 
 class Design:
-    """Points 1..v and a sequence of blocks (canonical sorted tuples)."""
+    """Points 1..v and blocks, each the sorted tuple of its points: stored
+    when given, else formed on first read from an orbit-built design's one
+    list ``_rows`` (see ``construct_design``) or a complement's source."""
 
-    _rows = None  # construct_design's incidence rows, until verify_symmetric takes them
+    _rows = None  # construct_design's incidence rows, or its sorted-tuple keys
+    _complement_of = None
 
     def __init__(self, v: int, blocks):
         if v < 1:
@@ -98,23 +101,25 @@ class Design:
         self.params: DesignParams | None = None  # set by verify_symmetric or complement
         self._action = None  # (generators, rows) set by construct_design or complement
 
-    @classmethod
-    def _of_canonical(cls, v: int, blocks) -> Design:
-        """A design from blocks already sorted, of distinct points in 1..v."""
-        design = cls.__new__(cls)
-        design.v, design.blocks, design.params, design._action = v, tuple(blocks), None, None
-        return design
-
     @property
     def num_blocks(self) -> int:
-        return len(self.blocks)
+        if self._complement_of is not None:
+            return self._complement_of.num_blocks
+        return len(self.blocks if self._rows is None else self._rows)
 
     @cached_property
     def blocks(self) -> tuple[tuple, ...]:
-        """A complement's blocks, formed on first read (any other design
-        stores its blocks when made, which shadows this)."""
+        """An orbit-built design's or a complement's blocks, formed on first
+        read (a design made from blocks stores them, which shadows this)."""
+        if self._rows is not None:
+            return tuple(_set_points(row, self.v) for row in self._rows)
         universe = frozenset(range(1, self.v + 1))
         return tuple(tuple(sorted(universe.difference(b))) for b in self._complement_of.blocks)
+
+    @cached_property
+    def _block_0(self) -> tuple:
+        """Block 0, the one block the checks of an orbit-built design read."""
+        return self.blocks[0] if self._rows is None else _set_points(self._rows[0], self.v)
 
     def __eq__(self, other):
         return (
@@ -151,18 +156,17 @@ def verify_symmetric(design: Design) -> DesignParams:
     design its incidence rows.  Any other design counts degrees per
     incidence and meets all pairs.  Rows meet in one ``&`` and one
     ``bit_count``: those of the walk, else int bitsets formed from the
-    blocks for the all-pairs meets.  Distinct blocks are distinct rows, so
-    the duplicate test reads the walk's rows when there are any.  The check
-    takes the rows off the design, which then holds no more than its blocks.
+    blocks for the all-pairs meets.  The duplicate and size tests read the
+    walk's rows or keys when there are any, so an orbit-built design forms
+    block 0 alone.
     """
     v = design.v
-    blocks = design.blocks
-    if len(blocks) != v:
+    if design.num_blocks != v:
         raise NotSymmetric(
-            "block-count", len(blocks), f"{len(blocks)} blocks for {v} points"
+            "block-count", design.num_blocks, f"{design.num_blocks} blocks for {v} points"
         )
-    rows = vars(design).pop("_rows", None)  # nothing else reads them
-    sets = blocks if rows is None else rows
+    sets = design.blocks if design._rows is None else design._rows
+    rows = sets if type(sets[0]) is int else None  # the walk's incidence rows
     if len(set(sets)) != len(sets):
         seen = {}
         for i, b in enumerate(sets):
@@ -171,15 +175,16 @@ def verify_symmetric(design: Design) -> DesignParams:
                     "duplicate-block", (seen[b], i), f"blocks {seen[b]} and {i} coincide"
                 )
             seen[b] = i
-    k = len(blocks[0])
-    for i, b in enumerate(blocks):
-        if len(b) != k:
+    size = len if rows is None else int.bit_count
+    k = size(sets[0])
+    for i, b in enumerate(map(size, sets)):
+        if b != k:
             raise NotSymmetric(
-                "block-size", i, f"block {i} has size {len(b)}, expected {k}"
+                "block-size", i, f"block {i} has size {b}, expected {k}"
             )
     if design._action is not None:
         mask = bytearray(v + 1)
-        for pt in blocks[0]:
+        for pt in design._block_0:
             mask[pt] = 1
         tables, seen, degrees = [g.table for g in design._action[0]], bytearray(v + 1), []
         for x in range(1, v + 1):
@@ -190,18 +195,18 @@ def verify_symmetric(design: Design) -> DesignParams:
         # the v-1 pairs (0, j), first in combinations order; slot 0 is never
         # a point, so each gather is a tuple
         if rows is None:
-            meets = lambda: (sum(itemgetter(0, *b)(mask)) for b in blocks[1:])
+            meets = lambda: (sum(itemgetter(0, *b)(mask)) for b in sets[1:])
         else:
             meets = lambda: map(int.bit_count, map(rows[0].__and__, rows[1:]))
     else:
         degree = [0] * (v + 1)
-        for b in blocks:
+        for b in design.blocks:
             for pt in b:
                 degree[pt] += 1
         degrees = enumerate(degree[1:], 1)
         if rows is None:
             bit = [1 << pt for pt in range(v + 1)]
-            rows = [sum(map(bit.__getitem__, b)) for b in blocks]  # points are distinct
+            rows = [sum(map(bit.__getitem__, b)) for b in design.blocks]  # points are distinct
         meets = lambda: map(int.bit_count, starmap(and_, combinations(rows, 2)))
     for pt, d in degrees:
         if d != k:
@@ -244,13 +249,13 @@ def complement(design: Design) -> Design:
 def construct_design(G: PermGroup, base_block) -> Design:
     """Design with block set the G-orbit of the base block.
 
-    The orbit is walked on the point-set keys of ``perm``, and its blocks
-    are sorted tuples in ascending lexicographic order; the result has v
+    The orbit is walked on the point-set keys of ``perm``; the result has v
     candidate blocks iff the orbit has length v.  The search finds every
     block's image under every generator of G; the result records that block
-    action, which the flag checks reuse under the same generators.  When
-    the keys are masks, their ints are kept as the design's incidence rows
-    for ``verify_symmetric``.
+    action, which the flag checks reuse under the same generators.  The
+    design keeps one list, the walk's incidence rows (or its sorted-tuple
+    keys), put by ``_set_order`` in ascending order of the blocks' point
+    tuples, which are formed only when ``blocks`` is first read.
     """
     start = tuple(sorted(set(base_block)))
     if not start:
@@ -258,17 +263,16 @@ def construct_design(G: PermGroup, base_block) -> Design:
     if start[0] < 1 or start[-1] > G.degree:
         raise ValueError(f"base block not inside 1..{G.degree}")
     key = _set_key(start, G.degree)
-    keys, _, action = _orbit_walk(key, _set_maps(G.generators, G.degree, [key]))
-    masks = type(key) is not tuple
-    blocks = [_set_points(k, G.degree) for k in keys] if masks else keys
-    order = sorted(range(len(blocks)), key=blocks.__getitem__)
-    rank = [0] * (len(blocks) + 1)  # rank[label]: the block's place in sorted order
+    keys, action = itemgetter(0, 2)(_orbit_walk(key, _set_maps(G.generators, G.degree, [key])))
+    if type(key) is not tuple:
+        keys = list(map(_set_row, keys))
+    order = _set_order(keys, G.degree)
+    rank = [0] * (len(keys) + 1)  # rank[label]: the block's place in sorted order
     for new, old in enumerate(order):
         rank[old + 1] = new
-    design = Design._of_canonical(G.degree, [blocks[i] for i in order])
+    design = Design.__new__(Design)
+    design.v, design.params, design._rows = G.degree, None, [keys[i] for i in order]
     design._action = (G.generators, [[rank[row[i]] for i in order] for row in action])
-    if masks:
-        design._rows = [_set_row(keys[i]) for i in order]
     return design
 
 
@@ -329,7 +333,7 @@ def is_flag_transitive(design: Design, G: PermGroup, force: bool = False) -> boo
     # Block's lemma: G has as many block orbits as point orbits, so points stand in for blocks
     if not G.is_transitive():
         return False
-    first = design.blocks[0]
+    first = design._block_0
     images = [row.__getitem__ for row in rows]
     return G._stabilizer_orbit_reaches(0, images, first[0], len(first))
 
@@ -363,9 +367,8 @@ def imprimitivity_profile(design: Design, system) -> ImprimitivityProfile:
     if system.degree != design.v:
         raise ValueError("block system degree does not match the design")
     class_sets = [frozenset(c) for c in system.classes]
-    blocks = design.blocks
-    if design._action is not None and system.invariance_witness(design._action[0]) is None:
-        blocks = blocks[:1]
+    carried = design._action is not None and system.invariance_witness(design._action[0]) is None
+    blocks = (design._block_0,) if carried else design.blocks
     ell = None
     s = None
     for bi, b in enumerate(blocks):

@@ -21,7 +21,7 @@ two types ``table`` is, nor on the slots past the degree.
 A private point-set kernel keys a set of points by its 0/1 byte mask, or
 by its sorted tuple when it is sparse or past degree 1023 (``_set_key``),
 and maps keys under permutations (``_set_maps``); a mask's int is an
-incidence row (``_set_row``).
+incidence row (``_set_row``), sorted as its points by ``_set_order``.
 """
 
 from __future__ import annotations
@@ -88,13 +88,13 @@ def _set_key(points, degree: int):
 
 
 def _set_points(key, degree: int) -> tuple:
-    """The points of a key, ascending.  A mask's 0/1 bytes times 255 are
-    0x00/0xff bytes with no carry, so ``& _INT_IDENTITY`` turns slot x of
-    the first 256 into x or 0, and the zeros (slot 0 is never in a set)
-    are deleted.  Points past 255 are picked out of a tuple of them by the
-    rest of the mask."""
+    """The points of a key or of its row, ascending.  A mask's 0/1 bytes
+    times 255 are 0x00/0xff bytes with no carry, so ``& _INT_IDENTITY``
+    turns slot x of the first 256 into x or 0, and the zeros (slot 0 is
+    never in a set) are deleted.  Points past 255 are picked out of a tuple
+    of them by the rest of the mask."""
     if degree <= _BYTES_MAX:
-        marked = (int.from_bytes(key, "big") * 255 & _INT_IDENTITY).to_bytes(256, "big")
+        marked = (_set_row(key) * 255 & _INT_IDENTITY).to_bytes(256, "big")
         return tuple(marked.translate(None, b"\0"))
     if type(key) is tuple:
         return key
@@ -112,6 +112,18 @@ def _set_row(key) -> int:
     """A mask key as an int with one bit per point of the set, so two
     masks of one degree meet in ``(a & b).bit_count()`` points."""
     return key if type(key) is int else int.from_bytes(key, "big")
+
+
+def _set_order(rows, degree: int) -> list:
+    """The indices of the rows, or sorted-tuple keys, of sets of one size in
+    ascending order of their point tuples.  Where two such tuples first
+    differ, the lesser has a point the other lacks and no lower point
+    differs, so rows sort descending with point 1 most significant: as ints
+    at degree <= 255, as a plane row's bytes above."""
+    key, tuples = rows.__getitem__, type(rows[0]) is tuple
+    if degree > _BYTES_MAX and not tuples:
+        key = lambda i: rows[i].to_bytes(degree + 1, "little")
+    return sorted(range(len(rows)), key=key, reverse=not tuples)
 
 
 def _set_maps(perms, degree: int, keys=None) -> list:

@@ -27,7 +27,7 @@ from symdesign.design import (
     verify_symmetric,
 )
 from symdesign.group import BlockSystem, PermGroup, StabChain
-from symdesign.perm import Permutation, parse_cycles
+from symdesign.perm import Permutation, _set_points, parse_cycles
 
 from helpers import (
     FIXTURES,
@@ -758,18 +758,18 @@ def test_params_identity_on_verified_designs(fano):
 ])
 def test_construct_design_matches_the_sorted_tuple_walk_on_paley(q, r, seed):
     """Paley blocks hold (q - 1) / 2 points, so the walk runs on masks over
-    2 or 4 planes: the blocks and the recorded action are the sorted-tuple
-    walk's, and the walk's incidence rows meet as the blocks do until the
-    check takes them; a second check meets by gathers."""
+    2 or 4 planes: the check reads the walk's incidence rows and forms no
+    block, the blocks formed from the rows and the recorded action are the
+    sorted-tuple walk's, and the rows meet as the blocks do."""
     G, block = _relabelled(*paley(q, r), seed)
     design = construct_design(G, block)
+    params = DesignParams(q, (q - 1) // 2, (q - 3) // 4)
+    assert verify_symmetric(design) == params and "blocks" not in vars(design)
     blocks, rows = reference_tuple_walk(G, block)
     assert list(design.blocks) == blocks and design._action[1] == rows
     first = set(blocks[0])
     assert [(design._rows[0] & row).bit_count() for row in design._rows] \
         == [len(first.intersection(b)) for b in blocks]
-    params = DesignParams(q, (q - 1) // 2, (q - 3) // 4)
-    assert verify_symmetric(design) == params and design._rows is None
     assert verify_symmetric(design) == params
 
 
@@ -782,7 +782,7 @@ def test_construct_design_matches_the_sorted_tuple_walk_on_a_sparse_block():
     design = construct_design(G, block)
     blocks, rows = reference_tuple_walk(G, block)
     assert list(design.blocks) == blocks and design._action[1] == rows
-    assert design._rows is None
+    assert design._rows == blocks  # the walk's sorted-tuple keys
     bare = copy.copy(design)
     bare._action = None
     assert _outcome(verify_symmetric, design) == _outcome(verify_symmetric, bare)
@@ -862,3 +862,46 @@ def test_d1_flag_checks_and_block_systems_walk_no_point_orbit(monkeypatch):
     assert cert.flag_transitive and len(cert.systems) == 2
     assert not is_anti_flag_transitive(design, G)
     assert calls == []
+
+
+@given(st.sampled_from([(3, 255), (256, 1023), (1024, 1060)]), st.booleans(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_the_kept_list_forms_the_eager_sorted_tuple_walk(span, dense, data):
+    """Byte masks at degree <= 255, plane masks for dense blocks up to 1023
+    and sorted-tuple keys for sparse blocks above 255 and any block above
+    1023: the design keeps the walk's rows or keys in block order, and the
+    blocks formed from them and the recorded action are the eager
+    sorted-tuple walk's."""
+    n = data.draw(st.integers(*span))
+    rng = data.draw(st.randoms(use_true_random=False))
+    size = rng.randint((n + 1) // 2, n) if dense else rng.randint(1, min(n, 8))
+    points = list(range(1, n + 1))
+    rng.shuffle(points)
+    pi = Permutation(points)
+    c = cyclic(n).generators[0]
+    G = PermGroup([pi.inverse() * c ** rng.randrange(1, n + 1) * pi for _ in range(2)], degree=n)
+    block = rng.sample(range(1, n + 1), size)
+    design = construct_design(G, block)
+    assert "blocks" not in vars(design)
+    blocks, rows = reference_tuple_walk(G, block)
+    masks = n <= 255 or (2 * size + 1 >= n and n <= 1023)
+    assert design._rows == (_mask_rows(blocks, n) if masks else blocks)
+    assert list(design.blocks) == blocks and design._action[1] == rows
+
+
+@pytest.mark.parametrize("name", ["m12", "paley-263"])
+def test_certifying_an_orbit_built_design_forms_block_0_alone(name, monkeypatch):
+    """``certify`` and the anti-flag check form one point tuple, block 0's,
+    from the design's rows, and no ``blocks`` of the design or of its
+    complement, whose block count is its source's."""
+    G, block = CARRIED[name]()
+    G = PermGroup(G.generators, degree=G.degree)
+    design = construct_design(G, block)
+    calls = []
+    monkeypatch.setattr("symdesign.design._set_points",
+                        lambda key, n: calls.append(key) or _set_points(key, n))
+    assert certify(design, G).flag_transitive
+    assert not is_anti_flag_transitive(design, G)
+    comp = complement(design)
+    assert calls == [design._rows[0]] and comp.num_blocks == design.v
+    assert "blocks" not in vars(design) and "blocks" not in vars(comp)
