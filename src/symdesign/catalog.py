@@ -398,6 +398,7 @@ def _load_one_catalog(data: dict) -> GroupCatalog:
         elif group is not None and not all(map(group.contains, sub_gens)):
             raise CatalogError(f"{label}: generator outside {name}")
         else:
+            sub._bound = None if group is None else group._fixed_point_bound(sub_gens)
             built[key] = sub
         return sub
 

@@ -9,8 +9,8 @@ concurrently at worst repeat work; they never see a partial value.
 Public queries return fresh lists, so callers may mutate what they get.
 
 A stored chain is always complete: its order is the group's order.  So
-a point stabilizer is read off the chain, and any other stabilizer stops
-cutting out Schreier generators at |G|/|orbit| (orbit-stabilizer).
+a point stabilizer is read off the chain, and any other stabilizer and
+its chain build stop at |G|/|orbit| (orbit-stabilizer; see ``StabChain``).
 
 Transitivity and the point stabilizer's orbits come from the chain alone.
 The group is transitive iff its first basic orbit is every point.  The
@@ -26,8 +26,10 @@ from __future__ import annotations
 from functools import partial
 from itertools import islice
 from math import prod
+from operator import itemgetter
 
-from .perm import MAX_DEGREE, Permutation, _compose, _identity_table, cycle_string, parse_cycles
+from .perm import (MAX_DEGREE, Permutation, _compose, _identity_table, _pack, cycle_string,
+                   parse_cycles)
 
 __all__ = [
     "PermGroup",
@@ -155,11 +157,19 @@ class StabChain:
     inverse per strong generator it installs.  Base points are chosen as
     the smallest point moved by the strong generator that forces a new
     level, so two builds from the same generator list agree exactly.
+
+    A private ``_bound`` B, proved from a complete chain (never a stated
+    order), with |<generators>| <= B, stops the build once the product of
+    the basic orbit lengths is B.  That product never exceeds the order
+    (orbit-stabilizer, level by level; Seress 2003, sec. 4.1), so the chain
+    is then complete: every Schreier check left would install nothing, and
+    it is the chain the full build returns, level for level.
     """
 
-    def __init__(self, generators, degree: int):
+    def __init__(self, generators, degree: int, *, _bound: int | None = None):
         self.degree = degree
         self.levels: list[_SchreierTree] = []
+        self._bound = _bound
         self._build([g for g in generators if not g.is_identity()])
 
     @property
@@ -203,7 +213,7 @@ class StabChain:
             if pair is not None:
                 self._install(_quotient(*pair, self.degree), 0, j)
         i = len(self.levels) - 1
-        while i >= 0:
+        while i >= 0 and self.order() != self._bound:
             stuck = self._check_level(i)
             i = stuck if stuck is not None else i - 1
 
@@ -279,6 +289,7 @@ class PermGroup:
         self.degree = degree
         self.generators = generators
         self._chain: StabChain | None = None
+        self._bound: int | None = None  # a proven bound on the order (``StabChain``)
         self._stabilizer_orbits: list | None = None
 
     @classmethod
@@ -288,7 +299,7 @@ class PermGroup:
     @property
     def chain(self) -> StabChain:
         if self._chain is None:
-            self._chain = StabChain(self.generators, self.degree)
+            self._chain = StabChain(self.generators, self.degree, _bound=self._bound)
         return self._chain
 
     def order(self) -> int:
@@ -329,6 +340,12 @@ class PermGroup:
         out.sort(key=lambda o: (len(o), o[0]))
         return out
 
+    def _fixed_point_bound(self, gens) -> int | None:
+        """|G_x| = |G|/|x^G| >= |<gens>|, gens in G and x the first point all fix
+        (a proven bound: ``StabChain``); None if they fix no point."""
+        x = next((x for x in range(1, self.degree + 1) if all(g.table[x] == x for g in gens)), 0)
+        return self.order() // len(self.orbit(x)) if x else None
+
     def is_transitive(self) -> bool:
         levels = self.chain.levels
         return len(levels[0].orbit) == self.degree if levels else self.degree == 1
@@ -361,7 +378,7 @@ class PermGroup:
                 if chain._strip(a, 0, b)[0] is None:
                     continue
                 kept.append(_quotient(a, b, self.degree))
-                chain = StabChain(kept, self.degree)
+                chain = StabChain(kept, self.degree, _bound=target)
                 if chain.order() == target:
                     break
         stab = PermGroup(kept, degree=self.degree)
@@ -594,14 +611,17 @@ class BlockSystem:
         return self.classes[self.class_of[point]]
 
     def invariance_witness(self, generators):
-        """(generator, class) breaking invariance, or None if invariant."""
-        class_sets = [frozenset(c) for c in self.classes]
-        universe = set(class_sets)
+        """(generator, class) breaking invariance, or None if invariant.  With
+        m[x] the class of x^g (one table composition), g maps classes onto
+        classes iff m[rep[x]] == m[x] for all x, rep[x] the first point of x's
+        class (rep[0] = 0, padding fixed); the witness: the first class m varies on."""
+        n, compose = self.degree, _compose(self.degree)
+        cls = _pack(self.class_of, n)
+        rep = _pack([0, *(self.classes[i][0] for i in self.class_of[1:])], n)
         for g in generators:
-            t = g.table
-            for c in class_sets:
-                if frozenset(t[x] for x in c) not in universe:
-                    return g, tuple(sorted(c))
+            m = compose(g.table, cls)
+            if compose(rep, m) != m:
+                return g, next(c for c in self.classes if len({m[x] for x in c}) > 1)
         return None
 
     def __eq__(self, other):
@@ -635,31 +655,38 @@ class CosetAction:
     to arbitrary elements of G.
 
     The walk names a coset by a point or by its canonical representative.
-    When H fixes a point x whose G-orbit has length |G:H|, H is the
-    stabilizer G_x (orbit-stabilizer), and Hw -> x^w is a G-equivariant
-    bijection onto that orbit, so the walk runs over x^G.  If x^G is every
-    point, ``group`` is G relabelled, and it gets G's chain conjugated
-    level by level by the walk order, which is complete.  Any other H names each coset Hw by
-    the representative that minimizes the base images of H's chain level
-    by level, and the walk runs over those representatives.
+    When H fixes a point x whose G-orbit has length |G:H|, H is G_x
+    (orbit-stabilizer) and Hw -> x^w is a G-equivariant bijection onto
+    x^G, so the walk runs over x^G and g's image is two gathers (the
+    orbit's images, then their labels).  If x^G is every point, ``group``
+    gets G's complete chain conjugated by the walk order; any other image
+    group builds its chain to |G|, a bound on a quotient's order.  Any
+    other H names each coset Hw by the representative that minimizes the
+    base images of H's chain level by level, and the walk runs over those.
     """
 
     def __init__(self, G: PermGroup, H: PermGroup):
         assert_subgroup(G, H, "coset action subgroup")
         self.G = G
         self.H = H
-        index = G.order() // H.chain.order()
-        self._map = _on_points
-        walk = _orbit_of_fixed_point(G, H, index)
-        if walk is None:
-            self._map = self._on_cosets
-            walk = _orbit_walk(self._canonical(G.identity()), [self._map(g) for g in G.generators])
-        self._orbit, self._label, rows = walk
-        self.degree = len(self._orbit)
-        if self.degree != index:
-            raise RuntimeError("coset enumeration does not match the index")
-        self.group = PermGroup(map(Permutation._trusted, rows), degree=self.degree)
-        if self._map is _on_points and self.degree == G.degree:
+        self.degree = index = G.order() // H.chain.order()
+        self._orbit = _orbit_of_fixed_point(G, H, index)
+        self._gather = None
+        if self._orbit is not None:
+            self._label = [0] * (G.degree + 1)  # slot 0 stays 0, as in every table
+            for j, y in enumerate(self._orbit, 1):
+                self._label[y] = j
+            self._gather = itemgetter(0, *self._orbit)  # two indices or more: a tuple
+            images = [self._image(g) for g in G.generators]
+        else:
+            images = [self._on_cosets(g) for g in G.generators]
+            self._orbit, self._label, rows = _orbit_walk(self._canonical(G.identity()), images)
+            if len(self._orbit) != index:
+                raise RuntimeError("coset enumeration does not match the index")
+            images = map(Permutation._trusted, rows)
+        self.group = PermGroup(images, degree=index)
+        self.group._bound = G.order()
+        if self._gather is not None and index == G.degree:
             # label j is the point p(j), so g acts on the labels as p g p^-1
             p = Permutation._trusted(self._orbit)
             self.group._chain = G.chain._conjugated(G.chain.levels, p.inverse(), p)
@@ -684,32 +711,33 @@ class CosetAction:
             raise ValueError(f"degree mismatch: {self.G.degree} vs {g.degree}")
         if not self.G.contains(g):
             raise ValueError("element is not in the acted-on group")
-        image, label = self._map(g), self._label
-        return Permutation._trusted([label[image(x)] for x in self._orbit])
+        return self._image(g)
+
+    def _image(self, g: Permutation) -> Permutation:
+        """``image_of`` for a g known to lie in G, with no checks."""
+        if self._gather is not None:
+            img = itemgetter(*self._gather(g.table))(self._label)
+            return Permutation._raw(_pack(img, self.degree), self.degree)
+        image, label = self._on_cosets(g), self._label
+        return Permutation._trusted([label[image(w)] for w in self._orbit])
 
 
-def _on_points(g: Permutation):
-    """The map x -> x^g on points."""
-    return g.table.__getitem__
-
-
-def _orbit_of_fixed_point(G: PermGroup, H: PermGroup, index: int):
-    """The walk (see ``_orbit_walk``) of the G-orbit of the first point
-    fixed by H whose orbit has length ``index``; None if there is none.
+def _orbit_of_fixed_point(G: PermGroup, H: PermGroup, index: int) -> list | None:
+    """The G-orbit of the first point fixed by H whose orbit has length
+    ``index``, breadth first over G's generators in order; None if none.
 
     Points of one orbit have conjugate stabilizers, so each G-orbit is
     walked once, from its first point fixed by H.
     """
-    htables = [h.table for h in H.generators]
-    maps = [_on_points(g) for g in G.generators]
-    seen: set[int] = set()
+    tables = [g.table for g in G.generators]
+    seen = bytearray(G.degree + 1)
     for x in range(1, G.degree + 1):
-        if x in seen or any(t[x] != x for t in htables):
+        if seen[x] or any(h.table[x] != x for h in H.generators):
             continue
-        walk = _orbit_walk(x, maps)
-        if len(walk[0]) == index:
-            return walk
-        seen.update(walk[0])
+        seen[x] = 1
+        orbit = _close([x], seen, tables)
+        if len(orbit) == index:
+            return orbit
     return None
 
 
@@ -744,7 +772,7 @@ def induced_orbits(act: CosetAction, K: PermGroup) -> list[list[int]]:
     """Orbits of K <= act.G on the coset labels of ``act``, sorted by
     (length, min label)."""
     assert_subgroup(act.G, K, "induced orbit subgroup")
-    images = [act.image_of(k) for k in K.generators]
+    images = [act._image(k) for k in K.generators]
     return PermGroup(images, degree=act.degree).orbits()
 
 

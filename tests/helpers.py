@@ -234,6 +234,18 @@ def chain_levels(chain):
     return [(lv.seed, lv.orbit, [g.table for g in lv.gens]) for lv in chain.levels]
 
 
+def reference_invariance_witness(system, generators):
+    """``BlockSystem.invariance_witness`` by frozensets: the first generator
+    and, in class order, its first class whose image is not a class."""
+    class_sets = [frozenset(c) for c in system.classes]
+    universe = set(class_sets)
+    for g in generators:
+        for c in class_sets:
+            if frozenset(g.table[x] for x in c) not in universe:
+                return g, tuple(sorted(c))
+    return None
+
+
 def sift_cases(group, rng):
     """Members (words in the generators) and non-members: random
     permutations, and members premultiplied by a transposition that fixes

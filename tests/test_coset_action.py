@@ -12,7 +12,8 @@ from symdesign.catalog import load, load_catalogs
 from symdesign.group import PermGroup, StabChain, coset_action
 from symdesign.perm import Permutation, cycle_string, parse_cycles
 
-from helpers import FIXTURES, cyclic, grp, paley, random_groups, reference_coset_action
+from helpers import (FIXTURES, chain_levels, cyclic, grp, paley, random_groups,
+                     reference_coset_action, reference_stab_chain)
 
 
 def random_elements(G, rng, count, length=12):
@@ -114,6 +115,35 @@ def test_a_proper_orbit_gets_no_carried_chain(case):
     act = assert_matches_reference(G, H, random.Random(case))
     assert on_points(act) and act.degree < G.degree
     assert act.group._chain is None
+
+
+def _paley_263_with_a_fixed_point():
+    """Paley-263's group on 264 points, fixing point 264: the orbit of 1 is
+    a proper orbit of a degree above 255."""
+    G, _ = paley(263)
+    G = PermGroup([Permutation([*g.images, 264]) for g in G.generators], degree=264)
+    return G, G.point_stabilizer(1)
+
+
+POINT_PATH_CASES = {
+    "proper-orbit": lambda: intransitive_cases()[1],
+    # H = G fixes 4, whose orbit {4} is the one coset: one label, and a
+    # gather of slot 0 and one point still yields a tuple
+    "orbit-of-length-1": lambda: (grp(5, "(1,2,3)", "(1,2)"), grp(5, "(1,2,3)", "(1,2)")),
+    "degree-264": _paley_263_with_a_fixed_point,
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_PATH_CASES))
+def test_the_point_path_gathers_what_enumeration_labels(name):
+    """The two gathers give the enumeration's rows and images, and an image
+    group with no carried chain builds the full build's chain to |G|."""
+    G, H = POINT_PATH_CASES[name]()
+    act = assert_matches_reference(G, H, random.Random(name), samples=6)
+    assert on_points(act) and act.degree < G.degree
+    assert act.group._chain is None and act.group._bound == G.order()
+    assert chain_levels(act.group.chain) == chain_levels(
+        reference_stab_chain(act.group.generators, act.degree))
 
 
 def test_subgroups_that_are_no_point_stabilizer_are_enumerated():

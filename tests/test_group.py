@@ -18,6 +18,7 @@ from symdesign.group import (
 )
 
 from symdesign.catalog import load, load_catalogs
+from symdesign.design import block_stabilizer, construct_design
 
 from helpers import (
     FIXTURES,
@@ -29,6 +30,7 @@ from helpers import (
     random_groups,
     random_wreath_subgroup,
     _reference_finest_system_joining,
+    reference_invariance_witness,
     reference_minimal_block_systems,
     reference_stab_chain,
     reference_stabilizer_of_action,
@@ -728,6 +730,145 @@ def test_pair_strip_chain_is_the_reference_build_on_paley_263(r):
 def test_pair_strip_chain_is_the_reference_build_on_random_groups(group, rng):
     _assert_chain_is_the_reference_build(group)
     _assert_chain_is_the_reference_build(random_wreath_subgroup(rng))
+
+
+# ---- chains built to a proven order bound ------------------------------------
+
+
+def _assert_stored_chain_is_the_reference_build(group):
+    """The chain a group stores, built to a bound or not, is the full
+    textbook build from its generators, level for level."""
+    assert chain_levels(group.chain) == chain_levels(
+        reference_stab_chain(group.generators, group.degree))
+
+
+def test_m12_hints_build_to_the_order_of_a_point_stabilizer():
+    """Each hint's generators fix a point of the transitive M12, so |G_x| =
+    95040/144 = 660 bounds its order; a repeated list shares the first
+    one's chain; ``L2(11)max`` fixes no point and takes the full build."""
+    [cat] = load_catalogs(load("m12-144/catalog"))
+    [l211max] = [m.group for m in cat.maximals if m.name == "L2(11)max"]
+    assert l211max._bound is None
+    _assert_stored_chain_is_the_reference_build(l211max)
+    assert [h.group._bound for h in cat.hints] == [660, None, 660, None]
+    for first, repeat in (cat.hints[:2], cat.hints[2:]):
+        assert repeat.group.chain is first.group.chain
+        _assert_stored_chain_is_the_reference_build(first.group)
+
+
+def test_a_bound_stops_the_build_only_once_it_is_reached(monkeypatch):
+    """At the bound 660 each hint's build skips level checks that the full
+    build makes; a bound the chain never reaches changes nothing."""
+    [cat] = load_catalogs(load("m12-144/catalog"))
+    checks = []
+    check = StabChain._check_level
+
+    def counting_check(self, i):
+        checks.append(i)
+        return check(self, i)
+
+    monkeypatch.setattr(StabChain, "_check_level", counting_check)
+
+    def build(gens, bound):
+        checks.clear()
+        chain = StabChain(gens, 144, _bound=bound)
+        return chain_levels(chain), len(checks)
+
+    for hint in cat.hints[::2]:  # point-L2(11) and block-L2(11), each once
+        full, full_checks = build(hint.group.generators, None)
+        bounded, bounded_checks = build(hint.group.generators, 660)
+        loose, loose_checks = build(hint.group.generators, 95040)
+        assert bounded == full == loose
+        assert bounded_checks < full_checks == loose_checks
+
+
+@pytest.mark.parametrize("name", ["m12-144", "paley-263"])
+def test_block_stabilizer_chain_built_to_its_order_is_the_reference_build(name):
+    G, block = (load("m12-144/G"), load("m12-144/base-block")) if name == "m12-144" else paley(263)
+    stab = block_stabilizer(G, construct_design(G, block), 0)
+    assert stab.order() == G.order() // G.degree  # one block per point
+    _assert_stored_chain_is_the_reference_build(stab)
+
+
+def test_class_stabilizer_chains_of_the_m12_systems_are_the_reference_build():
+    G = load("m12-144/G")
+    systems = G.minimal_block_systems()
+    assert len(systems) == 2
+    for system in systems:
+        stab = G.class_stabilizer(system, 0)
+        assert stab.order() == G.order() // system.num_classes
+        _assert_stored_chain_is_the_reference_build(stab)
+
+
+@given(random_groups())
+@settings(max_examples=60, deadline=None)
+def test_stabilizer_chains_built_to_their_order_are_the_reference_build(group):
+    for point in range(1, group.degree + 1):
+        stab = group.stabilizer_of_action(point, lambda g, x: g.table[x])
+        _assert_stored_chain_is_the_reference_build(stab)
+
+
+# ---- invariance of a partition by table compositions ---------------------------
+
+
+def _partition_and_generators(rng, degree, size):
+    """A random partition of 1..degree into classes of ``size``, and
+    generators in random order: some that permute its classes, one of
+    those with two points of different classes swapped, and a random
+    permutation."""
+    points = list(range(1, degree + 1))
+    rng.shuffle(points)
+    classes = [points[i:i + size] for i in range(0, degree, size)]
+    system = BlockSystem(degree, classes)
+
+    def keeping():
+        order = list(range(len(classes)))
+        rng.shuffle(order)
+        images = [0] * degree
+        for src, dst in zip(classes, (classes[j] for j in order)):
+            dst = rng.sample(dst, len(dst))
+            for x, y in zip(src, dst):
+                images[x - 1] = y
+        return Permutation(images)
+
+    g = keeping()
+    if len(classes) > 1:
+        a, b = classes[0][0], classes[1][0]
+        g = parse_cycles(f"({a},{b})", degree) * g
+    gens = [keeping() for _ in range(rng.randint(0, 3))] + [g, Permutation(rng.sample(points, degree))]
+    rng.shuffle(gens)
+    return system, gens[:rng.randint(1, len(gens))]
+
+
+@pytest.mark.parametrize("degree", [4, 12, 144, 255, 264])
+def test_invariance_witness_matches_the_frozenset_walk(degree):
+    """Byte tables at degree <= 255, tuple tables above; invariant and
+    broken partitions alike, with the same witness generator and class."""
+    rng = random.Random(degree)
+    sizes = [c for c in range(1, degree + 1) if degree % c == 0]
+    outcomes = set()
+    for _ in range(40):
+        system, gens = _partition_and_generators(rng, degree, rng.choice(sizes))
+        got, want = system.invariance_witness(gens), reference_invariance_witness(system, gens)
+        assert got == want
+        if got is not None:
+            assert got[0] is want[0]
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+@given(random_groups(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_invariance_witness_matches_the_frozenset_walk_on_random_groups(group, rng):
+    """Every partition of a random group's points into equal classes that
+    a shuffle draws, tested under the group's own generators."""
+    n = group.degree
+    for size in (c for c in range(1, n + 1) if n % c == 0):
+        points = list(range(1, n + 1))
+        rng.shuffle(points)
+        system = BlockSystem(n, [points[i:i + size] for i in range(0, n, size)])
+        assert (system.invariance_witness(group.generators)
+                == reference_invariance_witness(system, group.generators))
 
 
 @pytest.mark.parametrize("chain", [StabChain((), 10), cyclic(10).chain], ids=["no-levels", "C10"])
