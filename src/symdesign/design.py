@@ -252,10 +252,10 @@ def construct_design(G: PermGroup, base_block) -> Design:
     The orbit is walked on the point-set keys of ``perm``; the result has v
     candidate blocks iff the orbit has length v.  The search finds every
     block's image under every generator of G; the result records that block
-    action, which the flag checks reuse under the same generators.  The
-    design keeps one list, the walk's incidence rows (or its sorted-tuple
-    keys), put by ``_set_order`` in ascending order of the blocks' point
-    tuples, which are formed only when ``blocks`` is first read.
+    action, which the flag checks reuse under the same generators.
+    ``_set_order`` puts the walk's keys in ascending order of the blocks'
+    point tuples, and the design keeps them as one list, masks as incidence
+    rows; the tuples are formed only when ``blocks`` is first read.
     """
     start = tuple(sorted(set(base_block)))
     if not start:
@@ -264,14 +264,15 @@ def construct_design(G: PermGroup, base_block) -> Design:
         raise ValueError(f"base block not inside 1..{G.degree}")
     key = _set_key(start, G.degree)
     keys, action = itemgetter(0, 2)(_orbit_walk(key, _set_maps(G.generators, G.degree, [key])))
+    order = _set_order(keys)
+    keys = [keys[i] for i in order]
     if type(key) is not tuple:
         keys = list(map(_set_row, keys))
-    order = _set_order(keys, G.degree)
     rank = [0] * (len(keys) + 1)  # rank[label]: the block's place in sorted order
     for new, old in enumerate(order):
         rank[old + 1] = new
     design = Design.__new__(Design)
-    design.v, design.params, design._rows = G.degree, None, [keys[i] for i in order]
+    design.v, design.params, design._rows = G.degree, None, keys
     design._action = (G.generators, [[rank[row[i]] for i in order] for row in action])
     return design
 

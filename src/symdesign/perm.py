@@ -18,10 +18,11 @@ that ``p * q`` uses, for loops that strip on tables and form no
 ``Permutation``.  Nothing outside this module may depend on which of the
 two types ``table`` is, nor on the slots past the degree.
 
-A private point-set kernel keys a set of points by its 0/1 byte mask, or
-by its sorted tuple when it is sparse or past degree 1023 (``_set_key``),
-and maps keys under permutations (``_set_maps``); a mask's int is an
-incidence row (``_set_row``), sorted as its points by ``_set_order``.
+A private point-set kernel keys a set of points by its mask, the 0/1 byte
+of each slot over whole 256-point planes, or by its sorted tuple when it is
+sparse or past degree 1023 (``_set_key``), and maps keys under permutations
+(``_set_maps``).  A mask read as a little-endian int, point x at bit 8x, is
+an incidence row (``_set_row``); ``_set_order`` sorts keys as their points.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ _BYTES_MAX = 255
 # about planes * degree bytes of work, a sorted tuple's about k log k.
 _PLANES_MAX_DEGREE = 1023
 _BYTE_IDENTITY = bytes(range(256))
-_INT_IDENTITY = int.from_bytes(_BYTE_IDENTITY, "big")
 
 
 @cache
@@ -71,59 +71,40 @@ def _compose(degree: int):
 
 
 def _set_key(points, degree: int):
-    """Key of a set of distinct points in 1..degree: the 256-byte 0/1 mask
-    at degree <= 255; above, up to degree ``_PLANES_MAX_DEGREE``, for a set
-    of at least (degree - 1) / 2 points, the 0/1 byte mask of slots
-    0..degree read as one little-endian int; for any other set the sorted
-    tuple."""
-    if degree <= _BYTES_MAX:
-        mask = bytearray(256)
-    elif 2 * len(points) + 1 < degree or degree > _PLANES_MAX_DEGREE:
+    """Key of a set of distinct points in 1..degree: its mask, the bytes of
+    slots 0.. over whole 256-point planes with slot x 1 iff x is in the set,
+    at degree <= 255 and, up to degree ``_PLANES_MAX_DEGREE``, for a set of
+    at least (degree - 1) / 2 points; for any other set the sorted tuple."""
+    if degree > _BYTES_MAX and (2 * len(points) + 1 < degree or degree > _PLANES_MAX_DEGREE):
         return tuple(sorted(points))
-    else:
-        mask = bytearray(degree + 1)
+    mask = bytearray(((degree >> 8) + 1) << 8)
     for x in points:
         mask[x] = 1
-    return bytes(mask) if degree <= _BYTES_MAX else int.from_bytes(mask, "little")
+    return bytes(mask)
 
 
 def _set_points(key, degree: int) -> tuple:
-    """The points of a key or of its row, ascending.  A mask's 0/1 bytes
-    times 255 are 0x00/0xff bytes with no carry, so ``& _INT_IDENTITY``
-    turns slot x of the first 256 into x or 0, and the zeros (slot 0 is
-    never in a set) are deleted.  Points past 255 are picked out of a tuple
-    of them by the rest of the mask."""
-    if degree <= _BYTES_MAX:
-        marked = (_set_row(key) * 255 & _INT_IDENTITY).to_bytes(256, "big")
-        return tuple(marked.translate(None, b"\0"))
+    """The points of a key or of its row, ascending: the slots a mask marks
+    (slot 0 never is)."""
     if type(key) is tuple:
         return key
-    mask = key.to_bytes(degree + 1, "little")
-    marked = (int.from_bytes(mask[:256], "big") * 255 & _INT_IDENTITY).to_bytes(256, "big")
-    return (*marked.translate(None, b"\0"), *compress(_points_past_255(degree), mask[256:]))
-
-
-@cache
-def _points_past_255(degree: int) -> tuple:
-    return tuple(range(256, degree + 1))
+    if type(key) is int:
+        key = key.to_bytes(degree + 1, "little")
+    return tuple(compress(range(degree + 1), key))
 
 
 def _set_row(key) -> int:
-    """A mask key as an int with one bit per point of the set, so two
-    masks of one degree meet in ``(a & b).bit_count()`` points."""
-    return key if type(key) is int else int.from_bytes(key, "big")
+    """A mask as an int with point x at bit 8x, so two masks of one degree
+    meet in ``(a & b).bit_count()`` points."""
+    return int.from_bytes(key, "little")
 
 
-def _set_order(rows, degree: int) -> list:
-    """The indices of the rows, or sorted-tuple keys, of sets of one size in
-    ascending order of their point tuples.  Where two such tuples first
-    differ, the lesser has a point the other lacks and no lower point
-    differs, so rows sort descending with point 1 most significant: as ints
-    at degree <= 255, as a plane row's bytes above."""
-    key, tuples = rows.__getitem__, type(rows[0]) is tuple
-    if degree > _BYTES_MAX and not tuples:
-        key = lambda i: rows[i].to_bytes(degree + 1, "little")
-    return sorted(range(len(rows)), key=key, reverse=not tuples)
+def _set_order(keys) -> list:
+    """The indices of the keys of sets of one size in ascending order of
+    their point tuples.  Where two such tuples first differ, the lesser has
+    a point the other lacks and no lower point differs, so masks sort
+    descending as bytes and sorted tuples ascending."""
+    return sorted(range(len(keys)), key=keys.__getitem__, reverse=type(keys[0]) is bytes)
 
 
 def _set_maps(perms, degree: int, keys=None) -> list:
@@ -148,8 +129,8 @@ def _plane_map(p: "Permutation"):
     p^-1(x) of the mask.  Point x is slot x & 255 of the 256-point plane
     x >> 8, so one ``translate`` of the low bytes of p^-1 through plane h
     reads slot x of the image for every x with p^-1(x) in plane h, and an
-    int selecting those x keeps them.  A sorted tuple goes to
-    ``_gather_map``."""
+    int selecting those x keeps them; the union, read little-endian, is the
+    image's mask.  A sorted tuple goes to ``_gather_map``."""
     gather = _gather_map(p.table)
     inverse = p.inverse().table
     translate = bytes(x & 255 for x in inverse).translate
@@ -159,16 +140,15 @@ def _plane_map(p: "Permutation"):
         select = bytearray(256)
         select[h] = 255
         planes.append((slice(h << 8, (h + 1) << 8), int.from_bytes(high.translate(select), "little")))
-    size = len(planes) << 8  # little-endian: the last plane is padded with zeros
+    size = len(planes) << 8
 
     def image(key):
         if type(key) is tuple:
             return gather(key)
-        mask = key.to_bytes(size, "little")
         out = 0
         for plane, select in planes:
-            out |= int.from_bytes(translate(mask[plane]), "little") & select
-        return out
+            out |= int.from_bytes(translate(key[plane]), "little") & select
+        return out.to_bytes(size, "little")
 
     return image
 

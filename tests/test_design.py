@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -806,15 +807,29 @@ def test_a_sparse_walk_past_the_byte_range_is_no_larger():
 
 def _mask_rows(blocks, v):
     """The incidence rows an orbit walk leaves for these blocks: the 0/1 byte
-    mask of each, 256 bytes read as a big-endian int at v <= 255 and v + 1
-    bytes read as a little-endian int above."""
+    mask of each over slots 0..v, read as a little-endian int."""
     rows = []
     for b in blocks:
-        mask = bytearray(max(256, v + 1))
+        mask = bytearray(v + 1)
         for pt in b:
             mask[pt] = 1
-        rows.append(int.from_bytes(mask, "big" if v <= 255 else "little"))
+        rows.append(int.from_bytes(mask, "little"))
     return rows
+
+
+@pytest.mark.parametrize("case", ["m12", "s40-3-subsets"])
+def test_a_mask_row_holds_the_design_points_alone(case):
+    """A row has point x at bit 8x and no slot past v, so its size follows v
+    rather than a 256-point plane: the 9,880 rows of S_40 on the 3-subsets
+    of 1..40 take under 1 MiB."""
+    G, block = CARRIED["m12"]() if case == "m12" else (sym(40), [1, 2, 3])
+    design = construct_design(G, block)
+    v = design.v
+    assert all(row.bit_length() <= 8 * v + 1 for row in design._rows)
+    if case != "m12":
+        assert len(design._rows) == 9880
+        assert sum(map(sys.getsizeof, design._rows)) < 1 << 20
+    assert design._rows == _mask_rows(design.blocks, v)
 
 
 @pytest.mark.parametrize("name", ["m12", "m12-relabelled", "paley-263"])

@@ -296,7 +296,7 @@ def test_constructor_checks_the_bijection_past_the_byte_cut_off():
         Permutation(list(range(2, 258)))
 
 
-# ---- the point-set kernel: 0/1 masks up to degree 255, sorted tuples above ----
+# ---- the point-set kernel: byte masks, and sorted tuples for sparse sets above 255 ----
 
 @pytest.mark.parametrize("n", [*range(1, 10), 254, 255, 256, 257, 263])
 @given(st.data())
@@ -315,12 +315,15 @@ def test_set_kernel_images_match_the_sorted_point_images(n, data):
         assert _set_points(image(image(key)), n) == tuple(sorted((g * g)(x) for x in points))
 
 
-@pytest.mark.parametrize("n", [1, 2, 144, 254, 255])
+@pytest.mark.parametrize("n", [1, 2, 144, 254, 255, 256, 263, 511, 512, 1023])
 def test_mask_read_back_at_the_ends_of_the_byte_range(n):
     for points in ((), (1,), (n,), (1, n), tuple(range(1, n + 1)), tuple(range(2, n + 1, 2))):
         points = tuple(sorted(set(points)))
-        got = _set_points(_set_key(points, n), n)
+        key = _set_key(points, n)
+        got = _set_points(key, n)
         assert got == points and all(type(x) is int for x in got)
+        if type(key) is bytes:
+            assert _set_points(_set_row(key), n) == points
 
 
 @pytest.mark.parametrize("n", [256, 257, 263, 300])
@@ -365,7 +368,7 @@ def plane_sets(draw, n):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_plane_masks_match_the_sorted_point_images(n, data):
-    """A dense set's key is an int mask and a sparse set's the sorted tuple;
+    """A dense set's key is a byte mask and a sparse set's the sorted tuple;
     every image key reads back as the sorted point images and equals the
     key made from them, so one set has one key whichever way it was
     reached, and two masks meet in as many points as their sets."""
@@ -375,7 +378,7 @@ def test_plane_masks_match_the_sorted_point_images(n, data):
     perms = [Permutation(rng.sample(range(1, n + 1), n)) for _ in range(2)]
     perms.append(perms[0] * perms[1])
     key = _set_key(points, n)
-    assert type(key) is (int if 2 * len(points) + 1 >= n else tuple)
+    assert type(key) is (bytes if 2 * len(points) + 1 >= n else tuple)
     assert _set_points(key, n) == tuple(sorted(points))
     for maps in (_set_maps(perms, n), _set_maps(perms, n, [key])):
         for g, image in zip(perms, maps):
@@ -384,14 +387,14 @@ def test_plane_masks_match_the_sorted_point_images(n, data):
             assert all(type(x) is int for x in got)
             assert image(key) == _set_key(got, n)
     other_key = _set_key(other, n)
-    if type(key) is int and type(other_key) is int:
+    if type(key) is bytes and type(other_key) is bytes:
         assert (_set_row(key) & _set_row(other_key)).bit_count() == len(points & other)
 
 
 @pytest.mark.parametrize("n", PLANE_DEGREES)
 def test_a_mask_keys_a_set_of_at_least_half_the_points_less_one(n):
     least = n // 2  # 2 * least + 1 >= n > 2 * (least - 1) + 1
-    assert type(_set_key(range(1, least + 1), n)) is int
+    assert type(_set_key(range(1, least + 1), n)) is bytes
     assert type(_set_key(range(2, least + 1), n)) is tuple
 
 
@@ -401,7 +404,7 @@ def test_masks_stop_at_four_planes(n):
     degree 1023 even a set of every point is a sorted tuple."""
     points = range(1, n + 1)
     key = _set_key(points, n)
-    assert type(key) is (int if n <= 1023 else tuple)
+    assert type(key) is (bytes if n <= 1023 else tuple)
     shift = Permutation([i % n + 1 for i in range(1, n + 1)])
     (image,) = _set_maps([shift], n)
     assert _set_points(image(key), n) == tuple(points)

@@ -115,6 +115,12 @@ def test_subgroup_index_gate_recursion_refutes():
     assert subgroup_index_gate("M11", 33, M11_TABLE) == GATE_NSG
 
 
+def test_subgroup_index_gate_recursion_decides_each_verdict():
+    # 22 = 11 * 2 and M10 has A6 of index 2; 24 = 12 * 2 and L2(11) has no table
+    assert subgroup_index_gate("M11", 22, M11_TABLE) == GATE_POSSIBLE
+    assert subgroup_index_gate("M11", 24, M11_TABLE) == GATE_UNKNOWN
+
+
 def test_subgroup_index_gate_smallest_index_screen():
     table = {"O7(3)": ((None, 351), (None, 364), (None, 378))}
     for i in (14, 40, 105):
