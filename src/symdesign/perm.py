@@ -44,6 +44,7 @@ _BYTES_MAX = 255
 # about planes * degree bytes of work, a sorted tuple's about k log k.
 _PLANES_MAX_DEGREE = 1023
 _BYTE_IDENTITY = bytes(range(256))
+_IDENTITY_ROW = int.from_bytes(_BYTE_IDENTITY, "little")
 
 
 @cache
@@ -84,13 +85,19 @@ def _set_key(points, degree: int):
 
 
 def _set_points(key, degree: int) -> tuple:
-    """The points of a key or of its row, ascending: the slots a mask marks
-    (slot 0 never is)."""
+    """The points of a key or of its row, ascending: the slots a mask marks.
+    A row's 0/1 bytes times 255 are 0x00/0xff bytes with no carry, so
+    ``& _IDENTITY_ROW`` turns slot x of plane 0 into x or 0 and drops the
+    other planes, and the zeros are deleted (slot 0 is never in a set).
+    Marked slots past plane 0 are picked out one by one."""
     if type(key) is tuple:
         return key
-    if type(key) is int:
-        key = key.to_bytes(degree + 1, "little")
-    return tuple(compress(range(degree + 1), key))
+    row = key if type(key) is int else _set_row(key)
+    points = (row * 255 & _IDENTITY_ROW).to_bytes(256, "little").translate(None, b"\0")
+    rest = row >> 2048
+    if not rest:
+        return tuple(points)
+    return (*points, *compress(range(256, degree + 1), rest.to_bytes(degree - 255, "little")))
 
 
 def _set_row(key) -> int:

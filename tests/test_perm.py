@@ -317,7 +317,8 @@ def test_set_kernel_images_match_the_sorted_point_images(n, data):
 
 @pytest.mark.parametrize("n", [1, 2, 144, 254, 255, 256, 263, 511, 512, 1023])
 def test_mask_read_back_at_the_ends_of_the_byte_range(n):
-    for points in ((), (1,), (n,), (1, n), tuple(range(1, n + 1)), tuple(range(2, n + 1, 2))):
+    for points in ((), (1,), (n,), (1, n), tuple(range(1, n + 1)), tuple(range(2, n + 1, 2)),
+                   tuple(range(1, (n + 1) // 2 + 1))):
         points = tuple(sorted(set(points)))
         key = _set_key(points, n)
         got = _set_points(key, n)
