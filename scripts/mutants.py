@@ -82,6 +82,23 @@ MUTANTS = [
      "while i >= 0 and self.order() != self._bound:",
      "while i >= 1 and self.order() != self._bound:",
      ["tests/test_group.py", "-k", "bound or chain"]),
+    ("tree-edge-of-generator-0", "group.py",
+     "if parent[y] != (x, i):",
+     "if parent[y] != (x, 0):",
+     ["tests/test_stabilizer.py::test_stabilizer_matches_the_reference",
+      "tests/test_group.py::test_class_stabilizer_chains_of_the_m12_systems_are_the_reference_build"]),
+    ("gather-without-index-0", "group.py",
+     "itemgetter(0, *self._orbit)",
+     "itemgetter(*self._orbit)",
+     ["tests/test_coset_action.py::test_the_point_path_gathers_what_enumeration_labels"]),
+    ("point-256-skipped", "perm.py",
+     "compress(range(256, degree + 1)",
+     "compress(range(257, degree + 1)",
+     ["tests/test_perm.py::test_mask_read_back_at_the_ends_of_the_byte_range"]),
+    ("last-slot-dropped", "perm.py",
+     'rest.to_bytes(degree - 255, "little")',
+     'rest.to_bytes(degree - 256, "little")',
+     ["tests/test_perm.py::test_mask_read_back_at_the_ends_of_the_byte_range"]),
 ]
 
 

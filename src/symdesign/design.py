@@ -15,6 +15,7 @@ one certification routine of ``symdesign reproduce-d1`` and the pipeline.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from itertools import combinations, starmap
 from operator import and_, itemgetter
@@ -303,9 +304,7 @@ def block_stabilizer(G: PermGroup, design: Design, block_index: int) -> PermGrou
     """Setwise stabilizer of one block, cut out of the action on the block orbit."""
     if not 0 <= block_index < design.num_blocks:
         raise ValueError(f"block index {block_index} outside 0..{design.num_blocks - 1}")
-    # stabilizer_of_action applies only G's generators, so every g has a row
-    action_of = dict(zip(G.generators, _block_action_images(G, design)))
-    return G.stabilizer_of_action(block_index, lambda g, idx: action_of[g][idx])
+    return G.stabilizer_of_action(block_index, _block_action_images(G, design))
 
 
 def is_flag_transitive(design: Design, G: PermGroup, force: bool = False) -> bool:
@@ -335,8 +334,7 @@ def is_flag_transitive(design: Design, G: PermGroup, force: bool = False) -> boo
     if not G.is_transitive():
         return False
     first = design._block_0
-    images = [row.__getitem__ for row in rows]
-    return G._stabilizer_orbit_reaches(0, images, first[0], len(first))
+    return G._stabilizer_orbit_reaches(0, rows, first[0], len(first))
 
 
 def is_anti_flag_transitive(design: Design, G: PermGroup, force: bool = False) -> bool:
@@ -367,19 +365,13 @@ def imprimitivity_profile(design: Design, system) -> ImprimitivityProfile:
     params = _verified(design)
     if system.degree != design.v:
         raise ValueError("block system degree does not match the design")
-    class_sets = [frozenset(c) for c in system.classes]
     carried = design._action is not None and system.invariance_witness(design._action[0]) is None
     blocks = (design._block_0,) if carried else design.blocks
     ell = None
     s = None
     for bi, b in enumerate(blocks):
-        bset = frozenset(b)
-        met = 0
-        for ci, cls in enumerate(class_sets):
-            size = len(bset & cls)
-            if size == 0:
-                continue
-            met += 1
+        meets = sorted(Counter(map(system.class_of.__getitem__, b)).items())  # class order
+        for ci, size in meets:
             if ell is None:
                 ell = size
             elif size != ell:
@@ -387,6 +379,7 @@ def imprimitivity_profile(design: Design, system) -> ImprimitivityProfile:
                     bi, ci, size,
                     f"block {bi} meets class {ci} in {size} points, expected 0 or {ell}",
                 )
+        met = len(meets)
         if s is None:
             s = met
         elif met != s:

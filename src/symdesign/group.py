@@ -23,7 +23,6 @@ taking s to 1 are the orbits of G_1 that seed ``minimal_block_systems``.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import islice
 from math import prod
 from operator import itemgetter
@@ -52,37 +51,34 @@ class SubgroupError(ValueError):
 class _SchreierTree:
     """Breadth-first Schreier tree of ``seed`` under ``gens``.
 
-    ``images[i](x)`` is the image of x under ``gens[i]`` in the action the
-    tree follows.  ``orbit`` lists the orbit in discovery order, generators
-    in input order, and ``parent[y] = (x, i)`` records the edge that found
-    y.  The transversal element u_y, the product of the generators on the
+    ``rows[i][x]`` is the image of x under ``gens[i]`` in the action the
+    tree follows: a table, a list, or a dict for points that are not ints.
+    ``orbit`` lists the orbit in discovery order, generators in input
+    order, and ``parent[y] = (x, i)`` records the edge that found y.  The
+    transversal element u_y, the product of the generators on the
     path from the seed (so it maps the seed to y), is formed on first use
     by an iterative walk up the links, so a long tree needs no recursion,
     and cached by one dict store of a complete permutation.  No inverse is
     formed or cached.
     """
 
-    __slots__ = ("seed", "gens", "images", "orbit", "parent", "_u")
+    __slots__ = ("seed", "gens", "rows", "orbit", "parent", "_u")
 
-    def __init__(self, seed, gens, images, ident: Permutation):
+    def __init__(self, seed, gens, rows, ident: Permutation):
         parent = {seed: None}
         orbit = [seed]
         for x in orbit:  # the list grows while it is read: breadth first
-            for i, image in enumerate(images):
-                y = image(x)
+            for i, row in enumerate(rows):
+                y = row[x]
                 if y not in parent:
                     parent[y] = (x, i)
                     orbit.append(y)
         self.seed = seed
         self.gens = gens
-        self.images = images
+        self.rows = rows
         self.orbit = orbit
         self.parent = parent
         self._u = {seed: ident}
-
-    @classmethod
-    def on_points(cls, seed: int, gens, ident: Permutation) -> "_SchreierTree":
-        return cls(seed, gens, [g.table.__getitem__ for g in gens], ident)
 
     def element(self, y) -> Permutation:
         """u_y for a point y of the orbit."""
@@ -115,8 +111,8 @@ class _SchreierTree:
         compose = _compose(self._u[self.seed].degree)  # u_seed is the identity
         for x in self.orbit:
             ux = None
-            for i, image in enumerate(self.images):
-                y = image(x)
+            for i, row in enumerate(self.rows):
+                y = row[x]
                 if parent[y] != (x, i):
                     ux = ux or element(x).table
                     a, b = compose(ux, tables[i]), element(y).table
@@ -251,7 +247,8 @@ class StabChain:
                 if h is None:
                     h = moved[id(g)] = c_inv * g * c
                 gens.append(h)
-            chain.levels.append(_SchreierTree.on_points(c.table[lv.seed], tuple(gens), ident))
+            chain.levels.append(_SchreierTree(c.table[lv.seed], tuple(gens),
+                                              [g.table for g in gens], ident))
         return chain
 
     def _install(self, h: Permutation, lo: int, hi: int):
@@ -265,11 +262,11 @@ class StabChain:
             raise RuntimeError("strong generator moves a base point above its level")
         ident = Permutation.identity(self.degree)
         if hi == len(self.levels):
-            self.levels.append(_SchreierTree.on_points(h.min_moved(), (), ident))
+            self.levels.append(_SchreierTree(h.min_moved(), (), [], ident))
         old = len(self.levels[hi].orbit)
         for m in range(lo, hi + 1):
             lv = self.levels[m]
-            self.levels[m] = _SchreierTree.on_points(lv.seed, lv.gens + (h,), ident)
+            self.levels[m] = _SchreierTree(lv.seed, lv.gens + (h,), lv.rows + [h.table], ident)
         if len(self.levels[hi].orbit) == old:
             raise RuntimeError(f"install at level {hi} did not grow its orbit")
 
@@ -352,11 +349,12 @@ class PermGroup:
 
     # ---- stabilizers -----------------------------------------------------
 
-    def stabilizer_of_action(self, seed, action) -> "PermGroup":
+    def stabilizer_of_action(self, seed, rows) -> "PermGroup":
         """Stabilizer of ``seed`` under an auxiliary action of this group.
 
-        ``action(g, x)`` gives the image of an auxiliary point x under a
-        group element g and must be a genuine action (respect products).
+        ``rows[i][x]`` is the image of an auxiliary point x under generator
+        i (a table, a list, or a dict for points that are not ints); the
+        rows must come from a genuine action (respect products).
         The result is cut out by the Schreier generators of the non-tree
         edges of a breadth-first Schreier tree, each stripped as its pair
         and formed only when kept, so that each kept generator strictly
@@ -368,8 +366,7 @@ class PermGroup:
         trivial group at once; the kept generators are a prefix of one
         deterministic sequence, and the result's chain is complete.
         """
-        gens = self.generators
-        tree = _SchreierTree(seed, gens, [partial(action, g) for g in gens], self.identity())
+        tree = _SchreierTree(seed, self.generators, rows, self.identity())
         target = self.order() // len(tree.orbit)
         kept: list[Permutation] = []
         chain = StabChain((), self.degree)
@@ -385,9 +382,9 @@ class PermGroup:
         stab._chain = chain
         return stab
 
-    def _stabilizer_orbit_reaches(self, seed, images, point: int, size: int) -> bool:
+    def _stabilizer_orbit_reaches(self, seed, rows, point: int, size: int) -> bool:
         """Whether the orbit of ``point`` under the stabilizer of ``seed``
-        has at least ``size`` points; ``images[i](x)`` is the image of an
+        has at least ``size`` points; ``rows[i][x]`` is the image of an
         auxiliary point x under generator i.
 
         The Schreier generators of the breadth-first tree of ``seed`` (the
@@ -403,7 +400,7 @@ class PermGroup:
         seen[point] = 1
         orbit = [point]
         tables = []
-        tree = _SchreierTree(seed, self.generators, images, self.identity())
+        tree = _SchreierTree(seed, self.generators, rows, self.identity())
         for a, b in tree.schreier_pairs():
             new = _quotient(a, b, self.degree).table
             tables.append(new)
@@ -428,7 +425,7 @@ class PermGroup:
             raise ValueError(f"point {point} outside 1..{self.degree}")
         levels = self.chain.levels
         if point not in (levels[0].parent if levels else ()):
-            return self.stabilizer_of_action(point, lambda g, x: g.table[x])
+            return self.stabilizer_of_action(point, [g.table for g in self.generators])
         u = levels[0].element(point)
         chain = self.chain._conjugated(levels[1:], u, u.inverse())
         stab = PermGroup(chain.levels[0].gens if chain.levels else (), degree=self.degree)
@@ -553,7 +550,9 @@ class PermGroup:
         return minimal
 
     def class_stabilizer(self, system: "BlockSystem", class_index: int) -> "PermGroup":
-        """Setwise stabilizer of one class of an invariant partition."""
+        """Setwise stabilizer of one class of an invariant partition, cut out
+        of the action on class indices: generator g's row maps class i to
+        the class of g's image of i's first point."""
         if system.degree != self.degree:
             raise ValueError("block system degree mismatch")
         if not 0 <= class_index < system.num_classes:
@@ -565,10 +564,8 @@ class PermGroup:
                 f"partition not invariant: generator {cycle_string(g)} breaks class {cls}"
             )
         class_of = system.class_of
-        reps = [cls[0] for cls in system.classes]
-        return self.stabilizer_of_action(
-            class_index, lambda g, idx: class_of[g.table[reps[idx]]]
-        )
+        rows = [[class_of[g.table[c[0]]] for c in system.classes] for g in self.generators]
+        return self.stabilizer_of_action(class_index, rows)
 
 
 class BlockSystem:

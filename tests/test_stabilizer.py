@@ -40,14 +40,25 @@ def point_action(g, x):
     return g.table[x]
 
 
-def block_action(G, design):
-    rows = dict(zip(G.generators, _block_action_images(G, design)))
-    return lambda g, idx: rows[g][idx]
+def point_rows(G):
+    return [g.table for g in G.generators]
 
 
-def class_action(system):
-    reps = [cls[0] for cls in system.classes]
-    return lambda g, idx: system.class_of[g.table[reps[idx]]]
+def class_rows(G, system):
+    return [[system.class_of[g.table[c[0]]] for c in system.classes] for g in G.generators]
+
+
+def block_tuple_rows(G, design):
+    """The block action on the blocks' point tuples, not their indices."""
+    blocks, rows = design.blocks, _block_action_images(G, design)
+    return [{blocks[i]: blocks[j] for i, j in enumerate(row)} for row in rows]
+
+
+def action_of(G, rows):
+    """The action ``rows`` tabulate under G's generators, as the reference's
+    ``action(g, x)``."""
+    row_of = dict(zip(G.generators, rows))
+    return lambda g, x: row_of[g][x]
 
 
 def _points(G):
@@ -55,7 +66,7 @@ def _points(G):
 
 
 def _point_cases(G):
-    return [(point, point_action) for point in _points(G)]
+    return [(point, point_rows(G)) for point in _points(G)]
 
 
 def _fixture_cases():
@@ -71,15 +82,16 @@ def _fixture_cases():
         cases = _point_cases(G)
         if G.is_transitive() and G.degree > 1:
             for system in G.minimal_block_systems():
-                cases.append((0, class_action(system)))
+                cases.append((0, class_rows(G, system)))
         yield name, G, cases
 
 
 def _m12_cases():
     G = load("m12-144/G")
     design = construct_design(G, load("m12-144/base-block"))
-    cases = _point_cases(G) + [(0, block_action(G, design)), (77, block_action(G, design))]
-    cases += [(0, class_action(system)) for system in G.minimal_block_systems()]
+    rows = _block_action_images(G, design)
+    cases = _point_cases(G) + [(0, rows), (77, rows)]
+    cases += [(0, class_rows(G, system)) for system in G.minimal_block_systems()]
     yield "m12-144", G, cases
 
 
@@ -87,7 +99,10 @@ def _paley_cases():
     for q in (11, 19, 23, 43, 263):
         G, block = paley(q)
         design = construct_design(G, block)
-        yield f"paley-{q}", G, _point_cases(G) + [(0, block_action(G, design))]
+        cases = _point_cases(G) + [(0, _block_action_images(G, design))]
+        if q == 11:  # auxiliary points that are not ints
+            cases.append((design.blocks[0], block_tuple_rows(G, design)))
+        yield f"paley-{q}", G, cases
 
 
 CASES = {name: (G, cases) for make in (_fixture_cases, _m12_cases, _paley_cases)
@@ -126,12 +141,12 @@ def test_point_stabilizer_cases_take_every_path():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stabilizer_matches_the_reference(name, order_known):
     G, cases = CASES[name]
-    for seed, action in cases:
+    for seed, rows in cases:
         group = PermGroup(G.generators, degree=G.degree)
         if order_known:
             group.order()
-        stab = group.stabilizer_of_action(seed, action)
-        ref = reference_stabilizer_of_action(G, seed, action)
+        stab = group.stabilizer_of_action(seed, rows)
+        ref = reference_stabilizer_of_action(G, seed, action_of(G, rows))
         assert stab.order() == ref.order()
         assert stab.orbits() == ref.orbits()
         # the same deterministic sequence of kept generators: a fresh group
@@ -162,7 +177,7 @@ def test_long_schreier_tree_needs_no_recursion(long_cycle):
     assert G.degree > sys.getrecursionlimit()
     tracemalloc.start()
     try:
-        stab = G.stabilizer_of_action(1, point_action)
+        stab = G.stabilizer_of_action(1, point_rows(G))
         stab_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -220,6 +235,26 @@ def test_block_stabilizer_work_once_the_order_is_known(monkeypatch):
     monkeypatch.undo()
     assert stab.order() == 131
     assert products <= 300
+
+
+def test_block_stabilizer_hashes_no_permutation(monkeypatch):
+    """The D1 block stabilizer reads the block action as one row per
+    generator, so no generator is hashed to find its row."""
+    G = load("m12-144/G")
+    design = construct_design(G, load("m12-144/base-block"))
+    hashes = 0
+    permutation_hash = Permutation.__hash__
+
+    def counting_hash(self):
+        nonlocal hashes
+        hashes += 1
+        return permutation_hash(self)
+
+    monkeypatch.setattr(Permutation, "__hash__", counting_hash)
+    stab = block_stabilizer(G, design, 0)
+    monkeypatch.undo()
+    assert stab.order() == 660
+    assert hashes == 0
 
 
 def _products_and_inverses(monkeypatch, work):
