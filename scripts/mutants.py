@@ -99,6 +99,20 @@ MUTANTS = [
      'rest.to_bytes(degree - 255, "little")',
      'rest.to_bytes(degree - 256, "little")',
      ["tests/test_perm.py::test_mask_read_back_at_the_ends_of_the_byte_range"]),
+    ("point-stabilizer-of-1", "group.py",
+     "self.stabilizer_of_action(point, [g.table for g in self.generators])",
+     "self.stabilizer_of_action(1, [g.table for g in self.generators])",
+     ["tests/test_stabilizer.py::test_point_stabilizer_matches_the_reference",
+      "tests/test_m12_derivation.py::test_m11_is_the_stabilizer_of_12_and_a_bfs_lists_it"]),
+    ("class-meet-not-counted", "design.py",
+     "counts[class_of[x]] += 1",
+     "counts[class_of[x]] = 1",
+     ["tests/test_design.py::test_imprimitivity_profile_matches_the_reference",
+      "tests/test_m12_derivation.py::test_the_66_point_orbit_is_a_base_block_of_d1"]),
+    ("catalog-error-reraised", "catalog.py",
+     'raise CatalogError(f"{where}: {exc}") from None',
+     "raise",
+     ["tests/test_cli.py::test_m12_catalog_with_one_broken_field_exits_2"]),
 ]
 
 

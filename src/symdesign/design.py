@@ -15,7 +15,6 @@ one certification routine of ``symdesign reproduce-d1`` and the pipeline.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from itertools import combinations, starmap
 from operator import and_, itemgetter
@@ -369,8 +368,12 @@ def imprimitivity_profile(design: Design, system) -> ImprimitivityProfile:
     blocks = (design._block_0,) if carried else design.blocks
     ell = None
     s = None
+    class_of = system.class_of
     for bi, b in enumerate(blocks):
-        meets = sorted(Counter(map(system.class_of.__getitem__, b)).items())  # class order
+        counts = [0] * system.num_classes
+        for x in b:
+            counts[class_of[x]] += 1
+        meets = [(ci, n) for ci, n in enumerate(counts) if n]  # class order, nonzero only
         for ci, size in meets:
             if ell is None:
                 ell = size

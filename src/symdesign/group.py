@@ -9,8 +9,8 @@ concurrently at worst repeat work; they never see a partial value.
 Public queries return fresh lists, so callers may mutate what they get.
 
 A stored chain is always complete: its order is the group's order.  So
-a point stabilizer is read off the chain, and any other stabilizer and
-its chain build stop at |G|/|orbit| (orbit-stabilizer; see ``StabChain``).
+every stabilizer (of a point, a class or a block) and its chain build stop
+at |G|/|orbit| (orbit-stabilizer; see ``StabChain``).
 
 Transitivity and the point stabilizer's orbits come from the chain alone.
 The group is transitive iff its first basic orbit is every point.  The
@@ -227,20 +227,18 @@ class StabChain:
                 return j
         return None
 
-    def _conjugated(self, levels, c: Permutation, c_inv: Permutation) -> "StabChain":
-        """``levels``, a tail of this chain, conjugated by c (with inverse
-        c_inv): base point y becomes y^c and strong generator g becomes
-        c^-1 g c.
+    def _conjugated(self, c: Permutation, c_inv: Permutation) -> "StabChain":
+        """This chain conjugated by c (with inverse c_inv): base point y
+        becomes y^c and strong generator g becomes c^-1 g c.
 
-        A tail of a complete chain is complete for the stabilizer of the
-        base points above it, and its conjugate for the conjugate group;
+        A complete chain's conjugate is complete for the conjugate group;
         each level's breadth-first tree walks the carried orbit in the
         same order.
         """
         ident = Permutation.identity(self.degree)
         moved: dict[int, Permutation] = {}  # levels share strong generators
         chain = StabChain((), self.degree)
-        for lv in levels:
+        for lv in self.levels:
             gens = []
             for g in lv.gens:
                 h = moved.get(id(g))
@@ -415,22 +413,11 @@ class PermGroup:
         return False
 
     def point_stabilizer(self, point: int) -> "PermGroup":
-        """Stabilizer of a point.  For p in the first basic orbit, with u the
-        transversal element taking the first base point b to p, G_p is
-        u^-1 G_b u: the chain's levels below the first, conjugated by u,
-        are a complete chain of G_p (Seress 2003, sec. 4.1).  Any other
-        point, in an intransitive group, is cut out of Schreier generators.
-        """
+        """Stabilizer of a point, cut out of the action on points by
+        ``stabilizer_of_action``."""
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} outside 1..{self.degree}")
-        levels = self.chain.levels
-        if point not in (levels[0].parent if levels else ()):
-            return self.stabilizer_of_action(point, [g.table for g in self.generators])
-        u = levels[0].element(point)
-        chain = self.chain._conjugated(levels[1:], u, u.inverse())
-        stab = PermGroup(chain.levels[0].gens if chain.levels else (), degree=self.degree)
-        stab._chain = chain
-        return stab
+        return self.stabilizer_of_action(point, [g.table for g in self.generators])
 
     def _base_stabilizer_orbits(self) -> list[list[int]]:
         """``orbits()`` of G_s, s the first base point, which the chain's
@@ -686,7 +673,7 @@ class CosetAction:
         if self._gather is not None and index == G.degree:
             # label j is the point p(j), so g acts on the labels as p g p^-1
             p = Permutation._trusted(self._orbit)
-            self.group._chain = G.chain._conjugated(G.chain.levels, p.inverse(), p)
+            self.group._chain = G.chain._conjugated(p.inverse(), p)
 
     def _canonical(self, g: Permutation) -> Permutation:
         """Unique coset representative: minimizes base images level by level."""

@@ -1,5 +1,6 @@
 """Shared fixture groups and brute-force oracles for the test suite."""
 
+import functools
 import json
 import math
 import re
@@ -105,20 +106,41 @@ def m12_group_texts():
     return {key: "\n".join(["degree: 144", *strings]) + "\n" for key, strings in gens.items()}
 
 
+def element_list(group):
+    """Every element of the group in breadth-first word order: the identity,
+    then each listed element times each generator in turn."""
+    seen = {group.identity()}
+    listed = [group.identity()]
+    for w in listed:  # the list grows while it is read
+        for g in group.generators:
+            e = w * g
+            if e not in seen:
+                seen.add(e)
+                listed.append(e)
+    return listed
+
+
 def element_closure(group):
     """Every element of the group, by breadth-first word enumeration."""
-    seen = {group.identity()}
-    frontier = [group.identity()]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in group.generators:
-                e = w * g
-                if e not in seen:
-                    seen.add(e)
-                    nxt.append(e)
-        frontier = nxt
-    return seen
+    return set(element_list(group))
+
+
+# M12 on 12 points.  These generators were recalled, not retrieved, so
+# tests/test_m12_derivation.py checks that they generate a sharply
+# 5-transitive group of degree 12, which is M12.
+M12_ON_12_POINTS = ("(1,2,3,4,5,6,7,8,9,10,11)", "(3,7,11,8)(4,10,5,6)",
+                    "(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)")
+
+
+def m12_on_12_points():
+    return grp(12, *M12_ON_12_POINTS)
+
+
+@functools.cache
+def m11_elements():
+    """The 7,920 elements of M11 = the stabilizer of 12 in M12 on 12 points,
+    in ``element_list`` order; formed once per test process."""
+    return tuple(element_list(m12_on_12_points().point_stabilizer(12)))
 
 
 def pairwise_meets(design):

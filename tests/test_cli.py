@@ -479,3 +479,37 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, verb, name,
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
     assert "Traceback" not in captured.err
+
+
+def _break_l211_generators(data, text):
+    data["maximals"][2]["generators"][0] = text
+
+
+def _drop_group_degree(data):
+    del data["group"]["degree"]
+
+
+def _double_l211_order(data):
+    record = data["maximals"][2]
+    record.update(order=1320, index=72)
+    del record["order_factorization"]
+
+
+@pytest.mark.parametrize("breaks, message", [
+    (lambda d: _break_l211_generators(d, "(1,2"),
+     "maximals[2].generators: malformed cycle text at '(1,2'"),
+    (lambda d: _break_l211_generators(d, "(1,2)(2,3)"),
+     "maximals[2].generators: point 2 repeated across cycles"),
+    (_drop_group_degree, "group: generators given without a degree"),
+    (_double_l211_order, "L2(11)max: generator order != stated order"),
+], ids=["cycle-text-unclosed", "cycle-point-repeated", "generators-without-degree",
+        "generator-order-not-stated-order"])
+def test_m12_catalog_with_one_broken_field_exits_2(tmp_path, capsys, breaks, message):
+    data = json.loads(Path(M12_CATALOG).read_text())
+    breaks(data)
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(data))
+    assert main(["pipeline", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

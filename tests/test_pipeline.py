@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdesign import design, pipeline
+from symdesign.arith import divisors
 from symdesign.catalog import CatalogError, MaximalRecord, load, load_catalogs
 from symdesign.group import PermGroup, coset_action
 from symdesign.params import enumerate_params
@@ -30,6 +31,7 @@ from helpers import (
     FIXTURES,
     cyclic,
     grp,
+    m11_elements,
     pairwise_meets,
     reference_pipeline_rows,
     simple_index_bound_refutes,
@@ -439,6 +441,24 @@ def test_rows_the_simple_group_index_bound_refutes_are_nsg(key, refuted, indices
                    for name, i in ((t.M_name, t.i_H), (t.N_name, t.i_K)))]
     assert len(rows) == refuted
     assert {t.i_H for t in rows} == indices
+    assert all(t.status == "nsg" for t in rows)
+
+
+def test_rows_at_index_45_in_m11_are_nsg_by_the_sylow_11_count(m12_report):
+    """M11 has no subgroup of index 45, of order 176 = 2^4 * 11.  Such a
+    subgroup has one Sylow 11-subgroup (n_11 = 1 mod 11 and n_11 divides
+    16), so it lies in the normalizer of that C11.  M11's 144 subgroups of
+    order 11 are conjugate (Sylow), so that normalizer has order 7920/144 =
+    55 < 176.  The count is one of the abstract M11, so it covers the rows
+    under M11a and under M11b."""
+    elements = m11_elements()
+    elevens = [e for e in elements if e.order() == 11]
+    sylows = {frozenset((e ** j).table for j in range(11)) for e in elevens}
+    assert len(elements) == 7920 and len(elevens) == 1440 and len(sylows) == 144
+    assert [n for n in divisors(16) if n % 11 == 1] == [1]
+    assert len(elements) // len(sylows) == 55 < 176 == 7920 // 45
+    rows = [t for t in m12_report.sections[0].tuples if (t.i_H, t.i_K) == (45, 45)]
+    assert len(rows) == 4 and {t.M_name for t in rows} <= set(SIMPLE_MAXIMALS)
     assert all(t.status == "nsg" for t in rows)
 
 

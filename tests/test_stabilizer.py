@@ -1,10 +1,11 @@
-"""Point stabilizers read off the chain, and the early-stopping stabilizer,
-against the exhaustive reference.
+"""Point stabilizers and the early-stopping stabilizer of an auxiliary
+action, against the exhaustive reference.
 
-``PermGroup.point_stabilizer`` conjugates the chain's levels below the
-first; a point outside the first basic orbit falls back to
+``PermGroup.point_stabilizer`` passes the point tables to
 ``stabilizer_of_action``, which stops at |G|/|orbit| and skips the
-Schreier tree's own edges.  Every case must agree with
+Schreier tree's own edges.  The point cases cover three kinds of point
+for the group's chain: the first base point, another point of the first
+basic orbit, and a point outside it.  Every case must agree with
 ``reference_stabilizer_of_action`` on the order and the orbit partition.
 """
 
@@ -110,8 +111,10 @@ CASES = {name: (G, cases) for make in (_fixture_cases, _m12_cases, _paley_cases)
 
 
 def _path(G, point):
-    """Which way ``point_stabilizer`` takes: the chain's first base point,
-    a conjugate of its stabilizer, or the Schreier-generator fallback."""
+    """Which kind of point this is for G's chain: its first base point
+    ("base"), another point of the first basic orbit, whose stabilizer is a
+    conjugate of the base point's ("conjugate"), or a point outside that
+    orbit, which only an intransitive group has ("fallback")."""
     if not G.chain.base or point not in G.orbit(G.chain.base[0]):
         return "fallback"
     return "base" if point == G.chain.base[0] else "conjugate"
