@@ -87,10 +87,18 @@ MUTANTS = [
      "if parent[y] != (x, 0):",
      ["tests/test_stabilizer.py::test_stabilizer_matches_the_reference",
       "tests/test_group.py::test_class_stabilizer_chains_of_the_m12_systems_are_the_reference_build"]),
-    ("gather-without-index-0", "group.py",
-     "itemgetter(0, *self._orbit)",
-     "itemgetter(*self._orbit)",
-     ["tests/test_coset_action.py::test_the_point_path_gathers_what_enumeration_labels"]),
+    ("relabel-reversed", "group.py",
+     "return p * g * p_inv",
+     "return p_inv * g * p",
+     ["tests/test_coset_action.py::test_m12_hints_match_enumeration"]),
+    ("relabel-on-a-proper-orbit", "group.py",
+     "G._fixed_point_orbit(H.generators) if index == G.degree else None",
+     "G._fixed_point_orbit(H.generators)",
+     ["tests/test_coset_action.py", "-k", "proper_orbit or point_path"]),
+    ("relabel-chain-unconjugated", "group.py",
+     "G.chain._conjugated(p_inv, p)",
+     "G.chain",
+     ["tests/test_coset_action.py", "-k", "carried"]),
     ("point-256-skipped", "perm.py",
      "compress(range(256, degree + 1)",
      "compress(range(257, degree + 1)",

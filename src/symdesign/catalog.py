@@ -398,7 +398,8 @@ def _load_one_catalog(data: dict) -> GroupCatalog:
         elif group is not None and not all(map(group.contains, sub_gens)):
             raise CatalogError(f"{label}: generator outside {name}")
         else:
-            sub._bound = None if group is None else group._fixed_point_bound(sub_gens)
+            orbit = None if group is None else group._fixed_point_orbit(sub_gens)
+            sub._bound = None if orbit is None else group.order() // len(orbit)
             built[key] = sub
         return sub
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from itertools import islice
 from math import prod
-from operator import itemgetter
 
 from .perm import (MAX_DEGREE, Permutation, _compose, _identity_table, _pack, cycle_string,
                    parse_cycles)
@@ -335,11 +334,17 @@ class PermGroup:
         out.sort(key=lambda o: (len(o), o[0]))
         return out
 
-    def _fixed_point_bound(self, gens) -> int | None:
-        """|G_x| = |G|/|x^G| >= |<gens>|, gens in G and x the first point all fix
-        (a proven bound: ``StabChain``); None if they fix no point."""
+    def _fixed_point_orbit(self, gens) -> list[int] | None:
+        """x^G, breadth first over the generators in order, for the first
+        point x that every permutation in ``gens`` fixes; None if they fix
+        no point.  For gens in G, <gens> <= G_x, which has |G|/|x^G|
+        elements (orbit-stabilizer)."""
         x = next((x for x in range(1, self.degree + 1) if all(g.table[x] == x for g in gens)), 0)
-        return self.order() // len(self.orbit(x)) if x else None
+        if not x:
+            return None
+        seen = bytearray(self.degree + 1)
+        seen[x] = 1
+        return _close([x], seen, [g.table for g in self.generators])
 
     def is_transitive(self) -> bool:
         levels = self.chain.levels
@@ -638,15 +643,17 @@ class CosetAction:
     (generator for generator), and ``image_of`` extends the quotient map
     to arbitrary elements of G.
 
-    The walk names a coset by a point or by its canonical representative.
-    When H fixes a point x whose G-orbit has length |G:H|, H is G_x
-    (orbit-stabilizer) and Hw -> x^w is a G-equivariant bijection onto
-    x^G, so the walk runs over x^G and g's image is two gathers (the
-    orbit's images, then their labels).  If x^G is every point, ``group``
-    gets G's complete chain conjugated by the walk order; any other image
-    group builds its chain to |G|, a bound on a quotient's order.  Any
-    other H names each coset Hw by the representative that minimizes the
-    base images of H's chain level by level, and the walk runs over those.
+    When |G:H| is G's degree and H fixes a point x whose G-orbit has every
+    point, G is transitive and H is G_x (orbit-stabilizer), so Hw -> x^w is
+    a G-equivariant bijection onto the points and the walk is x^G.  Label j
+    is then the point p(j), p the permutation that lists the walk, so g
+    acts on the labels as p g p^-1 and ``group`` carries G's complete
+    chain conjugated by p.  Any other H, a point stabilizer of an
+    intransitive G among them, names each coset Hw by the representative
+    that minimizes the base images of H's chain level by level; the walk
+    runs over those, and the image group builds its chain to |G|, a bound
+    on a quotient's order.  The bijection is equivariant, so both walks
+    give the same labels.
     """
 
     def __init__(self, G: PermGroup, H: PermGroup):
@@ -654,13 +661,12 @@ class CosetAction:
         self.G = G
         self.H = H
         self.degree = index = G.order() // H.chain.order()
-        self._orbit = _orbit_of_fixed_point(G, H, index)
-        self._gather = None
-        if self._orbit is not None:
-            self._label = [0] * (G.degree + 1)  # slot 0 stays 0, as in every table
-            for j, y in enumerate(self._orbit, 1):
-                self._label[y] = j
-            self._gather = itemgetter(0, *self._orbit)  # two indices or more: a tuple
+        orbit = G._fixed_point_orbit(H.generators) if index == G.degree else None
+        self._relabel = None
+        if orbit is not None and len(orbit) == index:
+            self._orbit = orbit
+            p = Permutation._trusted(orbit)
+            self._relabel = p, p.inverse()
             images = [self._image(g) for g in G.generators]
         else:
             images = [self._on_cosets(g) for g in G.generators]
@@ -670,10 +676,9 @@ class CosetAction:
             images = map(Permutation._trusted, rows)
         self.group = PermGroup(images, degree=index)
         self.group._bound = G.order()
-        if self._gather is not None and index == G.degree:
-            # label j is the point p(j), so g acts on the labels as p g p^-1
-            p = Permutation._trusted(self._orbit)
-            self.group._chain = G.chain._conjugated(p.inverse(), p)
+        if self._relabel is not None:
+            p, p_inv = self._relabel
+            self.group._chain = G.chain._conjugated(p_inv, p)
 
     def _canonical(self, g: Permutation) -> Permutation:
         """Unique coset representative: minimizes base images level by level."""
@@ -699,30 +704,11 @@ class CosetAction:
 
     def _image(self, g: Permutation) -> Permutation:
         """``image_of`` for a g known to lie in G, with no checks."""
-        if self._gather is not None:
-            img = itemgetter(*self._gather(g.table))(self._label)
-            return Permutation._raw(_pack(img, self.degree), self.degree)
+        if self._relabel is not None:
+            p, p_inv = self._relabel
+            return p * g * p_inv
         image, label = self._on_cosets(g), self._label
         return Permutation._trusted([label[image(w)] for w in self._orbit])
-
-
-def _orbit_of_fixed_point(G: PermGroup, H: PermGroup, index: int) -> list | None:
-    """The G-orbit of the first point fixed by H whose orbit has length
-    ``index``, breadth first over G's generators in order; None if none.
-
-    Points of one orbit have conjugate stabilizers, so each G-orbit is
-    walked once, from its first point fixed by H.
-    """
-    tables = [g.table for g in G.generators]
-    seen = bytearray(G.degree + 1)
-    for x in range(1, G.degree + 1):
-        if seen[x] or any(h.table[x] != x for h in H.generators):
-            continue
-        seen[x] = 1
-        orbit = _close([x], seen, tables)
-        if len(orbit) == index:
-            return orbit
-    return None
 
 
 def _orbit_walk(seed, images):

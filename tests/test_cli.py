@@ -181,6 +181,10 @@ def test_classify_type_verb(capsys):
     assert main(["classify-type", "--v", "144", "--k", "66", "--lambda", "30"]) == 0
     assert "type: a" in capsys.readouterr().out
     assert main(["classify-type", "--v", "11", "--k", "5", "--lambda", "2"]) == 1
+    capsys.readouterr()
+    assert main(["classify-type", "--v", "10", "--k", "2", "--lambda", "1"]) == 1
+    assert capsys.readouterr().out == (
+        "k(k-1) != lam(v-1); lam*v >= k^2; k outside 2 < k < v-1\n")
 
 
 def test_derive_cdl_verb(capsys):
@@ -502,8 +506,10 @@ def _double_l211_order(data):
      "maximals[2].generators: point 2 repeated across cycles"),
     (_drop_group_degree, "group: generators given without a degree"),
     (_double_l211_order, "L2(11)max: generator order != stated order"),
+    (lambda d: d["subgroup_hints"][0].update(inside="M11c"),
+     "hint point-L2(11): unknown maximal 'M11c'"),
 ], ids=["cycle-text-unclosed", "cycle-point-repeated", "generators-without-degree",
-        "generator-order-not-stated-order"])
+        "generator-order-not-stated-order", "hint-inside-unknown"])
 def test_m12_catalog_with_one_broken_field_exits_2(tmp_path, capsys, breaks, message):
     data = json.loads(Path(M12_CATALOG).read_text())
     breaks(data)

@@ -1,6 +1,8 @@
-"""Coset actions, walked over a point orbit or over canonical representatives,
-checked against canonical-representative enumeration, and the stabilizer chain
-the image carries over from G."""
+"""Coset actions, G relabelled along a point orbit when H is the stabilizer of
+a point of a transitive G of degree |G:H| and walked over canonical
+representatives otherwise, checked against canonical-representative
+enumeration, and the stabilizer chain the relabelled image carries over
+from G."""
 
 import random
 
@@ -111,9 +113,11 @@ def test_paley_point_stabilizer_matches_enumeration(q):
 
 @pytest.mark.parametrize("case", range(3))
 def test_a_proper_orbit_gets_no_carried_chain(case):
+    """A subgroup of an intransitive G, even one fixing a point whose orbit
+    has |G:H| points, is walked over representatives and carries no chain."""
     G, H = intransitive_cases()[case]
     act = assert_matches_reference(G, H, random.Random(case))
-    assert on_points(act) and act.degree < G.degree
+    assert not on_points(act) and act.degree < G.degree
     assert act.group._chain is None
 
 
@@ -127,8 +131,7 @@ def _paley_263_with_a_fixed_point():
 
 POINT_PATH_CASES = {
     "proper-orbit": lambda: intransitive_cases()[1],
-    # H = G fixes 4, whose orbit {4} is the one coset: one label, and a
-    # gather of slot 0 and one point still yields a tuple
+    # H = G fixes 4, whose orbit {4} is the one coset: one label
     "orbit-of-length-1": lambda: (grp(5, "(1,2,3)", "(1,2)"), grp(5, "(1,2,3)", "(1,2)")),
     "degree-264": _paley_263_with_a_fixed_point,
 }
@@ -136,11 +139,12 @@ POINT_PATH_CASES = {
 
 @pytest.mark.parametrize("name", sorted(POINT_PATH_CASES))
 def test_the_point_path_gathers_what_enumeration_labels(name):
-    """The two gathers give the enumeration's rows and images, and an image
-    group with no carried chain builds the full build's chain to |G|."""
+    """A point stabilizer of an intransitive G is walked over representatives,
+    with the enumeration's rows and images, and its image group, which
+    carries no chain, builds the full build's chain to |G|."""
     G, H = POINT_PATH_CASES[name]()
     act = assert_matches_reference(G, H, random.Random(name), samples=6)
-    assert on_points(act) and act.degree < G.degree
+    assert not on_points(act) and act.degree < G.degree
     assert act.group._chain is None and act.group._bound == G.order()
     assert chain_levels(act.group.chain) == chain_levels(
         reference_stab_chain(act.group.generators, act.degree))

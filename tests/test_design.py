@@ -729,6 +729,28 @@ def test_imprimitivity_profile_refutes_bad_partition():
     assert str(exc.value) == "block 0 meets class 1 in 1 points, expected 0 or 3"
 
 
+def test_a_profile_of_singleton_meets_is_degenerate():
+    """The one profile gate past the meet checks that a verified design
+    reaches: k = 1, so every meet has ell = 1 point."""
+    D = Design(4, [(1,), (2,), (3,), (4,)])
+    with pytest.raises(ProfileViolation) as exc:
+        imprimitivity_profile(D, BlockSystem(4, [(1, 2), (3, 4)]))
+    assert (exc.value.block_index, exc.value.class_index, exc.value.size) == (-1, -1, 1)
+    assert str(exc.value) == "degenerate intersection profile"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda fano: block_stabilizer(cyclic(7), fano, 7), "block index 7 outside 0..6"),
+    (lambda fano: imprimitivity_profile(fano, BlockSystem(4, [(1, 3), (2, 4)])),
+     "block system degree does not match the design"),
+    (lambda fano: Design(0, []), "v must be positive"),
+])
+def test_argument_errors(fano, call, message):
+    with pytest.raises(ValueError) as exc:
+        call(fano)
+    assert str(exc.value) == message
+
+
 def test_design_file_round_trip(fano):
     text = design_file_text(fano)
     again = parse_design_file(text)

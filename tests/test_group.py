@@ -951,6 +951,25 @@ def test_group_file_whitespace_insensitive():
     assert parsed.generators == (parse_cycles("(1,2)(3,4)", 4),)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: PermGroup([]), "degree is required for an empty generating set"),
+    (lambda: PermGroup([Permutation.identity(3), Permutation.identity(4)]),
+     "generator degree 4 != 3"),
+    (lambda: cyclic(7).point_stabilizer(0), "point 0 outside 1..7"),
+    (lambda: PermGroup.trivial(1).minimal_block_systems(), "block systems need degree >= 2"),
+    (lambda: grp(4, "(1,2,3,4)").class_stabilizer(BlockSystem(6, [(1, 2, 3), (4, 5, 6)]), 0),
+     "block system degree mismatch"),
+    (lambda: grp(4, "(1,2,3,4)").class_stabilizer(BlockSystem(4, [(1, 3), (2, 4)]), 2),
+     "class index 2 outside 0..1"),
+    (lambda: BlockSystem(4, []), "empty partition"),
+    (lambda: BlockSystem(4, [(1, 5), (2, 3)]), "point 5 outside 1..4"),
+])
+def test_argument_errors(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_group_file_errors():
     with pytest.raises(ValueError, match="degree"):
         parse_group_file("(1,2)\n")

@@ -38,6 +38,12 @@ def test_factorize_large_group_order():
     assert total == fi22
 
 
+def test_factorize_refuses_0():
+    with pytest.raises(ValueError) as exc:
+        factorize(0)
+    assert str(exc.value) == "cannot factorize 0"
+
+
 def test_factorize_splits_big_semiprime():
     p, q = 1000003, 1000033
     assert factorize(p * q) == {p: 1, q: 1}

@@ -52,6 +52,12 @@ def test_inverse_of_identity():
     assert Permutation.identity(5).inverse().is_identity()
 
 
+def test_identity_refuses_degree_0():
+    with pytest.raises(ValueError) as exc:
+        Permutation.identity(0)
+    assert str(exc.value) == "degree must be positive"
+
+
 def test_constructor_rejects_non_bijections():
     with pytest.raises(ValueError):
         Permutation([1, 1, 3])

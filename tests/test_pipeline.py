@@ -98,6 +98,12 @@ M11_TABLE = {
 }
 
 
+def test_subgroup_index_gate_refuses_an_index_below_1():
+    with pytest.raises(ValueError) as exc:
+        subgroup_index_gate("M", 0, {})
+    assert str(exc.value) == "index 0 must be positive"
+
+
 def test_subgroup_index_gate_trivial_index():
     assert subgroup_index_gate("anything", 1, {}) == GATE_POSSIBLE
 
